@@ -36,6 +36,17 @@ class DegenerateTriangleError(MeshError):
     pass
 
 
+def _half_edges(faces):
+    """(src, dst, integer key of the undirected edge) of each half-edge;
+    half-edge 3 t + k runs from corner k of face t to corner k + 1."""
+    src = faces.ravel()
+    dst = faces[:, [1, 2, 0]].ravel()
+    lo = src.min(initial=0)
+    n = int(src.max(initial=0) - lo) + 1
+    key = (np.minimum(src, dst) - lo) * n + (np.maximum(src, dst) - lo)
+    return src, dst, key
+
+
 class TriMesh:
     """Oriented triangle mesh, possibly with boundary.
 
@@ -83,38 +94,39 @@ class TriMesh:
     def _edge_tables(self):
         if "edges" in self._cache:
             return self._cache["edges"]
-        tri = self.triangles
-        undirected = {}
-        for t in range(len(tri)):
-            for k in range(3):
-                i, j = int(tri[t, k]), int(tri[t, (k + 1) % 3])
-                if i == j:
-                    raise MeshError(f"degenerate face {t} repeats vertex {i}")
-                key = (min(i, j), max(i, j))
-                undirected[key] = undirected.get(key, 0) + 1
-        if any(c > 2 for c in undirected.values()):
+        # each check reports the offence met first in half-edge order
+        src, dst, undirected = _half_edges(self.triangles)
+        degenerate = np.flatnonzero(src == dst)
+        if len(degenerate):
+            p = degenerate[0]
+            raise MeshError(
+                f"degenerate face {p // 3} repeats vertex {src[p]}")
+        order = np.argsort(undirected)
+        pair = undirected[order[1:]] == undirected[order[:-1]]
+        if np.any(pair[1:] & pair[:-1]):
             raise NonManifoldError("edge shared by more than 2 triangles")
-        directed = {}
-        for t in range(len(tri)):
-            for k in range(3):
-                i, j = int(tri[t, k]), int(tri[t, (k + 1) % 3])
-                if (i, j) in directed:
-                    raise OrientationError(
-                        f"directed edge ({i},{j}) appears twice: "
-                        f"inconsistent face orientation")
-                directed[(i, j)] = (t, k)
-        boundary_directed = {}
-        for (i, j) in directed:
-            if (j, i) not in directed:
-                # boundary half-edge oriented opposite the face loop
-                if j in boundary_directed:
-                    raise NonManifoldError(
-                        f"vertex {j} has multiple boundary fans")
-                boundary_directed[j] = i
-        tables = {"directed": directed, "undirected": undirected,
-                  "boundary_next": boundary_directed}
-        self._cache["edges"] = tables
-        return tables
+        if np.any(pair & (src[order[1:]] == src[order[:-1]])):
+            directed = 2 * undirected + (src < dst)
+            _, first = np.unique(directed, return_index=True)
+            p = np.setdiff1d(np.arange(len(directed)), first)[0]
+            raise OrientationError(
+                f"directed edge ({src[p]},{dst[p]}) appears twice: "
+                f"inconsistent face orientation")
+        # a boundary half-edge (i, j) has no twin (j, i), so its edge key
+        # stands alone; the boundary successor map sends j to i
+        lone = np.ones(len(order), dtype=bool)
+        lone[1:] &= ~pair
+        lone[:-1] &= ~pair
+        bnd = np.sort(order[lone])
+        fans, fan_first = np.unique(dst[bnd], return_index=True)
+        if len(fans) < len(bnd):
+            q = np.setdiff1d(np.arange(len(bnd)), fan_first)[0]
+            raise NonManifoldError(
+                f"vertex {dst[bnd[q]]} has multiple boundary fans")
+        self._cache["edges"] = {
+            "num_edges": len(order) - int(pair.sum()),
+            "boundary_next": dict(zip(dst[bnd].tolist(), src[bnd].tolist()))}
+        return self._cache["edges"]
 
     def _trace_boundary(self):
         nxt = self._edge_tables()["boundary_next"]
@@ -142,7 +154,7 @@ class TriMesh:
 
     @property
     def num_edges(self):
-        return len(self._edge_tables()["undirected"])
+        return self._edge_tables()["num_edges"]
 
     @property
     def is_closed(self):
@@ -349,23 +361,20 @@ def build_sphere_mesh(subdivisions):
 
 
 def _subdivide(verts, faces):
-    verts = list(map(tuple, verts))
-    cache = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            p = np.asarray(verts[i]) + np.asarray(verts[j])
-            p /= np.linalg.norm(p)
-            cache[key] = len(verts)
-            verts.append(tuple(p))
-        return cache[key]
-
-    out = []
-    for (a, b, c) in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.asarray(verts, dtype=float), np.asarray(out, dtype=np.int64)
+    """Split each face in four; edge midpoints are numbered in the order
+    the face edges (a, b), (b, c), (c, a) first meet them."""
+    src, dst, key = _half_edges(faces)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    label = np.empty_like(order)
+    label[order] = len(verts) + np.arange(len(order))
+    ab, bc, ca = label[inverse].reshape(-1, 3).T
+    a, b, c = faces.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    p = verts[src[first[order]]] + verts[dst[first[order]]]
+    # row dot products through matmul round like the 1-D np.linalg.norm
+    p /= np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+    return np.vstack([verts, p]), out.reshape(-1, 3)
 
 
 def build_torus_mesh(modulus, resolution):
@@ -382,25 +391,17 @@ def build_torus_mesh(modulus, resolution):
     if res < 3:
         raise MeshError("resolution must be >= 3")
     basis = np.array([[1.0, 0.0, 0.0], [tau.real, tau.imag, 0.0]])
-
-    def pos(i, j):
-        return (i / res) * basis[0] + (j / res) * basis[1]
-
-    verts = np.array([pos(i, j) for j in range(res) for i in range(res)])
-
-    def vid(i, j):
-        return (j % res) * res + (i % res)
-
-    faces = []
-    corner_idx = []
-    for j in range(res):
-        for i in range(res):
-            faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            corner_idx.append(((i, j), (i + 1, j), (i + 1, j + 1)))
-            faces.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-            corner_idx.append(((i, j), (i + 1, j + 1), (i, j + 1)))
-    corners = np.array([[pos(i, j) for (i, j) in tri] for tri in corner_idx])
-    return TriMesh(verts, np.asarray(faces, dtype=np.int64), genus_hint=1,
+    g = (np.arange(res + 1) / res)[:, None]
+    pos = g[None, :] * basis[0] + g[:, None] * basis[1]  # pos[j, i]
+    verts = pos[:res, :res].reshape(-1, 3)
+    # grid square (i, j), j-major, splits into the two faces whose corners
+    # sit at these (i, j) offsets
+    j, i = np.divmod(np.arange(res * res), res)
+    ci = i[:, None, None] + np.array([[0, 1, 1], [0, 1, 0]])
+    cj = j[:, None, None] + np.array([[0, 0, 1], [0, 1, 1]])
+    faces = ((cj % res) * res + ci % res).reshape(-1, 3)
+    corners = pos[cj, ci].reshape(-1, 3, 3)
+    return TriMesh(verts, faces, genus_hint=1,
                    corners=corners,
                    chart_meta={"tau_re": tau.real, "tau_im": tau.imag,
                                "res": res})
@@ -451,15 +452,13 @@ def curve_measure(mesh, loop_ids=None):
         raise MeshError("empty boundary loop selection")
     if any(i < 0 or i >= len(mesh.boundary_loops) for i in loop_ids):
         raise MeshError("loop id out of range (interior loops do not exist)")
-    lengths = mesh.edge_lengths
+    loops = [mesh.boundary_loops[lid] for lid in loop_ids]
+    i = np.concatenate(loops)
+    j = np.concatenate([np.roll(loop, -1) for loop in loops])
+    half = 0.5 * np.asarray(mesh.edge_lengths[i, j]).ravel()
+    # edge by edge, both ends in turn: the order of a sequential sum
     w = np.zeros(mesh.num_vertices)
-    for lid in loop_ids:
-        loop = mesh.boundary_loops[lid]
-        for k in range(len(loop)):
-            i, j = int(loop[k]), int(loop[(k + 1) % len(loop)])
-            ell = lengths[i, j]
-            w[i] += 0.5 * ell
-            w[j] += 0.5 * ell
+    np.add.at(w, np.stack([i, j], axis=1).ravel(), np.repeat(half, 2))
     return MeshMeasure("curve", w)
 
 

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specx.cli import _hole_centers
 from specx.mesh import (ConformalDensity, MeshError, NonManifoldError,
                         OrientationError, TriMesh, area, build_sphere_mesh,
                         build_torus_mesh, curve_measure, load_mesh,
                         mass_matrix, puncture, save_mesh, stiffness_matrix)
 
-from conftest import build_disk_mesh
+from conftest import build_annulus_mesh, build_disk_mesh
 
 
 TET_OFF = """OFF
@@ -46,7 +47,8 @@ def test_nonmanifold_edge_rejected():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
                       [0, -1, 0]], dtype=float)
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-    with pytest.raises(NonManifoldError):
+    with pytest.raises(NonManifoldError,
+                       match=r"^edge shared by more than 2 triangles$"):
         TriMesh(verts, tris)
 
 
@@ -55,8 +57,56 @@ def test_inconsistent_orientation_rejected():
                      dtype=float)
     tris = np.array([[0, 1, 2], [1, 3, 2]])
     TriMesh(verts, tris)  # consistent version is fine
-    with pytest.raises(OrientationError):
+    with pytest.raises(OrientationError,
+                       match=r"^directed edge \(1,2\) appears twice: "
+                             r"inconsistent face orientation$"):
         TriMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]))
+
+
+def _points(n):
+    return np.zeros((n, 3))
+
+
+def test_degenerate_face_rejected():
+    # face 1 repeats vertex 2 at its closing edge, before face 2 repeats 4
+    tris = np.array([[0, 1, 2], [2, 3, 2], [4, 4, 5]])
+    with pytest.raises(MeshError,
+                       match=r"^degenerate face 1 repeats vertex 2$"):
+        TriMesh(_points(6), tris)
+    # the degenerate-face check runs before the edge-count check
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4], [5, 6, 6]])
+    with pytest.raises(MeshError,
+                       match=r"^degenerate face 3 repeats vertex 6$"):
+        TriMesh(_points(7), tris)
+
+
+def test_first_repeated_directed_edge_reported():
+    # (5,6) repeats at face 2, before (1,2) repeats at face 3
+    tris = np.array([[0, 1, 2], [5, 6, 7], [5, 6, 8], [1, 2, 9]])
+    with pytest.raises(OrientationError,
+                       match=r"^directed edge \(5,6\) appears twice"):
+        TriMesh(_points(10), tris)
+
+
+def test_bow_tie_vertex_rejected():
+    with pytest.raises(NonManifoldError,
+                       match=r"^vertex 0 has multiple boundary fans$"):
+        TriMesh(_points(5), np.array([[0, 1, 2], [0, 3, 4]]))
+    # two bow-ties: the second boundary fan of 5 closes before that of 0
+    tris = np.array([[5, 1, 2], [5, 3, 4], [0, 6, 7], [0, 8, 9]])
+    with pytest.raises(NonManifoldError,
+                       match=r"^vertex 5 has multiple boundary fans$"):
+        TriMesh(_points(10), tris)
+
+
+def test_euler_formula_violation(tmp_path):
+    path = tmp_path / "tet.off"
+    path.write_text(TET_OFF)
+    tet = load_mesh(path)
+    with pytest.raises(MeshError,
+                       match=r"^Euler formula violated: V-E\+F=2, "
+                             r"expected 0$"):
+        TriMesh(tet.vertices, tet.triangles, genus_hint=1)
 
 
 def test_parse_errors(tmp_path):
@@ -236,3 +286,219 @@ def test_density_validation(torus32):
     bad[torus32.triangles[0]] = 0.0  # a whole dead triangle is not
     with pytest.raises(MeshError):
         ConformalDensity(bad).validate(torus32)
+
+
+# ---------------------------------------------------------------------------
+# Loop reference implementations. The array code in specx.mesh must match
+# them bit for bit and raise the same error for the same input.
+# ---------------------------------------------------------------------------
+
+def _loop_edge_tables(tri):
+    """(num_edges, boundary successor map) or the error the mesh raises."""
+    undirected = {}
+    for t in range(len(tri)):
+        for k in range(3):
+            i, j = int(tri[t, k]), int(tri[t, (k + 1) % 3])
+            if i == j:
+                raise MeshError(f"degenerate face {t} repeats vertex {i}")
+            key = (min(i, j), max(i, j))
+            undirected[key] = undirected.get(key, 0) + 1
+    if any(c > 2 for c in undirected.values()):
+        raise NonManifoldError("edge shared by more than 2 triangles")
+    directed = {}
+    for t in range(len(tri)):
+        for k in range(3):
+            i, j = int(tri[t, k]), int(tri[t, (k + 1) % 3])
+            if (i, j) in directed:
+                raise OrientationError(
+                    f"directed edge ({i},{j}) appears twice: "
+                    f"inconsistent face orientation")
+            directed[(i, j)] = (t, k)
+    boundary_next = {}
+    for (i, j) in directed:
+        if (j, i) not in directed:
+            if j in boundary_next:
+                raise NonManifoldError(
+                    f"vertex {j} has multiple boundary fans")
+            boundary_next[j] = i
+    return len(undirected), boundary_next
+
+
+def _loop_trace(nxt):
+    seen = set()
+    loops = []
+    for start in sorted(nxt):
+        if start in seen:
+            continue
+        loop = [start]
+        seen.add(start)
+        cur = nxt[start]
+        while cur != start:
+            loop.append(cur)
+            seen.add(cur)
+            cur = nxt[cur]
+        loops.append(np.asarray(loop, dtype=np.int64))
+    loops.sort(key=lambda ring: int(ring.min()))
+    return loops
+
+
+def _loop_subdivide(verts, faces):
+    verts = list(map(tuple, verts))
+    cache = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            p = np.asarray(verts[i]) + np.asarray(verts[j])
+            p /= np.linalg.norm(p)
+            cache[key] = len(verts)
+            verts.append(tuple(p))
+        return cache[key]
+
+    out = []
+    for (a, b, c) in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.asarray(verts, dtype=float), np.asarray(out, dtype=np.int64)
+
+
+def _loop_sphere(subdivisions):
+    from specx.mesh import _ICO_FACES, _ICO_VERTS
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
+    faces = _ICO_FACES.copy()
+    for _ in range(subdivisions):
+        verts, faces = _loop_subdivide(verts, faces)
+    return verts / np.linalg.norm(verts, axis=1, keepdims=True), faces
+
+
+def _loop_torus(tau, res):
+    basis = np.array([[1.0, 0.0, 0.0], [tau.real, tau.imag, 0.0]])
+
+    def pos(i, j):
+        return (i / res) * basis[0] + (j / res) * basis[1]
+
+    verts = np.array([pos(i, j) for j in range(res) for i in range(res)])
+
+    def vid(i, j):
+        return (j % res) * res + (i % res)
+
+    faces = []
+    corner_idx = []
+    for j in range(res):
+        for i in range(res):
+            faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            corner_idx.append(((i, j), (i + 1, j), (i + 1, j + 1)))
+            faces.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+            corner_idx.append(((i, j), (i + 1, j + 1), (i, j + 1)))
+    corners = np.array([[pos(i, j) for (i, j) in tri] for tri in corner_idx])
+    return verts, np.asarray(faces, dtype=np.int64), corners
+
+
+def _loop_curve_weights(mesh, loop_ids):
+    lengths = mesh.edge_lengths
+    w = np.zeros(mesh.num_vertices)
+    for lid in loop_ids:
+        loop = mesh.boundary_loops[lid]
+        for k in range(len(loop)):
+            i, j = int(loop[k]), int(loop[(k + 1) % len(loop)])
+            ell = lengths[i, j]
+            w[i] += 0.5 * ell
+            w[j] += 0.5 * ell
+    return w
+
+
+def _assert_same_combinatorics(mesh):
+    num_edges, nxt = _loop_edge_tables(mesh.triangles)
+    assert mesh.num_edges == num_edges
+    loops = _loop_trace(nxt)
+    assert len(mesh.boundary_loops) == len(loops)
+    for got, want in zip(mesh.boundary_loops, loops):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("subdivisions", [0, 1, 2, 3, 4])
+def test_sphere_matches_loop_reference(subdivisions):
+    mesh = build_sphere_mesh(subdivisions)
+    verts, faces = _loop_sphere(subdivisions)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.triangles, faces)
+    assert np.array_equal(mesh.corners, verts[faces])
+    _assert_same_combinatorics(mesh)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
+@pytest.mark.parametrize("res", [3, 7, 48])
+def test_torus_matches_loop_reference(tau, res):
+    mesh = build_torus_mesh(tau, res)
+    verts, faces, corners = _loop_torus(tau, res)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.triangles, faces)
+    assert np.array_equal(mesh.corners, corners)
+    _assert_same_combinatorics(mesh)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
+@pytest.mark.parametrize("holes", [1, 4, 9])
+def test_punctured_torus_matches_loop_reference(tau, holes):
+    torus = build_torus_mesh(tau, 48)
+    radius = 0.2 * np.sqrt(area(torus) / holes)
+    mesh = puncture(torus, _hole_centers(torus, holes, 0), radius)
+    assert len(mesh.boundary_loops) == holes
+    _assert_same_combinatorics(mesh)
+    every = list(range(holes))
+    assert np.array_equal(curve_measure(mesh).weights,
+                          _loop_curve_weights(mesh, every))
+    some = every[::2] + every[:1]  # repeated ids accumulate in order
+    assert np.array_equal(curve_measure(mesh, some).weights,
+                          _loop_curve_weights(mesh, some))
+
+
+def test_open_meshes_match_loop_reference(disk):
+    for mesh in (disk, build_annulus_mesh()):
+        _assert_same_combinatorics(mesh)
+        assert np.array_equal(curve_measure(mesh).weights,
+                              _loop_curve_weights(
+                                  mesh, range(len(mesh.boundary_loops))))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except MeshError as exc:
+        return type(exc), str(exc)
+
+
+def test_face_subsets_match_loop_reference():
+    """Random face subsets of a res-4 torus, some faces flipped and some
+    vertex labels merged, raise what the loop raises or give the same edge
+    count and boundary loops. Every error kind and open and closed valid
+    meshes all occur among the 300 seeds."""
+    base = build_torus_mesh(1j, 4).triangles
+    kinds = set()
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        tri = base[rng.random(32) < rng.choice([0.6, 0.9, 0.97])]
+        flip = rng.random(len(tri)) < rng.choice([0.0, 0.0, 0.05])
+        tri = np.where(flip[:, None], tri[:, ::-1], tri)
+        if rng.random() < 0.3:
+            tri = np.where(tri == rng.integers(16), rng.integers(16), tri)
+
+        def vectorised():
+            mesh = TriMesh(_points(16), tri, genus_hint=0, validate=False)
+            return mesh.num_edges, mesh._trace_boundary()
+
+        def loop():
+            num_edges, nxt = _loop_edge_tables(tri)
+            return num_edges, _loop_trace(nxt)
+
+        got, want = _outcome(vectorised), _outcome(loop)
+        if isinstance(want[1], list):
+            kinds.add(min(len(want[1]), 1))
+            assert got[0] == want[0]
+            assert len(got[1]) == len(want[1])
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got[1], want[1]))
+        else:
+            kinds.add(want[1].split()[0])
+            assert got == want
+    assert kinds == {0, 1, "degenerate", "edge", "directed", "vertex"}
