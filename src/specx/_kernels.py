@@ -16,7 +16,7 @@ if not _DISABLED:
         from numba import njit
 
         HAVE_NUMBA = True
-    except ImportError:  # numba is the optional `fast` extra
+    except ImportError:  # pragma: no cover - numba is a declared dependency
         HAVE_NUMBA = False
 else:
     HAVE_NUMBA = False
