@@ -39,17 +39,20 @@ def clip_to_ball(p, limit=BALL_EDGE):
 
 
 def maximize_over_ball(objective, dim, n_dirs=16, n_radii=6, max_radius=0.95,
-                       rounds=3, local_samples=16, seed=0, grid=None):
+                       rounds=3, local_samples=16, seed=0, grid=None,
+                       project=clip_to_ball):
     """Grid sup with shrinking-neighborhood refinement around the argmax.
 
-    Returns (best_value, best_point, history) where history records the
-    incumbent value per round (coarse grid first).
+    Refinement samples are mapped back into the parameter domain by
+    `project` (the clip to the ball by default). Returns (best_value,
+    best_point, history) where history records the incumbent value per
+    round (coarse grid first).
     """
     rng = np.random.default_rng(seed)
     if grid is None:
         grid = ball_grid(dim, n_dirs, n_radii, max_radius, seed)
     best_val = -np.inf
-    best_p = np.zeros(dim)
+    best_p = np.asarray(grid[0], dtype=float)
     for p in grid:
         v = objective(p)
         if v > best_val:
@@ -58,7 +61,7 @@ def maximize_over_ball(objective, dim, n_dirs=16, n_radii=6, max_radius=0.95,
     radius = max_radius / max(n_radii, 1)
     for _ in range(rounds):
         for _ in range(local_samples):
-            cand = clip_to_ball(best_p + radius * rng.standard_normal(dim))
+            cand = project(best_p + radius * rng.standard_normal(dim))
             v = objective(cand)
             if v > best_val:
                 best_val, best_p = v, cand

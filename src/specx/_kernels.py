@@ -1,34 +1,15 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Hot numeric kernels in numpy.
 
-Set SPECX_NO_NUMBA=1 to force the numpy path (used by the benchmark and by
-environments without a working numba install). Everything here operates on
-plain float64 arrays; callers own shape validation.
+Everything here operates on plain float64 arrays; callers own shape
+validation.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("SPECX_NO_NUMBA", "").strip() not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA
+HAVE_NUMBA = False  # read by the environment block of specxbench/run.py
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _tri_geometry_np(corners):
+def tri_geometry(corners):
     """Cotangents and areas for a batch of triangles.
 
     corners: (F, 3, 3) positions. Returns (cots, areas): cots[f, i] is the
@@ -51,7 +32,7 @@ def _tri_geometry_np(corners):
     return np.stack([cot0, cot1, cot2], axis=1), areas
 
 
-def _mobius_batch_np(x, a):
+def mobius_batch(x, a):
     """Ball-indexed conformal automorphism of the unit sphere, row-wise.
 
     x: (V, d) unit vectors, a: (d,) with |a| < 1.
@@ -62,7 +43,7 @@ def _mobius_batch_np(x, a):
     return s[:, None] * u + a[None, :]
 
 
-def _cap_reflect_raw_np(x, b):
+def cap_reflect_raw(x, b):
     """Conformal reflection across the cap boundary, applied to every row.
 
     Conjugates the Euclidean sphere inversion fixing the projected cap
@@ -91,7 +72,7 @@ def _cap_reflect_raw_np(x, b):
     return out
 
 
-def _gl_pointwise_np(values, areas, eps):
+def gl_pointwise(values, areas, eps):
     """Potential integral and area-averaged norm for the relaxed energy.
 
     values: (V, d), areas: (V,). Returns (potential, avg_norm) with
@@ -102,132 +83,3 @@ def _gl_pointwise_np(values, areas, eps):
     pot = float(np.sum(areas * dev * dev)) / (4.0 * eps * eps)
     avg = float(np.sum(areas * np.sqrt(n2)) / np.sum(areas))
     return pot, avg
-
-
-# ---------------------------------------------------------------------------
-# numba versions
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _tri_geometry_nb(corners):
-        f = corners.shape[0]
-        cots = np.empty((f, 3))
-        areas = np.empty(f)
-        for t in range(f):
-            p0 = corners[t, 0]
-            p1 = corners[t, 1]
-            p2 = corners[t, 2]
-            e0x = p2[0] - p1[0]
-            e0y = p2[1] - p1[1]
-            e0z = p2[2] - p1[2]
-            e1x = p0[0] - p2[0]
-            e1y = p0[1] - p2[1]
-            e1z = p0[2] - p2[2]
-            e2x = p1[0] - p0[0]
-            e2y = p1[1] - p0[1]
-            e2z = p1[2] - p0[2]
-            cx = e2y * (-e1z) - e2z * (-e1y)
-            cy = e2z * (-e1x) - e2x * (-e1z)
-            cz = e2x * (-e1y) - e2y * (-e1x)
-            da = np.sqrt(cx * cx + cy * cy + cz * cz)
-            areas[t] = 0.5 * da
-            d = da if da > 0.0 else 1.0
-            cots[t, 0] = -(e1x * e2x + e1y * e2y + e1z * e2z) / d
-            cots[t, 1] = -(e2x * e0x + e2y * e0y + e2z * e0z) / d
-            cots[t, 2] = -(e0x * e1x + e0y * e1y + e0z * e1z) / d
-        return cots, areas
-
-    @njit(cache=True)
-    def _mobius_batch_nb(x, a):
-        v = x.shape[0]
-        d = x.shape[1]
-        a2 = 0.0
-        for j in range(d):
-            a2 += a[j] * a[j]
-        out = np.empty_like(x)
-        for i in range(v):
-            d2 = 0.0
-            for j in range(d):
-                u = x[i, j] + a[j]
-                d2 += u * u
-            if d2 < 1e-300:
-                d2 = 1e-300
-            s = (1.0 - a2) / d2
-            for j in range(d):
-                out[i, j] = s * (x[i, j] + a[j]) + a[j]
-        return out
-
-    @njit(cache=True)
-    def _cap_reflect_raw_nb(x, b):
-        v = x.shape[0]
-        d = x.shape[1]
-        beta = 0.0
-        for j in range(d):
-            beta += b[j] * b[j]
-        beta = np.sqrt(beta)
-        r2 = beta / (2.0 - beta)
-        out = np.empty_like(x)
-        q = np.empty(d)
-        for i in range(v):
-            t = 0.0
-            for j in range(d):
-                t += x[i, j] * b[j] / beta
-            denom = 1.0 + t
-            if denom <= 1e-12:
-                for j in range(d):
-                    out[i, j] = b[j] / beta
-                continue
-            q2 = 0.0
-            for j in range(d):
-                q[j] = (x[i, j] - t * b[j] / beta) / denom
-                q2 += q[j] * q[j]
-            if q2 <= 1e-300:
-                for j in range(d):
-                    out[i, j] = -b[j] / beta
-                continue
-            w2 = 0.0
-            for j in range(d):
-                q[j] = r2 * q[j] / q2
-                w2 += q[j] * q[j]
-            back = 1.0 + w2
-            for j in range(d):
-                out[i, j] = (2.0 * q[j] - (w2 - 1.0) * b[j] / beta) / back
-        return out
-
-    @njit(cache=True)
-    def _gl_pointwise_nb(values, areas, eps):
-        v = values.shape[0]
-        d = values.shape[1]
-        pot = 0.0
-        avg = 0.0
-        tot = 0.0
-        for i in range(v):
-            n2 = 0.0
-            for j in range(d):
-                n2 += values[i, j] * values[i, j]
-            dev = 1.0 - n2
-            pot += areas[i] * dev * dev
-            avg += areas[i] * np.sqrt(n2)
-            tot += areas[i]
-        return pot / (4.0 * eps * eps), avg / tot
-
-
-if USING_NUMBA:
-    tri_geometry = _tri_geometry_nb
-    mobius_batch = _mobius_batch_nb
-    cap_reflect_raw = _cap_reflect_raw_nb
-    gl_pointwise = _gl_pointwise_nb
-else:
-    tri_geometry = _tri_geometry_np
-    mobius_batch = _mobius_batch_np
-    cap_reflect_raw = _cap_reflect_raw_np
-    gl_pointwise = _gl_pointwise_np
-
-NUMPY_IMPLS = {
-    "tri_geometry": _tri_geometry_np,
-    "mobius_batch": _mobius_batch_np,
-    "cap_reflect_raw": _cap_reflect_raw_np,
-    "gl_pointwise": _gl_pointwise_np,
-}

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels, mobius, spectra
-from ._ballopt import BALL_EDGE, ball_grid, clip_to_ball
+from ._ballopt import BALL_EDGE, ball_grid, clip_to_ball, maximize_over_ball
 from .harmonic import SphereMap, normalize_rows, tension_residual
 from .mesh import MeshMeasure, TriMesh, volume_measure
 
@@ -368,29 +368,18 @@ def minmax_upper(spec: FamilySpec):
                                 parts["potential"], parts["avg_norm"]))
         return parts["E_eps"]
 
-    best_val = -np.inf
-    best_p = spec.grid[0]
-    for p in spec.grid:
-        v = objective(p)
-        if v > best_val:
-            best_val, best_p = v, np.asarray(p, dtype=float)
-    history = [best_val]
-    rng = np.random.default_rng(spec.seed + 17)
-    radius = spec.max_radius / max(spec.n_radii, 1)
     d = spec.ambient_dim
-    for _ in range(spec.refine_rounds):
-        for _ in range(spec.refine_samples):
-            cand = best_p + radius * rng.standard_normal(len(best_p))
-            if spec.family == "second":
-                cand = np.concatenate([clip_to_ball(cand[:d]),
-                                       clip_to_ball(cand[d:])])
-            else:
-                cand = clip_to_ball(cand)
-            v = objective(cand)
-            if v > best_val:
-                best_val, best_p = v, cand
-        history.append(best_val)
-        radius *= 0.5
+
+    def project(p):
+        if spec.family == "second":
+            return np.concatenate([clip_to_ball(p[:d]), clip_to_ball(p[d:])])
+        return clip_to_ball(p)
+
+    best_val, best_p, history = maximize_over_ball(
+        objective, spec.param_dim, n_radii=spec.n_radii,
+        max_radius=spec.max_radius, rounds=spec.refine_rounds,
+        local_samples=spec.refine_samples, seed=spec.seed + 17,
+        grid=spec.grid, project=project)
     return MinMaxReport(
         sup_energy=best_val, argmax=best_p, eps=spec.eps,
         mollify_time=spec.mollify_time, family=spec.family, seed=spec.seed,

@@ -54,6 +54,11 @@ class TriMesh:
     consistent orientation; corners: (F, 3, 3) per-face corner positions
     (defaults to vertex lookup; flat tori store the unwrapped chart here);
     orig_vertex_ids keeps labels across subdomain extraction.
+
+    The edge checks (degenerate faces, non-manifold edges, inconsistent
+    orientation) always run. validate=False skips only the boundary trace,
+    which leaves boundary_loops empty even on an open mesh, and the Euler
+    check.
     """
 
     def __init__(self, vertices, triangles, genus_hint=None, corners=None,

@@ -2,10 +2,12 @@
 first normalized eigenvalue.
 
 All solves are of pencil type K v = lambda B v with the cotangent stiffness
-K and a diagonal nonnegative right-hand form B. Rank-deficient B (boundary
-measures, point masses, conical zeros) is handled by restricting to the
-support of B; the discrete harmonic extension is implicit in the restricted
-solve, which is the Schur complement onto supp(B).
+K and a diagonal nonnegative right-hand form B, and all go through one
+shift-invert path (`solve_pencil`): one sparse LU of K - sigma B, then the
+symmetric standard form on the support of B. Rank-deficient B (boundary
+measures, point masses, conical zeros) needs no special case: the
+eigenvectors come back discrete-harmonic off supp(B), as from the Schur
+complement onto supp(B).
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ class RankError(SolverError):
     pass
 
 
-DENSE_CUTOFF = 2000
-SCHUR_LIMIT = 1500  # supports up to this size use the reduced dense solve
+CLUSTER_MARGIN = 3  # Lanczos pairs beyond k+1, so a cluster is not cut
 
 
 @dataclass
@@ -106,8 +107,17 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
                  expect_disconnected=False):
     """First k+1 eigenpairs of K v = lambda diag(b) v.
 
-    b may vanish on part of the mesh; the solve is then restricted to
-    supp(b) (Schur complement) and eigenvectors are extended harmonically.
+    One shift-invert solve for every pencil. K - sigma B is factored once
+    with a sparse LU (sigma = -1e-3 tr K / sum b < 0, so the matrix is
+    positive definite) and the standard symmetric form
+    C = B_s^{1/2} [(K - sigma B)^{-1}]_{ss} B_s^{1/2} on s = supp(b) is
+    diagonalized: lambda = sigma + 1/mu, v = (lambda - sigma)
+    (K - sigma B)^{-1} B^{1/2} x. The vectors are B-orthonormal and
+    discrete-harmonic off supp(b), so a rank-deficient b (boundary
+    measures, point masses, conical zeros) needs no separate restriction.
+    C is diagonalized by Lanczos (ARPACK, largest mu) with a few pairs
+    beyond k+1 so that a degenerate cluster is not cut, or by a dense eigh
+    when the rank is too small for Lanczos to save work.
     """
     K = mesh.stiffness
     b = np.asarray(b, dtype=float)
@@ -119,64 +129,52 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
     if kk > rank:
         raise RankError(
             f"requested {kk} eigenpairs but the form has rank {rank}")
-    if rank < n and (rank <= SCHUR_LIMIT or n <= DENSE_CUTOFF):
-        vals, vecs = _solve_schur(K, b, support, kk)
-    elif n <= DENSE_CUTOFF:
-        vals, vecs = _solve_dense(K, b, kk)
+    diag = K.diagonal()
+    sigma = -1e-3 * float(diag.sum() / b.sum())
+    shifted = K.tocsc(copy=True)
+    shifted.setdiag(diag - sigma * b)
+    shifted.eliminate_zeros()  # K stores exact-zero cotangent weights
+    lu = spla.splu(shifted)
+    s_idx = np.flatnonzero(support)
+    root = np.sqrt(b[s_idx])
+
+    def lift(x):  # B^{1/2} x as full-length columns
+        out = np.zeros((n, x.shape[1]))
+        out[s_idx] = root[:, None] * x
+        return out
+
+    nev = kk + CLUSTER_MARGIN
+    # ncv >= 40: with ARPACK's default of 20 the solve stalled for minutes
+    # on a multiplicity-3 cluster of a res-192 torus
+    ncv = max(40, 2 * nev + 1)
+    # ARPACK needs rank > ncv, and up to about twice that materializing C
+    # costs less than the Lanczos restarts
+    if rank <= 2 * ncv:
+        X = lu.solve(lift(np.eye(rank)))  # (K - sigma B)^{-1} B^{1/2}
+        C = root[:, None] * X[s_idx]
+        mu, x = sla.eigh(0.5 * (C + C.T),
+                         subset_by_index=[rank - kk, rank - 1])
+        vecs = X @ x
     else:
-        vals, vecs = _solve_sparse(K, b, kk, seed)
-    order = np.argsort(vals)
-    vals = vals[order][:kk]
-    vecs = vecs[:, order][:, :kk]
+        def apply_c(y):
+            return root * lu.solve(lift(y.reshape(rank, 1)))[s_idx, 0]
+
+        op = spla.LinearOperator((rank, rank), matvec=apply_c, dtype=float)
+        v0 = np.random.default_rng(seed).standard_normal(rank)
+        try:
+            mu, x = spla.eigsh(op, k=nev, which="LA", ncv=ncv, v0=v0)
+        except spla.ArpackError as exc:
+            raise SolverError(f"eigensolver failed: {exc}") from exc
+        top = np.argsort(mu)[-kk:]
+        mu = mu[top]
+        vecs = lu.solve(lift(x[:, top]))
+    order = np.argsort(-mu)  # ascending lambda
+    mu = mu[order]
+    vals = sigma + 1.0 / mu
+    vecs = vecs[:, order] / mu
     resid = _residuals(K, b, vals, vecs)
     return Spectrum(values=vals, vectors=vecs, residuals=resid,
                     mass=float(b.sum()), cluster_tol=cluster_tol)
-
-
-def _solve_dense(K, b, kk):
-    vals, vecs = sla.eigh(K.toarray(), np.diag(b))
-    return vals[:kk], vecs[:, :kk]
-
-
-def _solve_schur(K, b, support, kk):
-    """Restrict to supp(b) with a sparse interior factorization and solve
-    the reduced dense pencil; eigenvectors come back harmonically extended."""
-    n = K.shape[0]
-    s_idx = np.where(support)[0]
-    c_idx = np.where(~support)[0]
-    Kcsr = K.tocsr()
-    Kss = Kcsr[s_idx][:, s_idx].toarray()
-    Ksc = Kcsr[s_idx][:, c_idx]
-    Kcc = Kcsr[c_idx][:, c_idx].tocsc()
-    lu = spla.splu(Kcc)
-    X = lu.solve(Ksc.T.toarray())
-    Ktil = Kss - Ksc @ X
-    Ktil = 0.5 * (Ktil + Ktil.T)
-    vals, vs = sla.eigh(Ktil, np.diag(b[s_idx]))
-    vals, vs = vals[:kk], vs[:, :kk]
-    vecs = np.zeros((n, vs.shape[1]))
-    vecs[s_idx] = vs
-    vecs[c_idx] = -X @ vs
-    return vals, vecs
-
-
-def _solve_sparse(K, b, kk, seed):
-    n = K.shape[0]
-    B = sp.diags(b).tocsc()
-    scale = float(K.diagonal().sum() / b.sum())
-    sigma = -1e-3 * scale
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    last_exc = None
-    for ncv in (max(4 * kk + 20, 40), max(8 * kk + 40, 80)):
-        try:
-            vals, vecs = spla.eigsh(K.tocsc(), k=kk, M=B, sigma=sigma,
-                                    which="LM", v0=v0, maxiter=5000,
-                                    ncv=min(n, ncv))
-            return vals, vecs
-        except Exception as exc:  # ARPACK failure; retry, then surface
-            last_exc = exc
-    raise SolverError(f"eigensolver failed: {last_exc}")
 
 
 def _residuals(K, b, vals, vecs):

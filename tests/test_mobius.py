@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specx import _kernels
 from specx import harmonic as hm
 from specx import mobius as mb
 from specx.mesh import build_torus_mesh
@@ -50,6 +51,35 @@ def test_unit_norm_invariants(seed, dim):
         < 1e-12
     assert np.abs(np.linalg.norm(mb.cap_reflection(b, x), axis=1) - 1).max() \
         < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 6),
+       st.floats(0.0, 0.97))
+def test_mobius_batch_unit_norm(seed, dim, radius):
+    rng = np.random.default_rng(seed)
+    x = unit_rows(rng, 20, dim)
+    a = rng.standard_normal(dim)
+    a *= radius / max(np.linalg.norm(a), 1e-12)
+    y = _kernels.mobius_batch(x, a)
+    assert np.abs(np.linalg.norm(y, axis=1) - 1.0).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 6),
+       st.floats(0.05, 1.0))
+def test_cap_reflect_involution_and_norm(seed, dim, radius):
+    rng = np.random.default_rng(seed)
+    x = unit_rows(rng, 20, dim)
+    b = rng.standard_normal(dim)
+    b *= radius / max(np.linalg.norm(b), 1e-12)
+    y = _kernels.cap_reflect_raw(x, b)
+    assert np.abs(np.linalg.norm(y, axis=1) - 1.0).max() < 1e-10
+    # involution away from the projection pole
+    pole = -b / np.linalg.norm(b)
+    away = (x @ pole) < 0.9
+    z = _kernels.cap_reflect_raw(y, b)
+    assert np.abs(z[away] - x[away]).max() < 1e-10
 
 
 def test_cap_zero_is_identity():

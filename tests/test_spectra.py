@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
-from specx import spectra
+from specx.cli import _hole_centers
 from specx.mesh import (ConformalDensity, MeshError, MeshMeasure,
-                        curve_measure, volume_measure)
-from specx.spectra import (RankError, laplace_eigs,
+                        build_torus_mesh, curve_measure, puncture,
+                        volume_measure)
+from specx.spectra import (RankError, SolverError, laplace_eigs,
                            maximize_lambda1_conformal, measure_eigs,
-                           multiplicity, normalized, steklov_eigs)
+                           multiplicity, normalized, solve_pencil,
+                           steklov_eigs)
 
 from conftest import build_annulus_mesh
 
@@ -176,16 +180,18 @@ def test_maximizer_requires_closed(disk):
 
 
 def test_conical_zeros_sparse_path():
-    # isolated density zeros on a mesh above the dense cutoff exercise the
-    # shift-invert solve with a singular right-hand form
-    from specx.mesh import build_torus_mesh
+    # isolated density zeros on a large mesh: the Lanczos solve with a
+    # singular right-hand form
     torus = build_torus_mesh(1j, 64)
     f = np.ones(torus.num_vertices)
     f[[5, 600, 2000]] = 0.0
-    spec = laplace_eigs(torus, ConformalDensity(f).validate(torus), k=5)
+    density = ConformalDensity(f).validate(torus)
+    spec = laplace_eigs(torus, density, k=5)
     assert spec.residuals.max() < 1e-8
     assert np.all(np.isfinite(spec.vectors))
     assert abs(spec.values[1] - 4 * np.pi ** 2) < 0.01 * 4 * np.pi ** 2
+    _check_against_oracle(torus, volume_measure(torus, density).weights,
+                          spec)
 
 
 def test_k_bounds(sphere3):
@@ -220,3 +226,121 @@ def test_spectrum_json(sphere3):
     assert len(doc["values"]) == len(doc["normalized"]) == 4
     assert np.isclose(doc["normalized"][1],
                       doc["values"][1] * doc["mass"])
+
+
+# ---------------------------------------------------------------------------
+# the pencil solver against a dense oracle
+# ---------------------------------------------------------------------------
+
+def _dense_pencil(K, b, kk):
+    """The kk lowest eigenvalues of K v = lambda diag(b) v by dense
+    generalized eigh, restricted to supp(b) by the Schur complement when b
+    is rank-deficient (the solver this package used before the single
+    shift-invert path)."""
+    s_idx = np.flatnonzero(b > 0.0)
+    c_idx = np.flatnonzero(b <= 0.0)
+    K = K.tocsr()
+    Kss = K[s_idx][:, s_idx].toarray()
+    if len(c_idx):
+        Ksc = K[s_idx][:, c_idx]
+        lu = spla.splu(K[c_idx][:, c_idx].tocsc())
+        Kss = Kss - Ksc @ lu.solve(Ksc.T.toarray())
+        Kss = 0.5 * (Kss + Kss.T)
+    return sla.eigh(Kss, np.diag(b[s_idx]), eigvals_only=True,
+                    subset_by_index=[0, kk - 1])
+
+
+def _check_against_oracle(mesh, b, spec):
+    """Eigenvalues within 1e-10 relative of the oracle, residuals at most
+    1e-8, vectors B-orthonormal and discrete-harmonic off supp(b). The zero
+    eigenvalue is measured against the largest eigenvalue computed or, if
+    that is zero too, against the solver's shift 1e-3 tr K / sum b."""
+    K = mesh.stiffness
+    kk = len(spec.values)
+    ref = _dense_pencil(K, b, kk)
+    floor = max(abs(ref[-1]), 1e-3 * K.diagonal().sum() / b.sum())
+    err = np.abs(spec.values - ref)
+    assert np.all(err <= 1e-10 * np.maximum(np.abs(ref), floor)), err
+    assert spec.residuals.max() <= 1e-8
+    vecs = spec.vectors
+    assert np.allclose(vecs.T @ (b[:, None] * vecs), np.eye(kk), atol=1e-9)
+    off = b <= 0.0
+    if off.any():
+        scale = K.diagonal().max() * np.abs(vecs).max()
+        assert np.abs((K @ vecs)[off]).max() <= 1e-9 * scale
+
+
+def test_matches_dense_oracle(sphere3, torus32, disk):
+    f = np.random.default_rng(11).uniform(0.3, 3.0, sphere3.num_vertices)
+    density = ConformalDensity(f)
+    _check_against_oracle(sphere3, volume_measure(sphere3, density).weights,
+                          laplace_eigs(sphere3, density, k=6))
+    _check_against_oracle(torus32, volume_measure(torus32).weights,
+                          laplace_eigs(torus32, k=6))
+    _check_against_oracle(disk, curve_measure(disk).weights,
+                          steklov_eigs(disk, k=4))
+
+
+@pytest.mark.parametrize("holes", [1, 4, 9])
+def test_punctured_torus_steklov_matches_dense_oracle(holes):
+    torus = build_torus_mesh(1j, 48)
+    mesh = puncture(torus, _hole_centers(torus, holes, 0),
+                    0.2 / np.sqrt(holes))
+    _check_against_oracle(mesh, curve_measure(mesh).weights,
+                          steklov_eigs(mesh, k=5))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_k_cutting_a_degenerate_cluster(sphere3, k):
+    # lambda_1 of the round sphere has multiplicity 3; asking for part of
+    # the cluster must return cluster members, not skip to lambda_2
+    spec = laplace_eigs(sphere3, k=k)
+    _check_against_oracle(sphere3, volume_measure(sphere3).weights, spec)
+    assert np.allclose(spec.values[1:], 2.0, rtol=1e-3)
+
+
+@pytest.mark.parametrize("masses", [{7: 1.0}, {7: 1.0, 400: 2.5}])
+def test_rank_equals_pair_count(torus32, masses):
+    b = np.zeros(torus32.num_vertices)
+    b[list(masses)] = list(masses.values())
+    spec = solve_pencil(torus32, b, len(masses) - 1,
+                        expect_disconnected=True)
+    assert len(spec.values) == len(masses)
+    _check_against_oracle(torus32, b, spec)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rank, lanczos", [(40, False), (600, True)])
+def test_both_diagonalisation_branches(torus32, monkeypatch, rank,
+                                       lanczos):
+    # supp(b) is the first `rank` vertices, a band of the torus grid
+    b = np.zeros(torus32.num_vertices)
+    b[:rank] = torus32.vertex_areas[:rank]
+    dense = _count_calls(monkeypatch, sla, "eigh")
+    arpack = _count_calls(monkeypatch, spla, "eigsh")
+    factor = _count_calls(monkeypatch, spla, "splu")
+    spec = solve_pencil(torus32, b, 4)
+    assert (len(dense), len(arpack), len(factor)) == \
+        ((0, 1, 1) if lanczos else (1, 0, 1))
+    _check_against_oracle(torus32, b, spec)
+
+
+def test_arpack_failure_is_solver_error(torus32, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                       np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    with pytest.raises(SolverError, match="eigensolver failed"):
+        laplace_eigs(torus32, k=4)
