@@ -7,7 +7,9 @@ the spectral threshold sits at eigenvalue 1 (the induced-metric eigenvalue
 2 for the half-density convention). The energy form is restricted to
 pointwise-orthogonal sections through an explicit per-vertex orthonormal
 tangent frame, which makes it the exact Hessian of the constrained
-discrete energy at a discrete critical point.
+discrete energy at a discrete critical point. It is assembled as one
+sparse matrix and its negative directions are counted on the pencil with
+the lumped section mass, through the shift-invert solver of `spectra`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .mesh import MeshError
 
 NORMALIZATION = "density |dPhi|^2, threshold 1"
 
-DENSE_LIMIT = 8000
-
 RESIDUAL_WARN = 1e-2
+
+MAX_PAIRS = 48  # eigenpair budget of the growing index solves
 
 
 @dataclass
@@ -57,7 +59,23 @@ def _warn_if_not_harmonic(mesh, phi):
     return agg
 
 
-def spectral_index(mesh, phi: SphereMap, cluster_tol=1e-3, max_pairs=48):
+def _lowest_until(solve, bound, rank, max_pairs):
+    """Ascending lowest eigenvalues from solve(k), which returns k+1 of
+    them; k starts at 12 and doubles until the top value exceeds bound or
+    the rank is used up."""
+    k = min(12, rank - 1)
+    while True:
+        vals = solve(k)
+        if vals[-1] > bound or k == rank - 1:
+            return vals
+        k = min(2 * k, rank - 1)
+        if k > max_pairs:
+            raise spectra.SolverError(
+                "threshold eigenvalue not reached within max_pairs")
+
+
+def spectral_index(mesh, phi: SphereMap, cluster_tol=1e-3,
+                   max_pairs=MAX_PAIRS):
     """(ind_S, nul_S): position and multiplicity of the threshold eigenvalue.
 
     Counts generalized eigenvalues of (K, B) with B the |dPhi|^2 lumped
@@ -69,17 +87,10 @@ def spectral_index(mesh, phi: SphereMap, cluster_tol=1e-3, max_pairs=48):
     if b.sum() <= 0.0:
         raise MeshError("zero-energy map has no induced spectral problem")
     b = np.maximum(b, 0.0)
-    rank = int(np.sum(b > 0))
-    k = min(12, rank - 1)
-    while True:
-        spec = spectra.solve_pencil(mesh, b, k, cluster_tol=cluster_tol)
-        if spec.values[-1] > 1.0 + 10 * cluster_tol or k == rank - 1:
-            break
-        k = min(2 * k, rank - 1)
-        if k > max_pairs:
-            raise spectra.SolverError(
-                "threshold eigenvalue not reached within max_pairs")
-    vals = spec.values
+    vals = _lowest_until(
+        lambda k: spectra.solve_pencil(mesh, b, k,
+                                       cluster_tol=cluster_tol).values,
+        1.0 + 10 * cluster_tol, int(np.sum(b > 0)), max_pairs)
     in_cluster = np.abs(vals - 1.0) <= cluster_tol
     ind_s = int(np.sum(vals < 1.0 - cluster_tol))
     nul_s = int(np.sum(in_cluster))
@@ -101,76 +112,89 @@ def tangent_frames(phi: SphereMap):
     Phi-parallel axis dropped (deterministic)."""
     vals = phi.values
     v, d = vals.shape
+    rows = np.arange(v)
     drop = np.argmax(np.abs(vals), axis=1)
+    # kept axes in increasing order: a, or a + 1 from the dropped one on
+    axes = np.arange(d - 1) + (np.arange(d - 1) >= drop[:, None])
     frames = np.empty((v, d - 1, d))
-    for i in range(v):
-        cols = [c for c in range(d) if c != drop[i]]
-        basis = np.eye(d)[cols]
-        normal = vals[i]
-        out = []
-        for vec in basis:
-            w = vec - (vec @ normal) * normal
-            for prev in out:
-                w = w - (w @ prev) * prev
-            nrm = np.linalg.norm(w)
-            if nrm < 1e-10:
-                raise MeshError("tangent frame construction failed")
-            out.append(w / nrm)
-        frames[i] = np.asarray(out)
+    for a in range(d - 1):
+        axis = axes[:, a]
+        w = np.eye(d)[axis] - vals[rows, axis][:, None] * vals
+        for j in range(a):
+            prev = frames[:, j]
+            w = w - np.einsum("vd,vd->v", w, prev)[:, None] * prev
+        nrm = np.sqrt(np.einsum("vd,vd->v", w, w))
+        if np.any(nrm < 1e-10):
+            raise MeshError("tangent frame construction failed")
+        frames[:, a] = w / nrm[:, None]
     return frames
 
 
-def energy_hessian(mesh, phi: SphereMap, frames=None):
-    """Dense matrix of the second variation of energy over sections
-    pointwise orthogonal to Phi, in tangent-frame coordinates."""
+def _second_variation(mesh, phi, frames):
+    """Sparse second variation over pointwise-orthogonal sections in
+    tangent-frame coordinates, and the potential b = |dPhi|^2 shares.
+
+    Each stiffness entry K_ij gives the n x n block K_ij <t_i^a, t_j^b>;
+    -b_i sits on the diagonal of vertex i's block. The matrix is exactly
+    symmetric, since K is and block (j, i) is the transpose of block
+    (i, j) term by term."""
     vals = phi.values
     norms = np.linalg.norm(vals, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise MeshError("energy index needs a unit-norm sphere map")
     if frames is None:
         frames = tangent_frames(phi)
-    v, n, d = frames.shape
-    dim = v * n
-    if dim > DENSE_LIMIT:
-        raise MeshError(
-            f"energy Hessian dimension {dim} exceeds the dense limit; "
-            "use a coarser mesh")
-    K = mesh.stiffness.tocoo()
+    v, n, _ = frames.shape
+    K = mesh.stiffness
     b = 2.0 * energy_shares(mesh, phi)
-    Q = np.zeros((dim, dim))
-    # off-diagonal frame overlaps: K_ij <t_i^alpha, t_j^beta>
-    G = np.einsum("ead,ebd->eab", frames[K.row], frames[K.col])
-    blocks = K.data[:, None, None] * G
-    for e in range(len(K.data)):
-        i, j = K.row[e], K.col[e]
-        Q[i * n:(i + 1) * n, j * n:(j + 1) * n] += blocks[e]
-    Q[np.arange(dim), np.arange(dim)] -= np.repeat(b, n)
-    return 0.5 * (Q + Q.T)
+    G = np.einsum("ead,ebd->eab", frames[K.tocoo().row], frames[K.indices])
+    blocks = sp.bsr_matrix((K.data[:, None, None] * G, K.indices, K.indptr),
+                           shape=(v * n, v * n))
+    Q = blocks.tocsr() - sp.diags(np.repeat(b, n))
+    # the overlaps of a map's tangent directions with unused ambient axes
+    # are exact zeros; stored, they would enter the LU as fill
+    Q.eliminate_zeros()
+    return Q, b
+
+
+def energy_hessian(mesh, phi: SphereMap, frames=None):
+    """Dense matrix of the second variation of energy over sections
+    pointwise orthogonal to Phi, in tangent-frame coordinates."""
+    return _second_variation(mesh, phi, frames)[0].toarray()
 
 
 def energy_index(mesh, phi: SphereMap, margin_factor=0.05, frames=None):
     """Morse index of the energy at phi: negative directions of the second
     variation over pointwise-orthogonal sections.
 
-    The form is diagonalized against the lumped L2 product on sections, so
+    The sparse form Q is diagonalized against the lumped L2 product on
+    sections, M = diag(vertex areas, repeated per frame vector), so
     eigenvalues carry PDE units: genuine negative directions of the
     Schroedinger-type operator sit at O(1) (e.g. -2 for extra coordinates
     of an embedded map) while the discretely broken Moebius null modes sit
-    at -O(h^2). The margin is margin_factor times the area-mean of the
+    at -O(h^2). The margin is margin_factor times the area-mean e of the
     energy density (the operator's potential scale); eigenvalues below
     -margin are counted and the distances of the nearest kept/discarded
     eigenvalues to the threshold are reported.
+
+    The stiffness part of Q is positive semidefinite, so Q >= -diag(b) and
+    no eigenvalue lies below -max(b_i / m_i). The pencil (Q, M) is solved
+    by shift-invert Lanczos with the shift sigma = -max(b_i / m_i) - e
+    below that bound, so the lowest eigenvalues come first; more pairs are
+    taken until the top one clears -margin.
     """
     _warn_if_not_harmonic(mesh, phi)
-    Q = energy_hessian(mesh, phi, frames=frames)
-    n_frame = phi.ambient_dim - 1
-    msec = np.repeat(mesh.vertex_areas, n_frame)
-    wh = 1.0 / np.sqrt(msec)
-    Qw = wh[:, None] * Q * wh[None, :]
-    evals = np.linalg.eigvalsh(0.5 * (Qw + Qw.T))
-    e_scale = 2.0 * float(energy_shares(mesh, phi).sum()) \
-        / float(mesh.vertex_areas.sum())
+    Q, b = _second_variation(mesh, phi, frames)
+    va = mesh.vertex_areas
+    e_scale = float(b.sum()) / float(va.sum())
+    if e_scale <= 0.0:
+        raise MeshError("zero-energy map has no energy index scale")
     margin = margin_factor * e_scale
+    msec = np.repeat(va, phi.ambient_dim - 1)
+    sigma = -float(np.max(b / va)) - e_scale
+    evals = _lowest_until(
+        lambda k: spectra._shift_invert(Q, msec, sigma, k + 1)[0],
+        -margin, len(msec), MAX_PAIRS)
     ind_e = int(np.sum(evals < -margin))
     kept = evals[evals < -margin]
     rest = evals[evals >= -margin]

@@ -229,6 +229,7 @@ class TriMesh:
                  (np.concatenate(ii), np.concatenate(jj))),
                 shape=(n, n)).tocsr()
             mat.sum_duplicates()
+            mat.eliminate_zeros()  # cotangent weights of right angles
             self._cache["stiffness"] = mat
         return self._cache["stiffness"]
 

@@ -3,11 +3,12 @@ first normalized eigenvalue.
 
 All solves are of pencil type K v = lambda B v with the cotangent stiffness
 K and a diagonal nonnegative right-hand form B, and all go through one
-shift-invert path (`solve_pencil`): one sparse LU of K - sigma B, then the
-symmetric standard form on the support of B. Rank-deficient B (boundary
-measures, point masses, conical zeros) needs no special case: the
-eigenvectors come back discrete-harmonic off supp(B), as from the Schur
-complement onto supp(B).
+shift-invert path (`_shift_invert`, behind `solve_pencil`; the energy
+index of `index` runs its sparse second variation through it too): one
+sparse LU of K - sigma B, then the symmetric standard form on the support
+of B. Rank-deficient B (boundary measures, point masses, conical zeros)
+needs no special case: the eigenvectors come back discrete-harmonic off
+supp(B), as from the Schur complement onto supp(B).
 """
 
 from __future__ import annotations
@@ -100,45 +101,58 @@ def _check_support(mesh, b, expect_disconnected=False):
             warnings.warn(
                 f"measure support splits into {ncomp} components; "
                 "eigenvectors may localize", stacklevel=3)
-    return support, ns
+    return ns
 
 
 def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
                  expect_disconnected=False):
     """First k+1 eigenpairs of K v = lambda diag(b) v.
 
-    One shift-invert solve for every pencil. K - sigma B is factored once
-    with a sparse LU (sigma = -1e-3 tr K / sum b < 0, so the matrix is
-    positive definite) and the standard symmetric form
-    C = B_s^{1/2} [(K - sigma B)^{-1}]_{ss} B_s^{1/2} on s = supp(b) is
-    diagonalized: lambda = sigma + 1/mu, v = (lambda - sigma)
-    (K - sigma B)^{-1} B^{1/2} x. The vectors are B-orthonormal and
-    discrete-harmonic off supp(b), so a rank-deficient b (boundary
-    measures, point masses, conical zeros) needs no separate restriction.
-    C is diagonalized by Lanczos (ARPACK, largest mu) with a few pairs
-    beyond k+1 so that a degenerate cluster is not cut, or by a dense eigh
-    when the rank is too small for Lanczos to save work.
+    One shift-invert solve (`_shift_invert`) for every pencil, with
+    sigma = -1e-3 tr K / sum b < 0, so that K - sigma B is positive
+    definite. The vectors are B-orthonormal and discrete-harmonic off
+    supp(b), so a rank-deficient b (boundary measures, point masses,
+    conical zeros) needs no separate restriction.
     """
     K = mesh.stiffness
     b = np.asarray(b, dtype=float)
     n = mesh.num_vertices
     if b.shape != (n,):
         raise MeshError("right-hand form shape mismatch")
-    support, rank = _check_support(mesh, b, expect_disconnected)
+    rank = _check_support(mesh, b, expect_disconnected)
     kk = k + 1
     if kk > rank:
         raise RankError(
             f"requested {kk} eigenpairs but the form has rank {rank}")
-    diag = K.diagonal()
-    sigma = -1e-3 * float(diag.sum() / b.sum())
-    shifted = K.tocsc(copy=True)
-    shifted.setdiag(diag - sigma * b)
-    shifted.eliminate_zeros()  # K stores exact-zero cotangent weights
-    lu = spla.splu(shifted)
-    s_idx = np.flatnonzero(support)
-    root = np.sqrt(b[s_idx])
+    sigma = -1e-3 * float(K.diagonal().sum() / b.sum())
+    vals, vecs = _shift_invert(K, b, sigma, kk, seed)
+    resid = _residuals(K, b, vals, vecs)
+    return Spectrum(values=vals, vectors=vecs, residuals=resid,
+                    mass=float(b.sum()), cluster_tol=cluster_tol)
 
-    def lift(x):  # B^{1/2} x as full-length columns
+
+def _shift_invert(A, m, sigma, kk, seed=0):
+    """Lowest kk eigenpairs of the pencil A v = lambda diag(m) v.
+
+    A is sparse symmetric, m >= 0 and the shift sigma lies below the
+    spectrum, so that A - sigma diag(m) is positive definite. One sparse LU
+    of A - sigma diag(m), then C = M_s^{1/2} [(A - sigma M)^{-1}]_{ss}
+    M_s^{1/2} on s = supp(m) is diagonalized for its largest mu:
+    lambda = sigma + 1/mu, v = (lambda - sigma) (A - sigma M)^{-1} M^{1/2} x.
+    The vectors are M-orthonormal and A-harmonic off supp(m). Lanczos
+    (ARPACK) takes a few pairs beyond kk so that a degenerate cluster is not
+    cut; a dense eigh of C takes over when the rank is too small for Lanczos
+    to save work. Returns ascending values and their vectors.
+    """
+    n = A.shape[0]
+    shifted = A.tocsc(copy=True)
+    shifted.setdiag(A.diagonal() - sigma * m)
+    lu = spla.splu(shifted)
+    s_idx = np.flatnonzero(m > 0.0)
+    rank = len(s_idx)
+    root = np.sqrt(m[s_idx])
+
+    def lift(x):  # M^{1/2} x as full-length columns
         out = np.zeros((n, x.shape[1]))
         out[s_idx] = root[:, None] * x
         return out
@@ -150,7 +164,7 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
     # ARPACK needs rank > ncv, and up to about twice that materializing C
     # costs less than the Lanczos restarts
     if rank <= 2 * ncv:
-        X = lu.solve(lift(np.eye(rank)))  # (K - sigma B)^{-1} B^{1/2}
+        X = lu.solve(lift(np.eye(rank)))  # (A - sigma M)^{-1} M^{1/2}
         C = root[:, None] * X[s_idx]
         mu, x = sla.eigh(0.5 * (C + C.T),
                          subset_by_index=[rank - kk, rank - 1])
@@ -170,11 +184,7 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
         vecs = lu.solve(lift(x[:, top]))
     order = np.argsort(-mu)  # ascending lambda
     mu = mu[order]
-    vals = sigma + 1.0 / mu
-    vecs = vecs[:, order] / mu
-    resid = _residuals(K, b, vals, vecs)
-    return Spectrum(values=vals, vectors=vecs, residuals=resid,
-                    mass=float(b.sum()), cluster_tol=cluster_tol)
+    return sigma + 1.0 / mu, vecs[:, order] / mu
 
 
 def _residuals(K, b, vals, vecs):

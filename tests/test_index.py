@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from specx import harmonic as hm
 from specx import index as ix
 from specx.harmonic import SphereMap, embed_map, power_map
 from specx.mesh import MeshError
+from specx.spectra import SolverError
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,8 @@ def test_constant_map_errors(sphere3):
     const = SphereMap(np.tile([1.0, 0.0, 0.0], (sphere3.num_vertices, 1)))
     with pytest.raises(MeshError):
         ix.spectral_index(sphere3, const)
+    with pytest.raises(MeshError):
+        ix.energy_index(sphere3, const)
 
 
 def test_composition_law(sphere3, flowed_identity3):
@@ -109,3 +113,143 @@ def test_index_report_json(sphere3, flowed_identity3):
     assert doc["ind_S"] == 1 and doc["nul_S"] == 3 and doc["ind_E"] == 0
     assert doc["normalization"] == "density |dPhi|^2, threshold 1"
     assert len(doc["margins"]) >= 2
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-vertex frame loop, and the dense second variation
+# assembled entry by entry and diagonalized by eigvalsh
+# ---------------------------------------------------------------------------
+
+def _loop_tangent_frames(vals):
+    v, d = vals.shape
+    drop = np.argmax(np.abs(vals), axis=1)
+    frames = np.empty((v, d - 1, d))
+    for i in range(v):
+        cols = [c for c in range(d) if c != drop[i]]
+        basis = np.eye(d)[cols]
+        normal = vals[i]
+        out = []
+        for vec in basis:
+            w = vec - (vec @ normal) * normal
+            for prev in out:
+                w = w - (w @ prev) * prev
+            nrm = np.linalg.norm(w)
+            if nrm < 1e-10:
+                raise MeshError("tangent frame construction failed")
+            out.append(w / nrm)
+        frames[i] = np.asarray(out)
+    return frames
+
+
+def _dense_energy_hessian(mesh, phi):
+    frames = _loop_tangent_frames(phi.values)
+    v, n, d = frames.shape
+    dim = v * n
+    K = mesh.stiffness.tocoo()
+    b = 2.0 * hm.energy_shares(mesh, phi)
+    Q = np.zeros((dim, dim))
+    G = np.einsum("ead,ebd->eab", frames[K.row], frames[K.col])
+    blocks = K.data[:, None, None] * G
+    for e in range(len(K.data)):
+        i, j = K.row[e], K.col[e]
+        Q[i * n:(i + 1) * n, j * n:(j + 1) * n] += blocks[e]
+    Q[np.arange(dim), np.arange(dim)] -= np.repeat(b, n)
+    return 0.5 * (Q + Q.T)
+
+
+def _dense_energy_index(mesh, phi, margin_factor=0.05):
+    Q = _dense_energy_hessian(mesh, phi)
+    msec = np.repeat(mesh.vertex_areas, phi.ambient_dim - 1)
+    wh = 1.0 / np.sqrt(msec)
+    Qw = wh[:, None] * Q * wh[None, :]
+    evals = np.linalg.eigvalsh(0.5 * (Qw + Qw.T))
+    e_scale = 2.0 * float(hm.energy_shares(mesh, phi).sum()) \
+        / float(mesh.vertex_areas.sum())
+    margin = margin_factor * e_scale
+    kept = evals[evals < -margin]
+    rest = evals[evals >= -margin]
+    margins = []
+    if len(kept):
+        margins.append(float(-margin - kept.max()))
+    if len(rest):
+        margins.append(float(rest.min() + margin))
+    return len(kept), margins
+
+
+@pytest.fixture(scope="module", params=["identity", "degree2"])
+def harmonic3(request, flowed_identity3, flowed_deg2):
+    return flowed_identity3 if request.param == "identity" else flowed_deg2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_energy_index_matches_dense_oracle(sphere3, harmonic3, m):
+    phi = embed_map(harmonic3, m + 1)
+    ind, margins = ix.energy_index(sphere3, phi)
+    want_ind, want_margins = _dense_energy_index(sphere3, phi)
+    assert ind == want_ind
+    assert len(margins) == len(want_margins)
+    np.testing.assert_allclose(margins, want_margins, rtol=1e-10, atol=0)
+
+
+def test_energy_hessian_matches_dense_oracle(sphere3, harmonic3):
+    phi = embed_map(harmonic3, 5)
+    Q = ix.energy_hessian(sphere3, phi)
+    assert isinstance(Q, np.ndarray)
+    assert np.array_equal(Q, Q.T)
+    assert np.abs(Q - _dense_energy_hessian(sphere3, phi)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("ambient", [3, 4, 6])
+def test_tangent_frames_match_loop(harmonic3, ambient):
+    vals = embed_map(harmonic3, ambient).values
+    frames = ix.tangent_frames(SphereMap(vals))
+    assert np.abs(frames - _loop_tangent_frames(vals)).max() <= 1e-15
+    # ties and exact axes take the same drop rule as the loop
+    axes = np.vstack([np.eye(ambient), -np.eye(ambient),
+                      np.full((1, ambient), ambient ** -0.5)])
+    assert np.abs(ix.tangent_frames(SphereMap(axes))
+                  - _loop_tangent_frames(axes)).max() <= 1e-15
+
+
+def test_tangent_frame_failure_is_mesh_error():
+    # rows of norm 2e8 cancel the second Gram-Schmidt vector to roundoff
+    phi = SphereMap(np.tile(np.eye(4)[0], (3, 1)))
+    phi.values = np.full((3, 4), 1e8)
+    with pytest.raises(MeshError, match="tangent frame construction failed"):
+        _loop_tangent_frames(phi.values)
+    with pytest.raises(MeshError, match="tangent frame construction failed"):
+        ix.tangent_frames(phi)
+
+
+@pytest.fixture(scope="module")
+def flowed_identity4(sphere4):
+    return hm.harmonic_flow(sphere4, hm.identity_sphere_map(sphere4),
+                            steps=400)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_composition_law_sphere4(sphere4, flowed_identity4, m):
+    # dimension 4 * 2562 and 5 * 2562 second variations
+    out = ix.check_composition_law(sphere4, flowed_identity4, m)
+    assert out["lhs"] == out["rhs"] == m - 2
+
+
+def test_energy_index_arpack_failure_is_solver_error(sphere3,
+                                                    flowed_identity3,
+                                                    monkeypatch):
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                       np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    with pytest.raises(SolverError, match="eigensolver failed"):
+        ix.energy_index(sphere3, flowed_identity3)
+
+
+def test_non_unit_map_is_mesh_error(sphere3, flowed_identity3):
+    phi = SphereMap(flowed_identity3.values.copy())
+    phi.values = 1.01 * phi.values
+    with pytest.raises(MeshError, match="unit-norm"):
+        ix.energy_hessian(sphere3, phi)
+    with pytest.raises(MeshError, match="unit-norm"):
+        ix.energy_index(sphere3, phi)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +186,39 @@ def test_stiffness_kernel_and_scaling(sphere3, torus32):
     assert (K1 != K2).nnz == 0  # bit-identical under power-of-two scaling
     K3 = stiffness_matrix(sphere3.scaled(3.0)).matrix
     assert np.allclose(K1.toarray(), K3.toarray(), rtol=1e-12, atol=1e-14)
+
+
+def _stiffness_with_zeros(mesh):
+    """The cotangent assembly, keeping the exact-zero entries."""
+    cots, _ = mesh.face_geometry
+    tri = mesh.triangles
+    ii, jj, vv = [], [], []
+    for k in range(3):
+        a, b = tri[:, (k + 1) % 3], tri[:, (k + 2) % 3]
+        w = 0.5 * cots[:, k]
+        ii += [a, b, a, b]
+        jj += [b, a, a, b]
+        vv += [-w, -w, w, w]
+    n = mesh.num_vertices
+    mat = sp.coo_matrix((np.concatenate(vv), (np.concatenate(ii),
+                                              np.concatenate(jj))),
+                        shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+def test_stiffness_drops_exact_zeros():
+    # the right angles of the flat res-48 torus give exact-zero cotangent
+    # weights; dropping them changes no product
+    mesh = build_torus_mesh(1j, 48)
+    K = mesh.stiffness
+    full = _stiffness_with_zeros(mesh)
+    assert full.nnz == 16128
+    assert K.nnz == 11520 and np.all(K.data != 0.0)
+    rng = np.random.default_rng(0)
+    for v in (rng.standard_normal(mesh.num_vertices),
+              rng.standard_normal((mesh.num_vertices, 3))):
+        assert np.array_equal(K @ v, full @ v)
 
 
 def test_degenerate_triangle_rejected():
