@@ -248,17 +248,14 @@ def cmd_glminmax(cfg):
     for eps in cfg.eps_list:
         spec = glminmax.make_family_spec(unit, base, eps=eps,
                                          seed=cfg.seed, n_dirs=cfg.grid)
-        rep = glminmax.minmax_upper(spec)
-        start = warm if warm is not None else spec.member(rep.argmax)
-        out = glminmax.gl_descend(unit, start, eps)
-        warm = out["u"]
-        _, agg = harmonic.tension_residual(
-            unit, harmonic.SphereMap(harmonic.normalize_rows(warm.values)))
-        rep.critical = {"u": warm, "E_eps": out["E_eps"],
-                        "gradient_norm": out["gradient_norm"],
-                        "tension_residual": agg,
-                        "converged": out["converged"],
-                        "iterations": out["iterations"]}
+        rep = glminmax.extract_critical(spec, glminmax.minmax_upper(spec),
+                                        tol=1e-6, max_iters=2000, start=warm)
+        crit = rep.critical
+        warm = crit["u"]
+        if not crit["converged"]:
+            print(f"specx: glminmax eps={eps}: descent not converged after "
+                  f"{crit['iterations']} iterations (gradient norm "
+                  f"{crit['gradient_norm']:.3e})", file=sys.stderr)
         ok, lhs, rhs = glminmax.sandwich_holds(spec, lam1, rep.sup_energy)
         doc = rep.to_json_dict()
         doc["sandwich"] = {"holds": bool(ok), "lhs": lhs, "rhs": rhs,

@@ -117,17 +117,45 @@ def gl_second_variation(mesh, u, eps, v, w=None):
     return dir_part + pot
 
 
+def _line_quartic(mesh, u, g, eps):
+    """Coefficients (c2, c3, c4) of the energy change along u - s g.
+
+    gl_energy(u - s g) - gl_energy(u) = c1 s + c2 s^2 + c3 s^3 + c4 s^4
+    exactly, and c1 = -gl_norm(g)^2 when g is gl_gradient(u). With
+    p = <u, g>, q = |g|^2 and d = 1 - |u|^2 per vertex:
+    c2 = <g, K g>/2 + eps^-2 sum A (p^2 - d q/2), c3 = -eps^-2 sum A p q,
+    c4 = eps^-2 sum A q^2 / 4.
+    """
+    va = mesh.vertex_areas
+    p = np.einsum("ij,ij->i", u, g)
+    q = np.einsum("ij,ij->i", g, g)
+    d = 1.0 - np.einsum("ij,ij->i", u, u)
+    aq = va * q
+    inv = 1.0 / eps ** 2
+    c2 = 0.5 * float(np.vdot(g, mesh.stiffness @ g)) \
+        + inv * float(va @ (p * p) - 0.5 * (aq @ d))
+    c3 = -inv * float(aq @ p)
+    c4 = 0.25 * inv * float(aq @ q)
+    return c2, c3, c4
+
+
 def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
     """Gradient descent with Armijo backtracking until the lumped-L2
-    gradient norm drops below tol (or the iteration cap, flagged)."""
+    gradient norm drops below tol (or the iteration cap, flagged).
+
+    The Armijo test E(u - s g) <= E(u) - s |g|^2 / 2 is evaluated on the
+    exact quartic of _line_quartic, s (c2 + s (c3 + s c4)) <= |g|^2 / 2,
+    which subtracts no two energies: it stays decisive when the decrease
+    is below the rounding error of E. `backtracks` counts the halvings.
+    """
     vals = _values(u0).copy()
     va = mesh.vertex_areas
     rate = float((mesh.stiffness.diagonal() / va).max())
     if step0 is None:
         step0 = 0.9 / (rate + 2.0 / eps ** 2)
-    e = gl_energy(mesh, vals, eps)
     converged = False
     it = 0
+    backtracks = 0
     gnorm = np.inf
     for it in range(1, max_iters + 1):
         g = gl_gradient(mesh, vals, eps).values
@@ -135,20 +163,20 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
         if gnorm < tol:
             converged = True
             break
+        c2, c3, c4 = _line_quartic(mesh, vals, g, eps)
+        half_g2 = 0.5 * gnorm ** 2
         step = step0
-        g2 = gnorm ** 2
         for _ in range(40):
-            cand = vals - step * g
-            e_new = gl_energy(mesh, cand, eps)
-            if e_new <= e - 0.5 * step * g2:
+            if step * (c2 + step * (c3 + step * c4)) <= half_g2:
                 break
             step *= 0.5
+            backtracks += 1
         else:
             break  # line search stalled at numerical floor
-        vals = cand
-        e = e_new
-    return {"u": VectorMap(vals), "gradient_norm": gnorm, "E_eps": e,
-            "iterations": it, "converged": converged}
+        vals = vals - step * g
+    return {"u": VectorMap(vals), "gradient_norm": gnorm,
+            "E_eps": gl_energy(mesh, vals, eps), "iterations": it,
+            "converged": converged, "backtracks": backtracks}
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +618,18 @@ def sandwich_holds(spec: FamilySpec, lam1, sup_energy=None):
 
 
 def extract_critical(spec: FamilySpec, report: MinMaxReport | None = None,
-                     tol=1e-5, max_iters=4000):
-    """Descend from the sampled argmax to an approximate critical point.
+                     tol=1e-5, max_iters=4000, start=None):
+    """Descend from the sampled argmax, or from `start` (a warm start such
+    as the critical map of a larger eps), to an approximate critical point.
 
     Fills report.critical with the final energy, gradient norm, and the
-    tension residual of the normalized map; E_eps(u*) <= sup_energy by
-    monotone descent.
+    tension residual of the normalized map; from the argmax,
+    E_eps(u*) <= sup_energy by monotone descent.
     """
     if report is None:
         report = minmax_upper(spec)
-    start = spec.member(report.argmax)
+    if start is None:
+        start = spec.member(report.argmax)
     out = gl_descend(spec.mesh, start, spec.eps, tol=tol,
                      max_iters=max_iters)
     u = out["u"]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from ._ballopt import maximize_over_ball
-from .harmonic import SphereMap, energy, normalize_rows
+from .harmonic import SphereMap, energy
 
 
 BOUNDARY_SNAP = 1.0 - 1e-12
@@ -112,11 +112,6 @@ def linear_reflection(b, x):
     if x.ndim == 1:
         return x - 2.0 * float(x @ n) * n
     return x - 2.0 * (x @ n)[:, None] * n[None, :]
-
-
-def mobius_map(mesh, phi: SphereMap, a):
-    """G_a composed with a discrete sphere map."""
-    return SphereMap(normalize_rows(mobius_apply(a, phi.values)))
 
 
 def conformal_volume(mesh, phi: SphereMap, n_dirs=16, n_radii=6,

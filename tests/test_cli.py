@@ -140,6 +140,18 @@ def test_glminmax_command(tmp_path):
                                        "glminmax_sweep_eps0.1.csv"))
 
 
+def test_glminmax_flags_unconverged_descent(tmp_path, capsys):
+    # on sphere3 the eps = 0.2 descent leaves the saddle and hits the cap
+    assert run(["glminmax", "--surface", "sphere", "--subdiv", "3",
+                "--eps", "0.2", "--n", "2"], tmp_path) == 0
+    entry = load_json(tmp_path, "glminmax.json")["payload"][0]
+    assert not entry["critical"]["converged"]
+    assert "iterations" not in entry["critical"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert "eps=0.2" in lines[0] and "not converged" in lines[0]
+
+
 def test_steklov_command(tmp_path):
     assert run(["steklov", "--surface", "sphere", "--subdiv", "3",
                 "--holes", "1", "-k", "2"], tmp_path) == 0

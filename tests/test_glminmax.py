@@ -136,6 +136,103 @@ def test_descend_cases(sphere3, identity3):
     assert np.abs(norms - 1.0).max() < 1e-2
 
 
+def _difference_armijo_descend(mesh, u0, eps, tol=1e-6, max_iters=2000,
+                               step0=None):
+    """The earlier gl_descend, kept as an oracle: its Armijo test subtracts
+    two gl_energy values, one energy evaluation per trial step."""
+    vals = gl._values(u0).copy()
+    va = mesh.vertex_areas
+    rate = float((mesh.stiffness.diagonal() / va).max())
+    if step0 is None:
+        step0 = 0.9 / (rate + 2.0 / eps ** 2)
+    e = gl_energy(mesh, vals, eps)
+    converged = False
+    it = 0
+    gnorm = np.inf
+    for it in range(1, max_iters + 1):
+        g = gl_gradient(mesh, vals, eps).values
+        gnorm = gl.gl_norm(mesh, g)
+        if gnorm < tol:
+            converged = True
+            break
+        step = step0
+        g2 = gnorm ** 2
+        for _ in range(40):
+            cand = vals - step * g
+            e_new = gl_energy(mesh, cand, eps)
+            if e_new <= e - 0.5 * step * g2:
+                break
+            step *= 0.5
+        else:
+            break
+        vals = cand
+        e = e_new
+    return {"u": VectorMap(vals), "gradient_norm": gnorm, "E_eps": e,
+            "iterations": it, "converged": converged}
+
+
+def test_line_quartic_matches_energy_difference():
+    mesh = build_sphere_mesh(2)
+    K = mesh.stiffness
+    va = mesh.vertex_areas
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(20):
+        eps = rng.uniform(0.05, 0.5)
+        u = rng.uniform(0.2, 1.5) * rng.standard_normal(
+            (mesh.num_vertices, 3))
+        g = gl_gradient(mesh, u, eps).values
+        g2 = gl.gl_norm(mesh, g) ** 2
+        # the linear coefficient of the expansion is -|g|^2
+        d = 1.0 - np.sum(u * u, axis=1)
+        c1 = -np.sum(g * (K @ u)) + np.sum(
+            va * d * np.sum(u * g, axis=1)) / eps ** 2
+        assert c1 == pytest.approx(-g2, rel=1e-12)
+        c2, c3, c4 = gl._line_quartic(mesh, u, g, eps)
+        e0 = gl_energy(mesh, u, eps)
+        for s in np.geomspace(1e-6, 1.0, 13):
+            direct = gl_energy(mesh, u - s * g, eps) - e0
+            if abs(direct) < 1e-4 * e0:
+                continue  # the difference itself is rounding-dominated
+            phi = s * (-g2 + s * (c2 + s * (c3 + s * c4)))
+            assert phi == pytest.approx(direct, rel=1e-10)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.fixture(scope="module")
+def recipe_eps02(unit_sphere3, identity3):
+    """The glminmax recipe's first stage: eps = 0.2 from the argmax."""
+    spec = make_family_spec(unit_sphere3, identity3, eps=0.2)
+    start = spec.member(minmax_upper(spec).argmax)
+    return start, gl_descend(unit_sphere3, start, 0.2)
+
+
+def test_descend_matches_difference_oracle(unit_sphere3, recipe_eps02):
+    # at eps = 0.2 every first trial step is accepted, so both line
+    # searches walk the same path to the iteration cap
+    start, out = recipe_eps02
+    ref = _difference_armijo_descend(unit_sphere3, start, 0.2)
+    assert out["backtracks"] == 0
+    assert out["iterations"] == ref["iterations"] == 2000
+    assert not out["converged"] and not ref["converged"]
+    assert out["E_eps"] == pytest.approx(ref["E_eps"], rel=1e-10)
+    assert out["gradient_norm"] == pytest.approx(ref["gradient_norm"],
+                                                 rel=1e-10)
+
+
+def test_descend_converges_below_energy_rounding(unit_sphere3, recipe_eps02):
+    # at eps = 0.1 the gradient falls to ~1e-6, where the Armijo decrease
+    # is below the rounding error of E ~ 11; a test that subtracts two
+    # energies stalls there at the cap, the quartic one converges
+    _, warm = recipe_eps02
+    out = gl_descend(unit_sphere3, warm["u"], 0.1, tol=1e-6, max_iters=2000)
+    assert out["converged"]
+    assert out["iterations"] < 2000
+    assert out["gradient_norm"] < 1e-6
+    assert out["E_eps"] <= gl_energy(unit_sphere3, warm["u"], 0.1)
+
+
 def test_mollify_properties(sphere3, identity3):
     vals = identity3.values
     out = mollify(sphere3, vals, 1e-8)
