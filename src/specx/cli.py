@@ -137,10 +137,15 @@ class RunConfig:
         try:
             if ".." in text:
                 lo, hi = text.split("..")
-                return list(range(int(lo), int(hi) + 1))
-            return [int(x) for x in text.split(",") if x]
+                holes = list(range(int(lo), int(hi) + 1))
+            else:
+                holes = [int(x) for x in text.split(",") if x]
+            if not holes or min(holes) < 1:
+                raise ValueError
         except ValueError as exc:
-            raise UsageError(f"bad --holes {self.holes!r}") from exc
+            raise UsageError(f"bad --holes {self.holes!r}: want counts >= 1 "
+                             "as n, n,m,... or first..last") from exc
+        return holes
 
     def to_json_dict(self):
         doc = {k: self.values[k] for k in sorted(self.values)}
@@ -287,53 +292,13 @@ def cmd_vc(cfg):
     return 0
 
 
-def _punctured(cfg, mesh, n_holes, radius_frac=0.5):
-    centers = _hole_centers(mesh, n_holes, cfg.seed)
-    spacing = np.sqrt(meshmod.area(mesh) / max(n_holes, 1))
-    radius = radius_frac * 0.5 * spacing
-    radius = max(radius, 2.1 * mesh.mean_edge_length)
-    return meshmod.puncture(mesh, centers, radius)
-
-
-def _hole_centers(mesh, count, seed):
-    """Hole centers: exact lattice on flat tori for square counts, a
-    golden-ratio lattice for other counts (both homogenisation-friendly),
-    farthest-point sampling on meshes without a flat chart."""
-    if not mesh.chart_meta:
-        return _spread_centers(mesh, count, seed)
-    res = int(mesh.chart_meta["res"])
-
-    def grid_id(x, y):
-        return (int(round(y * res)) % res) * res + int(round(x * res)) % res
-
-    k = int(round(np.sqrt(count)))
-    if k * k == count:
-        return [grid_id((i + 0.5) / k, (j + 0.5) / k)
-                for j in range(k) for i in range(k)]
-    golden = (1.0 + np.sqrt(5.0)) / 2.0
-    return [grid_id((i + 0.5) / count, (i * golden) % 1.0)
-            for i in range(count)]
-
-
-def _spread_centers(mesh, count, seed):
-    """Deterministic farthest-point sample of vertex indices."""
-    rng = np.random.default_rng(seed)
-    first = int(rng.integers(mesh.num_vertices))
-    centers = [first]
-    dist = meshmod.geodesic_distances(mesh, [first])[0]
-    while len(centers) < count:
-        nxt = int(np.argmax(dist))
-        centers.append(nxt)
-        dist = np.minimum(dist,
-                          meshmod.geodesic_distances(mesh, [nxt])[0])
-    return centers
-
-
 def cmd_steklov(cfg):
     mesh = _build_mesh(cfg)
     if mesh.is_closed:
-        holes = cfg.holes_list[0] if cfg.holes_list else 1
-        mesh = _punctured(cfg, mesh, holes)
+        holes = cfg.holes_list[0]
+        mesh = meshmod.puncture(mesh,
+                                meshmod.hole_centers(mesh, holes, cfg.seed),
+                                meshmod.hole_radius(mesh, holes, 0.5))
     spec = spectra.steklov_eigs(mesh, k=cfg.count, seed=cfg.seed)
     payload = spec.to_json_dict()
     payload["boundary_length"] = meshmod.curve_measure(mesh).mass
@@ -354,86 +319,24 @@ def cmd_index(cfg):
     return 0
 
 
-TREND_SLACK = 0.025  # consecutive dips up to this fraction of the
-# reference still count as a rising trend. The sweep is not monotone: on
-# the res-96 torus it dips 2.49% of the reference from 9 to 10 holes (just
-# inside this slack) and 2.9% from 13 to 15 holes, in steps of 1.71% and
-# 1.17%.
-
-
-def steklov_hole_sweep(mesh, counts, seed=0,
-                       fracs=(0.3, 0.4, 0.5, 0.7)):
-    """Best sigma_bar_1 per hole count.
-
-    Candidates per count: the uniform layout over a radius grid, plus the
-    previous best configuration with one extra hole of the floor radius
-    2.1 h (h the mean edge length). That extra hole is not small on the
-    meshes swept here, so the sweep is not nondecreasing: on the res-96
-    torus the best value falls by 2.49% of lambda_bar_1 from 9 to 10 holes
-    and by 2.9% from 13 to 15 holes.
-    Returns rows [(holes, sigma_bar_1, centers, radii)].
-    """
-    floor = 2.1 * mesh.mean_edge_length
-    rows = []
-    prev = None  # (centers, radii)
-
-    def evaluate(centers, radii):
-        sub = meshmod.puncture(mesh, centers, radii)
-        spec = spectra.steklov_eigs(sub, k=1, seed=seed)
-        return float(spec.values[1] * spec.mass)
-
-    for holes in counts:
-        spacing = np.sqrt(meshmod.area(mesh) / holes)
-        best = None
-        centers = _hole_centers(mesh, holes, seed)
-        for frac in fracs:
-            radius = max(frac * 0.5 * spacing, floor)
-            try:
-                val = evaluate(centers, radius)
-            except meshmod.MeshError:
-                continue
-            if best is None or val > best[0]:
-                best = (val, centers, [radius] * holes)
-        if prev is not None and len(prev[0]) == holes - 1:
-            dist = meshmod.geodesic_distances(mesh, prev[0]).min(axis=0)
-            extra = int(np.argmax(dist))
-            try:
-                cand = (prev[0] + [extra], prev[1] + [floor])
-                val = evaluate(*cand)
-                if best is None or val > best[0]:
-                    best = (val, cand[0], cand[1])
-            except meshmod.MeshError:
-                pass
-        if best is None:
-            raise spectra.SolverError(
-                f"no feasible puncturing with {holes} holes")
-        rows.append((holes, best[0], best[1], best[2]))
-        prev = (list(best[1]), list(best[2]))
-    return rows
-
-
 def cmd_sweep(cfg):
-    if cfg.recipe != "steklov-holes":
-        raise UsageError(f"unknown sweep recipe {cfg.recipe!r}")
+    counts = cfg.holes_list  # argparse admits only the steklov-holes recipe
     mesh = _build_mesh(cfg)
-    ref = spectra.maximize_lambda1_conformal(mesh, seed=cfg.seed)
-    lam_ref = ref.lambda_bar
-    rows = steklov_hole_sweep(mesh, cfg.holes_list, seed=cfg.seed)
+    lam_ref = spectra.maximize_lambda1_conformal(mesh,
+                                                 seed=cfg.seed).lambda_bar
+    rows = spectra.steklov_hole_sweep(mesh, counts, seed=cfg.seed)
     for holes, sigma_bar, _, _ in rows:
         _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed,
                              f"sigma_bar_1_holes{holes}", repr(sigma_bar)])
-    values = [row[1] for row in rows]
-    trend = all(b >= a - TREND_SLACK * lam_ref
-                for a, b in zip(values, values[1:]))
-    trend = trend and values[-1] > values[0]
+    trend = spectra.nondecreasing_trend([row[1] for row in rows], lam_ref)
     os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "steklov_holes.csv")
-    with open(path, "w", newline="") as fh:
+    with open(os.path.join(cfg.out, "steklov_holes.csv"), "w",
+              newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["holes", "sigma_bar_1", "lambda_bar_1_ref",
                          "nondecreasing_trend"])
-        for holes, sig, _, _ in rows:
-            writer.writerow([holes, repr(sig), repr(lam_ref), trend])
+        writer.writerows([holes, repr(sig), repr(lam_ref), trend]
+                         for holes, sig, _, _ in rows)
     payload = {"rows": [[int(h), float(s)] for h, s, _, _ in rows],
                "nondecreasing_trend": bool(trend),
                "lambda_bar_ref": float(lam_ref)}

@@ -19,8 +19,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _kernels, mobius, spectra
 from ._ballopt import BALL_EDGE, ball_grid, clip_to_ball, maximize_over_ball
@@ -183,12 +181,6 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
 # mollification
 # ---------------------------------------------------------------------------
 
-def _heat_factor(mesh, t):
-    va = mesh.vertex_areas
-    op = (sp.diags(va) + t * mesh.stiffness).tocsc()
-    return spla.splu(op)
-
-
 def mollify(mesh, f, t, _factor=None):
     """One implicit lumped heat step (I + t M^{-1} K)^{-1} per coordinate.
 
@@ -198,7 +190,7 @@ def mollify(mesh, f, t, _factor=None):
     if t <= 0.0:
         raise FamilyError("mollification time must be positive")
     vals = _values(f)
-    lu = _factor if _factor is not None else _heat_factor(mesh, t)
+    lu = _factor if _factor is not None else spectra._heat_factor(mesh, t)
     out = lu.solve(mesh.vertex_areas[:, None] * vals)
     return VectorMap(out)
 
@@ -269,7 +261,7 @@ class FamilySpec:
 
     @cached_property
     def _factor(self):
-        return _heat_factor(self.mesh, self.mollify_time)
+        return spectra._heat_factor(self.mesh, self.mollify_time)
 
     def split(self, p):
         d = self.ambient_dim

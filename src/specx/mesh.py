@@ -475,8 +475,18 @@ def volume_measure(mesh, density=None):
 
 
 def geodesic_distances(mesh, sources):
-    """Graph geodesic distances (Dijkstra on metric edge lengths)."""
-    return dijkstra(mesh.edge_lengths, directed=False, indices=sources)
+    """Graph geodesic distances (Dijkstra on metric edge lengths): a row
+    for a scalar source, a (len(sources), V) array for a list. Each source
+    runs Dijkstra once per mesh (rows are memoised; results are copies)."""
+    memo = mesh._cache.setdefault("geodesic_rows", {})
+    keys = np.atleast_1d(sources).tolist()
+    missing = [s for s in dict.fromkeys(keys) if s not in memo]
+    if missing:
+        memo.update(zip(missing, dijkstra(mesh.edge_lengths, directed=False,
+                                          indices=missing)))
+    rows = np.array([memo[s] for s in keys]).reshape(len(keys),
+                                                     mesh.num_vertices)
+    return rows[0] if np.ndim(sources) == 0 else rows
 
 
 def puncture(mesh, centers, radius):
@@ -527,6 +537,43 @@ def puncture(mesh, centers, radius):
             f"puncture produced {len(sub.boundary_loops)} boundary loops, "
             f"expected {expected}; holes may merge (radius too large)")
     return sub
+
+
+def hole_centers(mesh, count, seed):
+    """Hole centers: exact lattice on flat tori for square counts, a
+    golden-ratio lattice for other counts (both homogenisation-friendly),
+    farthest-point sampling on meshes without a flat chart."""
+    if count < 1:
+        raise MeshError(f"hole count must be >= 1, got {count}")
+    if not mesh.chart_meta:
+        return _spread_centers(mesh, count, seed)
+    k = int(round(np.sqrt(count)))
+    if k * k == count:
+        xy = [((i + 0.5) / k, (j + 0.5) / k)
+              for j in range(k) for i in range(k)]
+    else:
+        xy = [((i + 0.5) / count, (i * _ICO_T) % 1.0) for i in range(count)]
+    res = int(mesh.chart_meta["res"])
+    return [(int(round(y * res)) % res) * res + int(round(x * res)) % res
+            for x, y in xy]
+
+
+def _spread_centers(mesh, count, seed):
+    """Deterministic farthest-point sample of vertex indices."""
+    centers = [int(np.random.default_rng(seed).integers(mesh.num_vertices))]
+    dist = geodesic_distances(mesh, centers[0])
+    while len(centers) < count:
+        centers.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, geodesic_distances(mesh, centers[-1]))
+    return centers
+
+
+def hole_radius(mesh, holes, frac):
+    """Radius of each of `holes` equal holes: frac times half their spacing
+    sqrt(area / holes), floored at 2.1 h (h the mean edge length) to stay
+    above the resolution `puncture` accepts; frac = 0 gives the floor."""
+    return max(frac * 0.5 * np.sqrt(area(mesh) / holes),
+               2.1 * mesh.mean_edge_length)
 
 
 # ---------------------------------------------------------------------------

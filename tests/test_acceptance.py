@@ -17,9 +17,10 @@ from specx import harmonic as hm
 from specx import index as ix
 from specx import mobius as mb
 from specx import spectra as sx
-from specx.cli import TREND_SLACK, _hole_centers, main, steklov_hole_sweep
+from specx.cli import main
 from specx.mesh import (area, build_sphere_mesh, build_torus_mesh,
-                        puncture)
+                        hole_centers, puncture)
+from specx.spectra import TREND_SLACK, steklov_hole_sweep
 
 
 @contextlib.contextmanager
@@ -213,12 +214,12 @@ def test_criterion_9_steklov_inequality(sphere3, torus32,
         cases = []
         for holes, radius in ((1, 0.3), (1, 0.45), (2, 0.35), (3, 0.3),
                               (4, 0.28)):
-            centers = _hole_centers(sphere3, holes, seed=1)
+            centers = hole_centers(sphere3, holes, seed=1)
             cases.append((sphere3, centers, radius,
                           sphere_max_report.lambda_bar))
         for holes, radius in ((1, 0.12), (2, 0.1), (4, 0.08), (6, 0.06),
                               (9, 0.05)):
-            centers = _hole_centers(torus32, holes, seed=1)
+            centers = hole_centers(torus32, holes, seed=1)
             cases.append((torus32, centers, radius,
                           torus_max_report.lambda_bar))
         assert len(cases) == 10

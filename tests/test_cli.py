@@ -169,3 +169,13 @@ def test_sweep_command(tmp_path):
     assert len(rows) == 4
     doc = load_json(tmp_path, "sweep.json")
     assert len(doc["payload"]["rows"]) == 3
+
+
+def test_hole_counts_below_one_are_usage_errors(tmp_path, capsys):
+    for args in (["sweep", "steklov-holes", "--holes", "0..2"],
+                 ["sweep", "steklov-holes", "--holes", "5..3"],
+                 ["steklov", "--surface", "sphere", "--holes", "0"],
+                 ["steklov", "--surface", "torus", "--holes", "0"]):
+        assert run(args + ["--subdiv", "1", "--res", "8"], tmp_path) == 2
+        assert "usage error: bad --holes" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "results.csv")

@@ -233,6 +233,21 @@ def test_descend_converges_below_energy_rounding(unit_sphere3, recipe_eps02):
     assert out["E_eps"] <= gl_energy(unit_sphere3, warm["u"], 0.1)
 
 
+def test_descend_stall_break():
+    # a first trial step 1e15 times the default is still about 1800 times
+    # the default after 39 halvings, too long for the Armijo test: the line
+    # search gives up after 40 halvings and leaves the map as it was
+    mesh = build_sphere_mesh(2)
+    u0 = hm.identity_sphere_map(mesh).values
+    eps = 0.2
+    rate = float((mesh.stiffness.diagonal() / mesh.vertex_areas).max())
+    step0 = 1e15 * 0.9 / (rate + 2.0 / eps ** 2)
+    out = gl_descend(mesh, u0, eps, step0=step0)
+    assert not out["converged"]
+    assert (out["iterations"], out["backtracks"]) == (1, 40)
+    assert np.array_equal(out["u"].values, u0)
+
+
 def test_mollify_properties(sphere3, identity3):
     vals = identity3.values
     out = mollify(sphere3, vals, 1e-8)

@@ -3,12 +3,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
-from specx.cli import _hole_centers
+from specx import mesh as meshmod
 from specx.mesh import (ConformalDensity, MeshError, NonManifoldError,
                         OrientationError, TriMesh, area, build_sphere_mesh,
-                        build_torus_mesh, curve_measure, load_mesh,
-                        mass_matrix, puncture, save_mesh, stiffness_matrix)
+                        build_torus_mesh, curve_measure, geodesic_distances,
+                        hole_centers, load_mesh, mass_matrix, puncture, save_mesh,
+                        stiffness_matrix)
 
 from conftest import build_annulus_mesh, build_disk_mesh
 
@@ -476,7 +478,7 @@ def test_torus_matches_loop_reference(tau, res):
 def test_punctured_torus_matches_loop_reference(tau, holes):
     torus = build_torus_mesh(tau, 48)
     radius = 0.2 * np.sqrt(area(torus) / holes)
-    mesh = puncture(torus, _hole_centers(torus, holes, 0), radius)
+    mesh = puncture(torus, hole_centers(torus, holes, 0), radius)
     assert len(mesh.boundary_loops) == holes
     _assert_same_combinatorics(mesh)
     every = list(range(holes))
@@ -536,3 +538,33 @@ def test_face_subsets_match_loop_reference():
             kinds.add(want[1].split()[0])
             assert got == want
     assert kinds == {0, 1, "degenerate", "edge", "directed", "vertex"}
+
+
+def test_geodesic_rows_are_memoised_copies(monkeypatch):
+    mesh = build_sphere_mesh(2)
+    want = dijkstra(mesh.edge_lengths, directed=False, indices=[5, 9, 5])
+    ran = []
+
+    def counted(*args, indices, **kwargs):
+        ran.append(list(indices))
+        return dijkstra(*args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(meshmod, "dijkstra", counted)
+    one = geodesic_distances(mesh, 9)
+    rows = geodesic_distances(mesh, [5, 9, 5])
+    assert one.shape == (mesh.num_vertices,)
+    assert np.array_equal(one, want[1]) and np.array_equal(rows, want)
+    assert ran == [[9], [5]]  # each source once, batched or not
+    one[:] = 0.0
+    rows[:] = 0.0
+    assert np.array_equal(geodesic_distances(mesh, [9, 5]), want[[1, 0]])
+    assert geodesic_distances(mesh, []).shape == (0, mesh.num_vertices)
+    assert len(ran) == 2
+
+
+@pytest.mark.parametrize("build", [lambda: build_sphere_mesh(1),
+                                   lambda: build_torus_mesh(1j, 8)])
+@pytest.mark.parametrize("count", [0, -2])
+def test_hole_centers_reject_counts_below_one(build, count):
+    with pytest.raises(MeshError, match="hole count"):
+        hole_centers(build(), count, 0)

@@ -3,14 +3,14 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from specx.cli import _hole_centers
+from specx import mesh as meshmod
 from specx.mesh import (ConformalDensity, MeshError, MeshMeasure,
-                        build_torus_mesh, curve_measure, puncture,
-                        volume_measure)
+                        build_sphere_mesh, build_torus_mesh, curve_measure,
+                        hole_centers, puncture, volume_measure)
 from specx.spectra import (RankError, SolverError, laplace_eigs,
                            maximize_lambda1_conformal, measure_eigs,
                            multiplicity, normalized, solve_pencil,
-                           steklov_eigs)
+                           steklov_eigs, steklov_hole_sweep)
 
 from conftest import build_annulus_mesh
 
@@ -284,7 +284,7 @@ def test_matches_dense_oracle(sphere3, torus32, disk):
 @pytest.mark.parametrize("holes", [1, 4, 9])
 def test_punctured_torus_steklov_matches_dense_oracle(holes):
     torus = build_torus_mesh(1j, 48)
-    mesh = puncture(torus, _hole_centers(torus, holes, 0),
+    mesh = puncture(torus, hole_centers(torus, holes, 0),
                     0.2 / np.sqrt(holes))
     _check_against_oracle(mesh, curve_measure(mesh).weights,
                           steklov_eigs(mesh, k=5))
@@ -344,3 +344,120 @@ def test_arpack_failure_is_solver_error(torus32, monkeypatch):
     monkeypatch.setattr(spla, "eigsh", stalled)
     with pytest.raises(SolverError, match="eigensolver failed"):
         laplace_eigs(torus32, k=4)
+
+
+def _unmemoised(fn):
+    """fn with the mesh's geodesic memo emptied first, so that each call
+    runs Dijkstra from all its sources, as before the memo existed."""
+    def call(mesh, *args):
+        mesh._cache.pop("geodesic_rows", None)
+        return fn(mesh, *args)
+    return call
+
+
+_loop_geodesic = _unmemoised(meshmod.geodesic_distances)
+_loop_puncture = _unmemoised(puncture)
+
+
+def _loop_hole_centers(mesh, count, seed):
+    """The earlier hole layout, kept as an oracle for `hole_centers`."""
+    if not mesh.chart_meta:
+        rng = np.random.default_rng(seed)
+        centers = [int(rng.integers(mesh.num_vertices))]
+        dist = _loop_geodesic(mesh, [centers[0]])[0]
+        while len(centers) < count:
+            nxt = int(np.argmax(dist))
+            centers.append(nxt)
+            dist = np.minimum(dist, _loop_geodesic(mesh, [nxt])[0])
+        return centers
+    res = int(mesh.chart_meta["res"])
+
+    def grid_id(x, y):
+        return (int(round(y * res)) % res) * res + int(round(x * res)) % res
+
+    k = int(round(np.sqrt(count)))
+    if k * k == count:
+        return [grid_id((i + 0.5) / k, (j + 0.5) / k)
+                for j in range(k) for i in range(k)]
+    golden = (1.0 + np.sqrt(5.0)) / 2.0
+    return [grid_id((i + 0.5) / count, (i * golden) % 1.0)
+            for i in range(count)]
+
+
+def _loop_hole_sweep(mesh, counts, seed=0, fracs=(0.3, 0.4, 0.5, 0.7)):
+    """The earlier sweep, kept as an oracle: it writes the radius rule out
+    twice and reruns Dijkstra from every centre of every candidate."""
+    floor = 2.1 * mesh.mean_edge_length
+    rows = []
+    prev = None
+
+    def evaluate(centers, radii):
+        sub = _loop_puncture(mesh, centers, radii)
+        spec = steklov_eigs(sub, k=1, seed=seed)
+        return float(spec.values[1] * spec.mass)
+
+    for holes in counts:
+        spacing = np.sqrt(meshmod.area(mesh) / holes)
+        best = None
+        centers = _loop_hole_centers(mesh, holes, seed)
+        for frac in fracs:
+            radius = max(frac * 0.5 * spacing, floor)
+            try:
+                val = evaluate(centers, radius)
+            except MeshError:
+                continue
+            if best is None or val > best[0]:
+                best = (val, centers, [radius] * holes)
+        if prev is not None and len(prev[0]) == holes - 1:
+            dist = _loop_geodesic(mesh, prev[0]).min(axis=0)
+            extra = int(np.argmax(dist))
+            try:
+                cand = (prev[0] + [extra], prev[1] + [floor])
+                val = evaluate(*cand)
+                if best is None or val > best[0]:
+                    best = (val, cand[0], cand[1])
+            except MeshError:
+                pass
+        if best is None:
+            raise SolverError(f"no feasible puncturing with {holes} holes")
+        rows.append((holes, best[0], best[1], best[2]))
+        prev = (list(best[1]), list(best[2]))
+    return rows
+
+
+@pytest.mark.parametrize("build, counts, sources", [
+    (lambda: build_torus_mesh(0.3 + 1.1j, 24), range(1, 7), (119, 24)),
+    (lambda: build_sphere_mesh(2), range(1, 5), (65, 4)),
+])
+def test_hole_sweep_matches_loop_oracle(monkeypatch, build, counts, sources):
+    # rows equal to the last bit (repr); the sweep runs Dijkstra once from
+    # each distinct source that the loop ran it from
+    ran = []
+    dijkstra = meshmod.dijkstra
+
+    def counted(*args, indices, **kwargs):
+        ran.extend(np.atleast_1d(indices).tolist())
+        return dijkstra(*args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(meshmod, "dijkstra", counted)
+    want = _loop_hole_sweep(build(), counts)
+    loop_sources = list(ran)
+    ran.clear()
+    got = steklov_hole_sweep(build(), counts)
+    assert repr(got) == repr(want)
+    assert (len(loop_sources), len(ran)) == sources
+    assert sorted(ran) == sorted(set(loop_sources))
+
+
+def test_hole_centers_match_loop_oracle():
+    for mesh in (build_torus_mesh(1j, 48), build_torus_mesh(0.3 + 1.1j, 37),
+                 build_sphere_mesh(2)):
+        for count in range(1, 41):
+            assert hole_centers(mesh, count, 3) == \
+                _loop_hole_centers(mesh, count, 3)
+
+
+@pytest.mark.parametrize("counts", [[], [0, 1], [2, -1]])
+def test_hole_sweep_rejects_counts_below_one(torus32, counts):
+    with pytest.raises(MeshError, match="hole counts"):
+        steklov_hole_sweep(torus32, counts)
