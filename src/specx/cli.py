@@ -295,7 +295,12 @@ def cmd_vc(cfg):
 def cmd_steklov(cfg):
     mesh = _build_mesh(cfg)
     if mesh.is_closed:
-        holes = cfg.holes_list[0]
+        counts = cfg.holes_list
+        if len(counts) > 1:
+            raise UsageError(f"steklov punches one hole count, got --holes "
+                             f"{cfg.holes!r}; give one count, or run "
+                             "'sweep steklov-holes' for several")
+        holes = counts[0]
         mesh = meshmod.puncture(mesh,
                                 meshmod.hole_centers(mesh, holes, cfg.seed),
                                 meshmod.hole_radius(mesh, holes, 0.5))

@@ -9,6 +9,12 @@ sparse LU of K - sigma B, then the symmetric standard form on the support
 of B. Rank-deficient B (boundary measures, point masses, conical zeros)
 needs no special case: the eigenvectors come back discrete-harmonic off
 supp(B), as from the Schur complement onto supp(B).
+
+Every sparse matrix factored here is symmetric positive definite: K - sigma
+B with sigma below the spectrum, and the lumped heat step diag(A) + t K.
+So all factorisations go through `_spd_factor`, which orders on the
+pattern of A + A^T and pivots on the diagonal; on these meshes that about
+halves the LU fill of SuperLU's unsymmetric defaults.
 """
 
 from __future__ import annotations
@@ -132,13 +138,31 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
                     mass=float(b.sum()), cluster_tol=cluster_tol)
 
 
+def _spd_factor(A):
+    """Sparse LU of a symmetric positive definite A, in SuperLU's symmetric
+    mode: a minimum-degree ordering of the pattern of A + A^T, applied to
+    rows and columns alike, and pivots taken on the diagonal.
+
+    The caller must pass an SPD matrix. Its diagonal pivots are then all
+    positive and the factorisation is stable without row interchanges;
+    nothing here checks this, since reading the factors back would cost
+    memory on every call.
+    """
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
 def _shift_invert(A, m, sigma, kk, seed=0):
     """Lowest kk eigenpairs of the pencil A v = lambda diag(m) v.
 
     A is sparse symmetric, m >= 0 and the shift sigma lies below the
-    spectrum, so that A - sigma diag(m) is positive definite. One sparse LU
-    of A - sigma diag(m), then C = M_s^{1/2} [(A - sigma M)^{-1}]_{ss}
-    M_s^{1/2} on s = supp(m) is diagonalized for its largest mu:
+    spectrum, so that A - sigma diag(m) is positive definite; that is the
+    precondition of `_spd_factor`, which factors it. `solve_pencil` meets it
+    with sigma < 0 against the semidefinite stiffness, `index.energy_index`
+    with sigma below the lower bound -max(b_i / m_i) of its Morse form.
+    One sparse LU of A - sigma diag(m), then
+    C = M_s^{1/2} [(A - sigma M)^{-1}]_{ss} M_s^{1/2} on s = supp(m) is
+    diagonalized for its largest mu:
     lambda = sigma + 1/mu, v = (lambda - sigma) (A - sigma M)^{-1} M^{1/2} x.
     The vectors are M-orthonormal and A-harmonic off supp(m). Lanczos
     (ARPACK) takes a few pairs beyond kk so that a degenerate cluster is not
@@ -148,7 +172,7 @@ def _shift_invert(A, m, sigma, kk, seed=0):
     n = A.shape[0]
     shifted = A.tocsc(copy=True)
     shifted.setdiag(A.diagonal() - sigma * m)
-    lu = spla.splu(shifted)
+    lu = _spd_factor(shifted)
     s_idx = np.flatnonzero(m > 0.0)
     rank = len(s_idx)
     root = np.sqrt(m[s_idx])
@@ -171,8 +195,11 @@ def _shift_invert(A, m, sigma, kk, seed=0):
                          subset_by_index=[rank - kk, rank - 1])
         vecs = X @ x
     else:
+        buf = np.zeros(n)  # zero off supp(m); one buffer for all matvecs
+
         def apply_c(y):
-            return root * lu.solve(lift(y.reshape(rank, 1)))[s_idx, 0]
+            buf[s_idx] = root * y
+            return root * lu.solve(buf)[s_idx]
 
         op = spla.LinearOperator((rank, rank), matvec=apply_c, dtype=float)
         v0 = np.random.default_rng(seed).standard_normal(rank)
@@ -321,9 +348,14 @@ def eigenvalue_cluster(spec: Spectrum, index, width=None):
 # ---------------------------------------------------------------------------
 
 def _heat_factor(mesh, t):
-    """Sparse LU of the lumped heat step diag(vertex areas) + t K."""
-    return spla.splu((sp.diags(mesh.vertex_areas)
-                      + t * mesh.stiffness).tocsc())
+    """Sparse LU of the lumped heat step diag(vertex areas) + t K.
+
+    For t > 0 the step is SPD (positive vertex areas plus a semidefinite
+    stiffness), the precondition of `_spd_factor`. The maximiser passes
+    t = h^2, and `glminmax.mollify` and `FamilySpec` reject t <= 0.
+    """
+    return _spd_factor((sp.diags(mesh.vertex_areas)
+                        + t * mesh.stiffness).tocsc())
 
 
 def maximize_lambda1_conformal(mesh, step=0.5, iters=200, smoothing=True,

@@ -179,3 +179,12 @@ def test_hole_counts_below_one_are_usage_errors(tmp_path, capsys):
         assert run(args + ["--subdiv", "1", "--res", "8"], tmp_path) == 2
         assert "usage error: bad --holes" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "results.csv")
+
+
+def test_steklov_rejects_several_hole_counts(tmp_path, capsys):
+    for holes in ("3..5", "2,4"):
+        assert run(["steklov", "--surface", "sphere", "--subdiv", "1",
+                    "--holes", holes], tmp_path) == 2
+        assert "sweep steklov-holes" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "steklov.json")
+    assert not os.path.exists(tmp_path / "results.csv")

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from specx import mesh as meshmod
 from specx.mesh import (ConformalDensity, MeshError, MeshMeasure,
                         build_sphere_mesh, build_torus_mesh, curve_measure,
                         hole_centers, puncture, volume_measure)
-from specx.spectra import (RankError, SolverError, laplace_eigs,
-                           maximize_lambda1_conformal, measure_eigs,
-                           multiplicity, normalized, solve_pencil,
-                           steklov_eigs, steklov_hole_sweep)
+from specx.spectra import (RankError, SolverError, _spd_factor,
+                           laplace_eigs, maximize_lambda1_conformal,
+                           measure_eigs, multiplicity, normalized,
+                           solve_pencil, steklov_eigs, steklov_hole_sweep)
 
 from conftest import build_annulus_mesh
 
@@ -461,3 +462,62 @@ def test_hole_centers_match_loop_oracle():
 def test_hole_sweep_rejects_counts_below_one(torus32, counts):
     with pytest.raises(MeshError, match="hole counts"):
         steklov_hole_sweep(torus32, counts)
+
+
+def _pencil_shift(A, m, sigma):
+    return (A - sigma * sp.diags(m)).tocsc()
+
+
+def _stiffness_shift(mesh, m):
+    # the shift solve_pencil takes
+    K = mesh.stiffness
+    return _pencil_shift(K, m, -1e-3 * K.diagonal().sum() / m.sum())
+
+
+def _spd_matrices():
+    from specx.harmonic import embed_map, identity_sphere_map
+    from specx.index import _second_variation
+    torus = build_torus_mesh(1j, 32)
+    yield "torus32", _stiffness_shift(torus, torus.vertex_areas)
+    torus = build_torus_mesh(1j, 48)
+    holed = puncture(torus, hole_centers(torus, 5, 0),
+                     meshmod.hole_radius(torus, 5, 0.5))
+    yield "punctured torus48", _stiffness_shift(holed,
+                                                curve_measure(holed).weights)
+    # the shift energy_index takes for the Morse form at m = 5
+    sphere = build_sphere_mesh(3)
+    Q, b = _second_variation(
+        sphere, embed_map(identity_sphere_map(sphere), 6), None)
+    va = sphere.vertex_areas
+    yield "sphere3 Morse m=5", _pencil_shift(
+        Q, np.repeat(va, 5), -np.max(b / va) - b.sum() / va.sum())
+
+
+def test_spd_factor_against_default_ordering():
+    rng = np.random.default_rng(5)
+    for name, A in _spd_matrices():
+        lu = _spd_factor(A)
+        ref = spla.splu(A)
+        rhs = rng.standard_normal((A.shape[0], 3))
+        x = lu.solve(rhs)
+        assert np.linalg.norm(x - ref.solve(rhs)) <= \
+            1e-12 * np.linalg.norm(x), name
+        # diagonal pivoting: rows are permuted as the columns are, and an
+        # SPD matrix gives positive pivots
+        assert np.array_equal(lu.perm_r, lu.perm_c), name
+        assert lu.U.diagonal().min() > 0.0, name
+        assert lu.L.nnz + lu.U.nnz <= ref.L.nnz + ref.U.nnz, name
+
+
+def test_spd_factor_pivots_give_inertia(torus32):
+    # an indefinite shift above lambda_1 of the square torus: with
+    # diagonal pivots, A = P^T L D L^T P, so the negative pivots count the
+    # eigenvalues below sigma (Sylvester's law of inertia)
+    sigma = 1.5 * 4 * np.pi ** 2
+    spec = laplace_eigs(torus32, k=8)
+    below = int(np.sum(spec.values < sigma))
+    assert below == 5 and spec.values[-1] > sigma
+    lu = _spd_factor(_pencil_shift(torus32.stiffness, torus32.vertex_areas,
+                                   sigma))
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert int(np.sum(lu.U.diagonal() < 0.0)) == below
