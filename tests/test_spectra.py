@@ -474,28 +474,26 @@ def _stiffness_shift(mesh, m):
     return _pencil_shift(K, m, -1e-3 * K.diagonal().sum() / m.sum())
 
 
-def _spd_matrices():
+def _spd_matrices(torus32, sphere3):
     from specx.harmonic import embed_map, identity_sphere_map
     from specx.index import _second_variation
-    torus = build_torus_mesh(1j, 32)
-    yield "torus32", _stiffness_shift(torus, torus.vertex_areas)
+    yield "torus32", _stiffness_shift(torus32, torus32.vertex_areas)
     torus = build_torus_mesh(1j, 48)
     holed = puncture(torus, hole_centers(torus, 5, 0),
                      meshmod.hole_radius(torus, 5, 0.5))
     yield "punctured torus48", _stiffness_shift(holed,
                                                 curve_measure(holed).weights)
     # the shift energy_index takes for the Morse form at m = 5
-    sphere = build_sphere_mesh(3)
     Q, b = _second_variation(
-        sphere, embed_map(identity_sphere_map(sphere), 6), None)
-    va = sphere.vertex_areas
+        sphere3, embed_map(identity_sphere_map(sphere3), 6), None)
+    va = sphere3.vertex_areas
     yield "sphere3 Morse m=5", _pencil_shift(
         Q, np.repeat(va, 5), -np.max(b / va) - b.sum() / va.sum())
 
 
-def test_spd_factor_against_default_ordering():
+def test_spd_factor_against_default_ordering(torus32, sphere3):
     rng = np.random.default_rng(5)
-    for name, A in _spd_matrices():
+    for name, A in _spd_matrices(torus32, sphere3):
         lu = _spd_factor(A)
         ref = spla.splu(A)
         rhs = rng.standard_normal((A.shape[0], 3))
