@@ -93,6 +93,8 @@ class RunConfig:
 
     def __init__(self, args):
         merged = dict(DEFAULTS)
+        if args.command == "steklov":
+            merged["holes"] = "1"  # the 1..8 default is the sweep's range
         if args.config:
             file_cfg = _parse_config_file(args.config)
             unknown = set(file_cfg) - set(DEFAULTS)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize
 
 from . import _kernels, mobius, spectra
 from ._ballopt import BALL_EDGE, ball_grid, clip_to_ball, maximize_over_ball
@@ -442,6 +441,10 @@ def balanced_point(spec: FamilySpec, mu=None, tol_factor=1e-6,
     available); a library root polish runs if the iteration stalls.
     Returns (a*, residual_norm). mu defaults to the volume measure.
     """
+    # imported here, not at module top: no recipe needs scipy.optimize, and
+    # it is about half of specx's import time and 18 MB of its memory
+    import scipy.optimize
+
     if spec.family != "first":
         raise FamilyError("balanced_point expects a first-family spec")
     w = _measure_weights(spec, mu)
@@ -494,6 +497,8 @@ def balanced_point_second(spec: FamilySpec, phi1, mu=None, tol_factor=1e-6,
     equations are solved by damped iteration plus a root polish. Returns
     ((a*, b*), residual_norm).
     """
+    import scipy.optimize  # see balanced_point
+
     if spec.family != "second":
         raise FamilyError("balanced_point_second expects a second-family spec")
     w = _measure_weights(spec, mu)

@@ -222,14 +222,23 @@ def index_report(mesh, phi: SphereMap, cluster_tol=1e-3,
 def check_composition_law(mesh, phi: SphereMap, m, cluster_tol=1e-3):
     """Both sides of ind_E(i . Phi) = ind_E(Phi) + (m - n) ind_S(Phi) for
     the totally geodesic embedding into the m-sphere, computed
-    independently."""
+    independently.
+
+    The base indices (ind_E, ind_S) of phi do not depend on m; they are
+    solved once per mesh, map values and cluster_tol and memoised on the
+    mesh, so checking several m repeats only the embedded solve.
+    """
     n = phi.ambient_dim - 1
     if m < n:
         raise MeshError("embedding target dimension below the map's")
     embedded = embed_map(phi, m + 1)
     lhs, _ = energy_index(mesh, embedded)
-    ind_e, _ = energy_index(mesh, phi)
-    ind_s, _, _ = spectral_index(mesh, phi, cluster_tol=cluster_tol)
+    memo = mesh._cache.setdefault("composition_base", {})
+    key = (phi.values.tobytes(), phi.values.shape, cluster_tol)
+    if key not in memo:
+        memo[key] = (energy_index(mesh, phi)[0],
+                     spectral_index(mesh, phi, cluster_tol=cluster_tol)[0])
+    ind_e, ind_s = memo[key]
     rhs = ind_e + (m - n) * ind_s
     return {"lhs": int(lhs), "rhs": int(rhs), "equal": lhs == rhs,
             "ind_E": int(ind_e), "ind_S": int(ind_s)}

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from specx.cli import main
+from specx.cli import RunConfig, _build_parser, main
 from specx.mesh import build_sphere_mesh, save_mesh
 
 
@@ -157,6 +157,20 @@ def test_steklov_command(tmp_path):
                 "--holes", "1", "-k", "2"], tmp_path) == 0
     doc = load_json(tmp_path, "steklov.json")
     assert doc["payload"]["values"][1] > 0
+
+
+def test_bare_steklov_punches_one_hole(tmp_path):
+    assert run(["steklov", "--surface", "sphere", "--subdiv", "2", "-k", "2"],
+               tmp_path / "bare") == 0
+    assert run(["steklov", "--surface", "sphere", "--subdiv", "2", "-k", "2",
+                "--holes", "1"], tmp_path / "one") == 0
+    bare = load_json(tmp_path / "bare", "steklov.json")
+    assert bare["config"]["holes"] == "1"
+    assert bare["payload"] == load_json(tmp_path / "one",
+                                        "steklov.json")["payload"]
+    # the sweep keeps its range
+    args = _build_parser().parse_args(["sweep", "steklov-holes"])
+    assert RunConfig(args).holes_list == list(range(1, 9))
 
 
 def test_sweep_command(tmp_path):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -495,3 +499,15 @@ def test_dimensional_monotonicity(sphere_spec):
 def test_vector_map_validation():
     with pytest.raises(FamilyError):
         VectorMap(np.array([[np.nan, 0.0, 0.0]]))
+
+
+def test_specx_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: this one may have loaded scipy.optimize already
+    src = os.path.dirname(os.path.dirname(gl.__file__))
+    code = ("import sys, specx.cli, specx.glminmax; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                             [src, os.environ.get("PYTHONPATH", "")])))
+    assert out.stdout.strip() == "False"

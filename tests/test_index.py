@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from specx import harmonic as hm
 from specx import index as ix
 from specx.harmonic import SphereMap, embed_map, power_map
-from specx.mesh import MeshError
+from specx.mesh import MeshError, build_sphere_mesh
 from specx.spectra import SolverError
 
 
@@ -42,6 +42,44 @@ def test_composition_law(sphere3, flowed_identity3):
         assert out["lhs"] == m - 2  # saturates the ambient lower bound
     with pytest.raises(MeshError):
         ix.check_composition_law(sphere3, flowed_identity3, 1)
+
+
+def _composition_uncached(mesh, phi, m, cluster_tol=1e-3):
+    # check_composition_law before its base indices were memoised
+    lhs, _ = ix.energy_index(mesh, embed_map(phi, m + 1))
+    ind_e, _ = ix.energy_index(mesh, phi)
+    ind_s, _, _ = ix.spectral_index(mesh, phi, cluster_tol=cluster_tol)
+    rhs = ind_e + (m - 2) * ind_s
+    return {"lhs": int(lhs), "rhs": int(rhs), "equal": lhs == rhs,
+            "ind_E": int(ind_e), "ind_S": int(ind_s)}
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    func = getattr(ix, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(ix, name, counted)
+    return calls
+
+
+def test_composition_base_indices_solved_once(flowed_identity3, monkeypatch):
+    mesh = build_sphere_mesh(3)  # fresh, so its memo starts empty
+    energy = _count_calls(monkeypatch, "energy_index")
+    spectral = _count_calls(monkeypatch, "spectral_index")
+    phi = SphereMap(flowed_identity3.values.copy())
+    laws = {m: ix.check_composition_law(mesh, phi, m) for m in (3, 4, 5)}
+    assert (len(energy), len(spectral)) == (4, 1)
+    # a map with other values on the same mesh is solved afresh
+    turned = SphereMap(phi.values[:, [1, 2, 0]])
+    assert ix.check_composition_law(mesh, turned, 4) == laws[4]
+    assert (len(energy), len(spectral)) == (6, 2)
+    monkeypatch.undo()
+    for m, law in laws.items():
+        assert law == _composition_uncached(mesh, phi, m)
 
 
 def test_composition_law_degree2(sphere3, flowed_deg2):

@@ -519,3 +519,30 @@ def test_spd_factor_pivots_give_inertia(torus32):
                                    sigma))
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert int(np.sum(lu.U.diagonal() < 0.0)) == below
+
+
+def _residuals_loop(K, b, vals, vecs):
+    # the per-pair loop `_residuals` replaced, kept as its oracle
+    scale = float(np.abs(K.diagonal()).max())
+    out = np.empty(len(vals))
+    for i, lam in enumerate(vals):
+        v = vecs[:, i]
+        kv = K @ v
+        r = kv - lam * (b * v)
+        denom = max(np.linalg.norm(kv), 1e-6 * scale * np.linalg.norm(v))
+        out[i] = np.linalg.norm(r) / max(denom, 1e-300)
+    return out
+
+
+def test_residuals_match_loop_oracle(sphere3):
+    torus = build_torus_mesh(1j, 48)
+    holed = puncture(torus, hole_centers(torus, 5, 0),
+                     meshmod.hole_radius(torus, 5, 0.5))
+    cases = [(sphere3, volume_measure(sphere3).weights,
+              laplace_eigs(sphere3, k=6)),
+             (holed, curve_measure(holed).weights, steklov_eigs(holed, k=5))]
+    for mesh, b, spec in cases:
+        want = _residuals_loop(mesh.stiffness, b, spec.values, spec.vectors)
+        np.testing.assert_allclose(spec.residuals, want, rtol=0, atol=1e-12)
+    # the kernel pair (lambda = 0, Kv ~ roundoff) meets the denominator floor
+    assert np.isfinite(cases[0][2].residuals).all()
