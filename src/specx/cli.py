@@ -106,7 +106,11 @@ class RunConfig:
             if val is not None:
                 merged[key] = val
         for key in _INT_KEYS:
-            merged[key] = int(merged[key])
+            try:
+                merged[key] = int(merged[key])
+            except ValueError as exc:
+                raise UsageError(f"bad {key} {merged[key]!r}: want an "
+                                 "integer") from exc
         merged["out"] = os.environ.get("SPECX_OUT", merged["out"])
         self.command = args.command
         self.recipe = getattr(args, "recipe", None)
@@ -170,7 +174,10 @@ def _build_mesh(cfg):
 def _load_density(cfg, mesh):
     if cfg.density is None:
         return None
-    vals = np.loadtxt(cfg.density)
+    try:
+        vals = np.loadtxt(cfg.density)
+    except ValueError as exc:
+        raise UsageError(f"bad density file {cfg.density}: {exc}") from exc
     if vals.shape != (mesh.num_vertices,):
         raise UsageError("density file length does not match the mesh")
     return meshmod.ConformalDensity(vals).validate(mesh)

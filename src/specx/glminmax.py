@@ -29,6 +29,13 @@ class FamilyError(ValueError):
     pass
 
 
+# the parameter-ball search of every family: grid shells, their outer
+# radius, and samples per refinement round (reported in MinMaxReport.grid)
+GRID_RADII = 5
+GRID_MAX_RADIUS = 0.9
+REFINE_SAMPLES = 12
+
+
 @dataclass
 class VectorMap:
     """Per-vertex vectors in R^(n+1) with unconstrained norm."""
@@ -211,10 +218,7 @@ class FamilySpec:
     grid: np.ndarray | None = None
     seed: int = 0
     n_dirs: int = 14
-    n_radii: int = 5
-    max_radius: float = 0.9
     refine_rounds: int = 3
-    refine_samples: int = 12
 
     def __post_init__(self):
         if self.mollify_time <= 0.0:
@@ -225,8 +229,8 @@ class FamilySpec:
             raise FamilyError(f"unknown family {self.family!r}")
         if self.grid is None:
             dim = self.param_dim
-            g = ball_grid(self.ambient_dim, self.n_dirs, self.n_radii,
-                          self.max_radius, self.seed)
+            g = ball_grid(self.ambient_dim, self.n_dirs, GRID_RADII,
+                          GRID_MAX_RADIUS, self.seed)
             if self.family == "second":
                 rng = np.random.default_rng(self.seed + 1)
                 pairs = [np.concatenate([p, np.zeros(self.ambient_dim)])
@@ -234,7 +238,7 @@ class FamilySpec:
                 n_extra = len(g) * 2
                 for _ in range(n_extra):
                     q = rng.standard_normal(dim)
-                    q *= rng.uniform(0, self.max_radius) / np.linalg.norm(q)
+                    q *= rng.uniform(0, GRID_MAX_RADIUS) / np.linalg.norm(q)
                     pairs.append(q)
                 self.grid = np.asarray(pairs)
             else:
@@ -395,18 +399,18 @@ def minmax_upper(spec: FamilySpec):
         return clip_to_ball(p)
 
     best_val, best_p, history = maximize_over_ball(
-        objective, spec.param_dim, n_radii=spec.n_radii,
-        max_radius=spec.max_radius, rounds=spec.refine_rounds,
-        local_samples=spec.refine_samples, seed=spec.seed + 17,
+        objective, spec.param_dim, n_radii=GRID_RADII,
+        max_radius=GRID_MAX_RADIUS, rounds=spec.refine_rounds,
+        local_samples=REFINE_SAMPLES, seed=spec.seed + 17,
         grid=spec.grid, project=project)
     return MinMaxReport(
         sup_energy=best_val, argmax=best_p, eps=spec.eps,
         mollify_time=spec.mollify_time, family=spec.family, seed=spec.seed,
         grid_size=len(spec.grid),
-        grid_info={"dirs": spec.n_dirs, "radii": spec.n_radii,
-                   "max_radius": spec.max_radius,
+        grid_info={"dirs": spec.n_dirs, "radii": GRID_RADII,
+                   "max_radius": GRID_MAX_RADIUS,
                    "refine_rounds": spec.refine_rounds,
-                   "refine_samples": spec.refine_samples},
+                   "refine_samples": REFINE_SAMPLES},
         refinement=history, sweep_rows=rows)
 
 
@@ -432,13 +436,13 @@ def _measure_weights(spec, mu):
     return np.asarray(mu, dtype=float)
 
 
-def balanced_point(spec: FamilySpec, mu=None, tol_factor=1e-6,
-                   max_iters=400, n_starts=8):
+def balanced_point(spec: FamilySpec, mu=None):
     """Parameter a* with vanishing mu-average of F_a.
 
-    Solves int F_a dmu = 0 by damped fixed-point iteration from seeded
-    multistarts (existence is topological, so no constructive locator is
-    available); a library root polish runs if the iteration stalls.
+    Solves int F_a dmu = 0 by damped fixed-point iteration (400 steps) from
+    8 seeded multistarts (existence is topological, so no constructive
+    locator is available); a library root polish runs if the iteration
+    stalls. The residual must fall below 1e-6 times the mass of mu.
     Returns (a*, residual_norm). mu defaults to the volume measure.
     """
     # imported here, not at module top: no recipe needs scipy.optimize, and
@@ -449,7 +453,7 @@ def balanced_point(spec: FamilySpec, mu=None, tol_factor=1e-6,
         raise FamilyError("balanced_point expects a first-family spec")
     w = _measure_weights(spec, mu)
     mass = float(w.sum())
-    tol = tol_factor * mass
+    tol = 1e-6 * mass
 
     def avg(a):
         member = spec.member(a)
@@ -458,7 +462,7 @@ def balanced_point(spec: FamilySpec, mu=None, tol_factor=1e-6,
     rng = np.random.default_rng(spec.seed + 101)
     d = spec.ambient_dim
     starts = [np.zeros(d)]
-    while len(starts) < n_starts:
+    while len(starts) < 8:
         v = rng.standard_normal(d)
         starts.append(clip_to_ball(v * rng.uniform(0, 0.7)
                                    / np.linalg.norm(v)))
@@ -466,7 +470,7 @@ def balanced_point(spec: FamilySpec, mu=None, tol_factor=1e-6,
     for a0 in starts:
         a = a0.copy()
         damp = 0.5
-        for _ in range(max_iters):
+        for _ in range(400):
             f = avg(a)
             r = np.linalg.norm(f)
             if r < best[0]:
@@ -489,13 +493,13 @@ def balanced_point(spec: FamilySpec, mu=None, tol_factor=1e-6,
         f"(tolerance {tol:.3e})")
 
 
-def balanced_point_second(spec: FamilySpec, phi1, mu=None, tol_factor=1e-6,
-                          max_iters=400, n_starts=8):
+def balanced_point_second(spec: FamilySpec, phi1, mu=None):
     """Pair (a*, b*) with vanishing mu-averages of F_{a,b} and phi1*F_{a,b}.
 
     phi1 is the first eigenfunction of the measure pencil; the 2(n+1)
-    equations are solved by damped iteration plus a root polish. Returns
-    ((a*, b*), residual_norm).
+    equations are solved by damped iteration (100 steps) from 8 seeded
+    multistarts plus a root polish, to the tolerance of `balanced_point`.
+    Returns ((a*, b*), residual_norm).
     """
     import scipy.optimize  # see balanced_point
 
@@ -506,7 +510,7 @@ def balanced_point_second(spec: FamilySpec, phi1, mu=None, tol_factor=1e-6,
     if phi1.shape != (spec.mesh.num_vertices,):
         raise FamilyError("phi1 must be a vertex function")
     mass = float(w.sum())
-    tol = tol_factor * mass
+    tol = 1e-6 * mass
     d = spec.ambient_dim
 
     def project(p):
@@ -538,14 +542,14 @@ def balanced_point_second(spec: FamilySpec, phi1, mu=None, tol_factor=1e-6,
 
     rng = np.random.default_rng(spec.seed + 211)
     starts = [np.zeros(2 * d)]
-    while len(starts) < n_starts:
+    while len(starts) < 8:
         v = rng.standard_normal(2 * d)
         starts.append(v * rng.uniform(0, 0.8) / np.linalg.norm(v))
     best = (np.inf, np.zeros(2 * d))
     for p0 in starts:
         p = p0.copy()
         damp = 0.4
-        for _ in range(max_iters // 4):
+        for _ in range(100):
             f = avg(p)
             r = np.linalg.norm(f)
             if r < best[0]:
@@ -573,22 +577,19 @@ def balanced_point_second(spec: FamilySpec, phi1, mu=None, tol_factor=1e-6,
     return (p[:d], p[d:]), best[0]
 
 
-def eigen_lower_from_family(spec: FamilySpec, mu=None, balanced=None,
-                            check=True, rtol=1e-6):
+def eigen_lower_from_family(spec: FamilySpec, mu=None):
     """Rayleigh quotient of the balanced family member against mu.
 
-    Returns R = int |dF_{a*}|^2 / int |F_{a*}|^2 dmu at the balanced
-    parameter. For a unit-mass mu this dominates the first measure
-    eigenvalue; when check is set the chain
-    lambda_1(mu) <= R and lambda_1(mu) (1 - 2 eps sup^(1/2)) <= 2 sup
-    is verified against the pencil solver.
+    Returns R = int |dF_{a*}|^2 / int |F_{a*}|^2 dmu at the parameter a*
+    of `balanced_point`. For a unit-mass mu this dominates the first
+    measure eigenvalue; lambda_1(mu) <= R is verified against the pencil
+    solver to a relative 1e-6, and a violation raises FamilyError.
     """
     w = _measure_weights(spec, mu)
     mass = float(w.sum())
     if abs(mass - 1.0) > 1e-9:
         raise FamilyError("eigen_lower_from_family expects a unit-mass mu")
-    if balanced is None:
-        balanced, _ = balanced_point(spec, mu=mu)
+    balanced, _ = balanced_point(spec, mu=mu)
     member = spec.member(balanced)
     vals = member.values
     dirichlet2 = float(np.sum(vals * (spec.mesh.stiffness @ vals)))
@@ -596,12 +597,11 @@ def eigen_lower_from_family(spec: FamilySpec, mu=None, balanced=None,
     if l2mu <= 0.0:
         raise FamilyError("balanced member vanishes in L2(mu)")
     ratio = dirichlet2 / l2mu
-    if check:
-        mm_ = MeshMeasure("volume", w)
-        lam1 = float(spectra.measure_eigs(spec.mesh, mm_, k=1).values[1])
-        if lam1 > ratio * (1.0 + rtol) + rtol:
-            raise FamilyError(
-                f"eigenvalue bound violated: lambda_1={lam1} > R={ratio}")
+    mm_ = MeshMeasure("volume", w)
+    lam1 = float(spectra.measure_eigs(spec.mesh, mm_, k=1).values[1])
+    if lam1 > ratio * (1.0 + 1e-6) + 1e-6:
+        raise FamilyError(
+            f"eigenvalue bound violated: lambda_1={lam1} > R={ratio}")
     return ratio
 
 

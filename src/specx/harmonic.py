@@ -70,16 +70,10 @@ def normalize_rows(values):
     return values / norms
 
 
-def identity_sphere_map(mesh, ambient_dim=3):
-    """Vertex positions as a map to the sphere, padded with zero coordinates
-    for larger ambient dimension. Vertices must lie on the unit sphere."""
-    vals = mesh.vertices
-    if ambient_dim < 3:
-        raise MapError("ambient dimension must be >= 3")
-    if ambient_dim > 3:
-        pad = np.zeros((mesh.num_vertices, ambient_dim - 3))
-        vals = np.hstack([vals, pad])
-    return SphereMap(normalize_rows(vals))
+def identity_sphere_map(mesh):
+    """Vertex positions as a map to the 2-sphere in R^3 (`embed_map` pads it
+    into a larger sphere). Vertices must lie on the unit sphere."""
+    return SphereMap(normalize_rows(mesh.vertices))
 
 
 def embed_map(phi: SphereMap, ambient_dim):
@@ -255,16 +249,17 @@ def harmonic_flow(mesh, phi0, steps=100, dt=None):
     return SphereMap(vals)
 
 
-def check_eigenvalue_two(mesh, phi, cluster_tol=1e-3, k=8):
+def check_eigenvalue_two(mesh, phi):
     """Whether 2 is an eigenvalue of the Laplacian for the induced metric
-    0.5*|dPhi|^2 g, with its multiplicity and the gap to the spectrum."""
+    0.5*|dPhi|^2 g, with its multiplicity within the relative cluster_tol
+    1e-3 of `spectra` and the gap to the rest of the lowest 9 eigenvalues."""
     mu = energy_measure(mesh, phi)
     if mu.mass <= 0.0:
         raise MapError("map has zero energy; induced metric is degenerate")
-    k = min(k, int(np.sum(mu.weights > 0)) - 1)
-    spec = spectra.measure_eigs(mesh, mu, k=k, cluster_tol=cluster_tol)
+    k = min(8, int(np.sum(mu.weights > 0)) - 1)
+    spec = spectra.measure_eigs(mesh, mu, k=k)
     mult = spectra.multiplicity(spec, 2.0)
-    tol = cluster_tol * 2.0
+    tol = spec.cluster_tol * 2.0
     outside = spec.values[np.abs(spec.values - 2.0) > tol]
     gap = float(np.min(np.abs(outside - 2.0))) if len(outside) else np.inf
     return {"present": mult > 0, "multiplicity": int(mult), "gap": gap,

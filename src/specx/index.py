@@ -31,12 +31,14 @@ RESIDUAL_WARN = 1e-2
 
 MAX_PAIRS = 48  # eigenpair budget of the growing index solves
 
+MARGIN_FACTOR = 0.05  # energy-index margin, in units of the mean density
+
 
 @dataclass
 class IndexReport:
     ind_S: int
     nul_S: int
-    ind_E: int | None
+    ind_E: int
     margins: list
     normalization: str = NORMALIZATION
 
@@ -44,7 +46,7 @@ class IndexReport:
         return {
             "ind_S": int(self.ind_S),
             "nul_S": int(self.nul_S),
-            "ind_E": None if self.ind_E is None else int(self.ind_E),
+            "ind_E": int(self.ind_E),
             "margins": [float(m) for m in self.margins],
             "normalization": self.normalization,
         }
@@ -59,7 +61,7 @@ def _warn_if_not_harmonic(mesh, phi):
     return agg
 
 
-def _lowest_until(solve, bound, rank, max_pairs):
+def _lowest_until(solve, bound, rank):
     """Ascending lowest eigenvalues from solve(k), which returns k+1 of
     them; k starts at 12 and doubles until the top value exceeds bound or
     the rank is used up."""
@@ -69,13 +71,12 @@ def _lowest_until(solve, bound, rank, max_pairs):
         if vals[-1] > bound or k == rank - 1:
             return vals
         k = min(2 * k, rank - 1)
-        if k > max_pairs:
+        if k > MAX_PAIRS:
             raise spectra.SolverError(
-                "threshold eigenvalue not reached within max_pairs")
+                "threshold eigenvalue not reached within MAX_PAIRS")
 
 
-def spectral_index(mesh, phi: SphereMap, cluster_tol=1e-3,
-                   max_pairs=MAX_PAIRS):
+def spectral_index(mesh, phi: SphereMap, cluster_tol=1e-3):
     """(ind_S, nul_S): position and multiplicity of the threshold eigenvalue.
 
     Counts generalized eigenvalues of (K, B) with B the |dPhi|^2 lumped
@@ -90,7 +91,7 @@ def spectral_index(mesh, phi: SphereMap, cluster_tol=1e-3,
     vals = _lowest_until(
         lambda k: spectra.solve_pencil(mesh, b, k,
                                        cluster_tol=cluster_tol).values,
-        1.0 + 10 * cluster_tol, int(np.sum(b > 0)), max_pairs)
+        1.0 + 10 * cluster_tol, int(np.sum(b > 0)))
     in_cluster = np.abs(vals - 1.0) <= cluster_tol
     ind_s = int(np.sum(vals < 1.0 - cluster_tol))
     nul_s = int(np.sum(in_cluster))
@@ -163,7 +164,7 @@ def energy_hessian(mesh, phi: SphereMap, frames=None):
     return _second_variation(mesh, phi, frames)[0].toarray()
 
 
-def energy_index(mesh, phi: SphereMap, margin_factor=0.05, frames=None):
+def energy_index(mesh, phi: SphereMap, frames=None):
     """Morse index of the energy at phi: negative directions of the second
     variation over pointwise-orthogonal sections.
 
@@ -172,7 +173,7 @@ def energy_index(mesh, phi: SphereMap, margin_factor=0.05, frames=None):
     eigenvalues carry PDE units: genuine negative directions of the
     Schroedinger-type operator sit at O(1) (e.g. -2 for extra coordinates
     of an embedded map) while the discretely broken Moebius null modes sit
-    at -O(h^2). The margin is margin_factor times the area-mean e of the
+    at -O(h^2). The margin is MARGIN_FACTOR times the area-mean e of the
     energy density (the operator's potential scale); eigenvalues below
     -margin are counted and the distances of the nearest kept/discarded
     eigenvalues to the threshold are reported.
@@ -189,12 +190,12 @@ def energy_index(mesh, phi: SphereMap, margin_factor=0.05, frames=None):
     e_scale = float(b.sum()) / float(va.sum())
     if e_scale <= 0.0:
         raise MeshError("zero-energy map has no energy index scale")
-    margin = margin_factor * e_scale
+    margin = MARGIN_FACTOR * e_scale
     msec = np.repeat(va, phi.ambient_dim - 1)
     sigma = -float(np.max(b / va)) - e_scale
     evals = _lowest_until(
         lambda k: spectra._shift_invert(Q, msec, sigma, k + 1)[0],
-        -margin, len(msec), MAX_PAIRS)
+        -margin, len(msec))
     ind_e = int(np.sum(evals < -margin))
     kept = evals[evals < -margin]
     rest = evals[evals >= -margin]
@@ -206,27 +207,20 @@ def energy_index(mesh, phi: SphereMap, margin_factor=0.05, frames=None):
     return ind_e, margins
 
 
-def index_report(mesh, phi: SphereMap, cluster_tol=1e-3,
-                 with_energy=True) -> IndexReport:
-    ind_s, nul_s, margins_s = spectral_index(mesh, phi,
-                                             cluster_tol=cluster_tol)
-    ind_e = None
-    margins = list(margins_s)
-    if with_energy:
-        ind_e, margins_e = energy_index(mesh, phi)
-        margins += margins_e
+def index_report(mesh, phi: SphereMap) -> IndexReport:
+    ind_s, nul_s, margins_s = spectral_index(mesh, phi)
+    ind_e, margins_e = energy_index(mesh, phi)
     return IndexReport(ind_S=ind_s, nul_S=nul_s, ind_E=ind_e,
-                       margins=margins)
+                       margins=margins_s + margins_e)
 
 
-def check_composition_law(mesh, phi: SphereMap, m, cluster_tol=1e-3):
+def check_composition_law(mesh, phi: SphereMap, m):
     """Both sides of ind_E(i . Phi) = ind_E(Phi) + (m - n) ind_S(Phi) for
     the totally geodesic embedding into the m-sphere, computed
     independently.
 
     The base indices (ind_E, ind_S) of phi do not depend on m; they are
-    solved once per mesh, map values and cluster_tol and memoised on the
-    mesh, so checking several m repeats only the embedded solve.
+    solved once per mesh and map values and memoised on the mesh, so checking several m repeats only the embedded solve.
     """
     n = phi.ambient_dim - 1
     if m < n:
@@ -234,10 +228,9 @@ def check_composition_law(mesh, phi: SphereMap, m, cluster_tol=1e-3):
     embedded = embed_map(phi, m + 1)
     lhs, _ = energy_index(mesh, embedded)
     memo = mesh._cache.setdefault("composition_base", {})
-    key = (phi.values.tobytes(), phi.values.shape, cluster_tol)
+    key = (phi.values.tobytes(), phi.values.shape)
     if key not in memo:
-        memo[key] = (energy_index(mesh, phi)[0],
-                     spectral_index(mesh, phi, cluster_tol=cluster_tol)[0])
+        memo[key] = (energy_index(mesh, phi)[0], spectral_index(mesh, phi)[0])
     ind_e, ind_s = memo[key]
     rhs = ind_e + (m - n) * ind_s
     return {"lhs": int(lhs), "rhs": int(rhs), "equal": lhs == rhs,

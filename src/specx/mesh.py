@@ -542,10 +542,10 @@ def puncture(mesh, centers, radius):
 def hole_centers(mesh, count, seed):
     """Hole centers: exact lattice on flat tori for square counts, a
     golden-ratio lattice for other counts (both homogenisation-friendly),
-    farthest-point sampling on meshes without a flat chart."""
+    farthest-point sampling on other meshes, punctured tori included."""
     if count < 1:
         raise MeshError(f"hole count must be >= 1, got {count}")
-    if not mesh.chart_meta:
+    if not _whole_chart(mesh):
         return _spread_centers(mesh, count, seed)
     k = int(round(np.sqrt(count)))
     if k * k == count:
@@ -580,8 +580,25 @@ def hole_radius(mesh, holes, frac):
 # OFF file I/O
 # ---------------------------------------------------------------------------
 
+def _whole_chart(mesh):
+    """Whether mesh is a whole flat torus, the res x res grid that its
+    chart_meta describes; `puncture` keeps chart_meta on a subdomain."""
+    if not mesh.chart_meta:
+        return False
+    res = int(mesh.chart_meta["res"])
+    return mesh.num_vertices == res * res \
+        and len(mesh.triangles) == 2 * res * res
+
+
 def save_mesh(mesh, path):
-    """Write ASCII OFF; flat tori get a sidecar `<path>.chart` with tau/res."""
+    """Write ASCII OFF; flat tori get a sidecar `<path>.chart` with tau/res.
+
+    A punctured flat torus is refused (MeshError, nothing written): its
+    chart sidecar could only restore the whole torus.
+    """
+    if mesh.chart_meta and not _whole_chart(mesh):
+        raise MeshError("cannot save a punctured flat torus: its chart "
+                        "sidecar describes only the whole torus")
     path = str(path)
     with open(path, "w") as fh:
         fh.write("OFF\n")
@@ -616,7 +633,7 @@ def load_mesh(path):
         except (KeyError, ValueError) as exc:
             raise MeshError(f"bad chart sidecar {sidecar}: {exc}") from exc
         torus = build_torus_mesh(tau, res)
-        nv, nf = _off_counts(path)
+        nv, nf, _ = _read_off(path)
         if nv != torus.num_vertices or nf != len(torus.triangles):
             raise MeshError("OFF file does not match its chart sidecar")
         return torus
@@ -624,14 +641,9 @@ def load_mesh(path):
     return TriMesh(verts, faces)
 
 
-def _off_counts(path):
-    for kind, payload in _off_tokens(path):
-        if kind == "counts":
-            return payload
-    raise MeshError("OFF file missing counts line")
-
-
-def _off_tokens(path):
+def _read_off(path):
+    """Vertex and face counts of an ASCII OFF file, and the lines after its
+    counts line, with comments and blank lines dropped."""
     with open(path) as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in lines if ln]
@@ -640,30 +652,29 @@ def _off_tokens(path):
     if len(lines) < 2:
         raise MeshError("OFF file truncated")
     counts = lines[1].split()
-    if len(counts) < 2:
-        raise MeshError("bad OFF counts line")
-    yield "counts", (int(counts[0]), int(counts[1]))
-    yield "body", lines[2:]
+    try:
+        nv, nf = int(counts[0]), int(counts[1])
+    except (ValueError, IndexError) as exc:
+        raise MeshError("bad OFF counts line") from exc
+    return nv, nf, lines[2:]
 
 
 def _parse_off(path):
-    it = _off_tokens(path)
-    _, (nv, nf) = next(it)
-    _, body = next(it)
+    nv, nf, body = _read_off(path)
     if len(body) < nv + nf:
         raise MeshError("OFF file truncated")
     try:
         verts = np.array([[float(x) for x in body[i].split()[:3]]
                           for i in range(nv)])
-        faces = []
-        for i in range(nv, nv + nf):
-            toks = body[i].split()
-            if int(toks[0]) != 3:
-                raise MeshError("only triangle faces are supported")
-            faces.append([int(x) for x in toks[1:4]])
-    except (ValueError, IndexError) as exc:
+        # vertex count and three indices; a short line fails the reshape
+        faces = np.array([[int(x) for x in body[i].split()[:4]]
+                          for i in range(nv, nv + nf)],
+                         dtype=np.int64).reshape(nf, 4)
+    except ValueError as exc:
         raise MeshError(f"OFF parse error: {exc}") from exc
-    faces = np.asarray(faces, dtype=np.int64)
+    if np.any(faces[:, 0] != 3):
+        raise MeshError("only triangle faces are supported")
+    faces = faces[:, 1:]
     if nf and (faces.min() < 0 or faces.max() >= nv):
         raise MeshError("face index out of range")
     return verts, faces

@@ -41,10 +41,6 @@ class CapParam:
         if np.linalg.norm(self.b) > 1.0 + 1e-12:
             raise ValueError("cap parameter must lie in the closed ball")
 
-    def cap_height(self):
-        """The cap is {x : <x, b/|b|> <= 1 - |b|}."""
-        return 1.0 - float(np.linalg.norm(self.b))
-
 
 def _param(p, cls):
     if isinstance(p, cls):
@@ -114,22 +110,20 @@ def linear_reflection(b, x):
     return x - 2.0 * (x @ n)[:, None] * n[None, :]
 
 
-def conformal_volume(mesh, phi: SphereMap, n_dirs=16, n_radii=6,
-                     max_radius=0.95, rounds=3, local_samples=16, seed=0):
+def conformal_volume(mesh, phi: SphereMap, n_dirs=16, seed=0):
     """Estimate sup_a Area(G_a . phi) = sup_a E(G_a . phi) from below.
 
-    Multistart grid search over the parameter ball with local refinement
-    (same strategy as the min-max sweeps); the boundary |a| -> 1 is excluded
-    beyond 0.999 where the family degenerates to constants.
+    Multistart search over the parameter ball, `maximize_over_ball` with
+    its default grid and refinement (same strategy as the min-max sweeps);
+    the boundary |a| -> 1 is excluded beyond 0.999 where the family
+    degenerates to constants.
     """
     dim = phi.ambient_dim
 
     def objective(a):
         return energy(mesh, mobius_apply(a, phi.values))
 
-    best_val, best_a, history = maximize_over_ball(
-        objective, dim, n_dirs=n_dirs, n_radii=n_radii,
-        max_radius=max_radius, rounds=rounds, local_samples=local_samples,
-        seed=seed)
+    best_val, best_a, history = maximize_over_ball(objective, dim,
+                                                   n_dirs=n_dirs, seed=seed)
     return {"V_c_estimate": best_val, "argmax": best_a,
             "refinement": history}

@@ -20,7 +20,7 @@ halves the LU fill of SuperLU's unsymmetric defaults.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -57,9 +57,6 @@ class Spectrum:
     def normalized(self):
         return self.values * self.mass
 
-    def multiplicity(self, value):
-        return multiplicity(self, value)
-
     def to_json_dict(self):
         return {
             "values": [float(v) for v in self.values],
@@ -78,7 +75,6 @@ class MaximizerReport:
     converged: bool = True
     weak_gap: float = 0.0
     measure_rank: int = 0
-    history: list = field(default_factory=list)
 
     def to_json_dict(self):
         return {
@@ -266,7 +262,7 @@ TREND_SLACK = 0.025  # a dip of up to this fraction of the reference still
 # holes and 2.9% from 13 to 15, in steps of 1.71% and 1.17%
 
 
-def steklov_hole_sweep(mesh, counts, seed=0, fracs=(0.3, 0.4, 0.5, 0.7)):
+def steklov_hole_sweep(mesh, counts, seed=0):
     """Best sigma_bar_1 per hole count, as rows
     [(holes, sigma_bar_1, centers, radii)].
 
@@ -283,7 +279,7 @@ def steklov_hole_sweep(mesh, counts, seed=0, fracs=(0.3, 0.4, 0.5, 0.7)):
     for holes in counts:
         layout = hole_centers(mesh, holes, seed)
         cands = [(layout, [hole_radius(mesh, holes, frac)] * holes)
-                 for frac in fracs]
+                 for frac in (0.3, 0.4, 0.5, 0.7)]
         if rows and len(rows[-1][2]) == holes - 1:
             _, _, centers, radii = rows[-1]
             far = geodesic_distances(mesh, centers).min(axis=0)
@@ -326,15 +322,11 @@ def multiplicity(spec: Spectrum, value):
     return int(np.sum(np.abs(spec.values - value) <= tol))
 
 
-def eigenvalue_cluster(spec: Spectrum, index, width=None):
-    """Indices of the near-degenerate cluster containing eigenvalue `index`.
-
-    width is the relative half-width of the cluster (defaults to the
-    spectrum's cluster_tol)."""
+def eigenvalue_cluster(spec: Spectrum, index, width):
+    """Indices of the near-degenerate cluster containing eigenvalue `index`;
+    width is the relative half-width of the cluster."""
     vals = spec.values
     lam = vals[index]
-    if width is None:
-        width = spec.cluster_tol
     tol = width * max(1.0, abs(lam))
     members = [index]
     for j in range(index + 1, len(vals)):
@@ -360,17 +352,20 @@ def _heat_factor(mesh, t):
                         + t * mesh.stiffness).tocsc())
 
 
-def maximize_lambda1_conformal(mesh, step=0.5, iters=200, smoothing=True,
-                               floor=0.0, tol=1e-4, k_frame=6, seed=0,
-                               f0=None, cluster_tol=1e-3, frame_width=0.1):
+GAP_TOL = 1e-4  # stationarity gap ||f - u|| that ends the ascent; the
+# report is `converged` below 10 * GAP_TOL
+
+
+def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
     """Projected ascent on the conformal density for the first normalized
     eigenvalue.
 
-    Update: f <- (1-step) f + step * sum(phi_i^2) over an orthonormal
-    eigenframe of the near-degenerate lambda_1 cluster (relative width
-    frame_width), renormalized to unit area, with one lumped heat-flow
-    smoothing step of time h^2 per iteration. The returned lambda_bar is a
-    certified lower bound for the conformal supremum.
+    Update: f <- (f + u) / 2 with u = sum(phi_i^2) over an orthonormal
+    eigenframe of the near-degenerate lambda_1 cluster (relative width 0.1,
+    from 7 eigenpairs), renormalized to unit area, with one lumped
+    heat-flow smoothing step of time h^2 per iteration. The ascent stops
+    once the stationarity gap ||f - u|| falls below GAP_TOL. The returned
+    lambda_bar is a certified lower bound for the conformal supremum.
     """
     if not mesh.is_closed:
         raise MeshError("conformal maximization expects a closed mesh")
@@ -379,20 +374,16 @@ def maximize_lambda1_conformal(mesh, step=0.5, iters=200, smoothing=True,
         f = np.ones(n)
     else:
         f = np.asarray(f0, dtype=float).copy()
-    f = np.maximum(f, floor)
+    f = np.maximum(f, 0.0)
     f /= area(mesh, f)
     va = mesh.vertex_areas
-    if smoothing:
-        smooth = _heat_factor(mesh, mesh.mean_edge_length ** 2)
+    smooth = _heat_factor(mesh, mesh.mean_edge_length ** 2)
     best = (-np.inf, f.copy(), np.inf, np.inf)
-    history = []
     it = 0
     for it in range(1, iters + 1):
-        spec = laplace_eigs(mesh, f, k=k_frame, cluster_tol=cluster_tol,
-                            seed=seed)
+        spec = laplace_eigs(mesh, f, k=6, seed=seed)
         lam1 = float(spec.values[1])
-        cluster = eigenvalue_cluster(spec, 1, width=frame_width)
-        frame = spec.vectors[:, cluster]
+        frame = spec.vectors[:, eigenvalue_cluster(spec, 1, 0.1)]
         u = np.sum(frame * frame, axis=1)
         u_area = float(np.sum(u * va))
         if u_area <= 0.0:
@@ -401,19 +392,17 @@ def maximize_lambda1_conformal(mesh, step=0.5, iters=200, smoothing=True,
         gap = float(np.sqrt(np.sum(va * (f - u) ** 2)))
         weak = float(abs(np.sum(va * (f - u))))
         lambda_bar = lam1  # area(f) == 1
-        history.append((lambda_bar, gap))
         if lambda_bar > best[0] or gap < best[2]:
             best = (lambda_bar, f.copy(), gap, weak)
-        if gap < tol:
+        if gap < GAP_TOL:
             break
-        f = (1.0 - step) * f + step * u
-        if smoothing:
-            f = smooth.solve(va * f)
-        f = np.maximum(f, floor)
+        f = 0.5 * f + 0.5 * u
+        f = smooth.solve(va * f)
+        f = np.maximum(f, 0.0)
         f /= area(mesh, f)
     lambda_bar, f, gap, weak = best
     density = ConformalDensity(np.maximum(f, 0.0))
     return MaximizerReport(
         density=density, lambda_bar=lambda_bar, iterations=it,
-        stationarity_gap=gap, converged=gap < 10 * tol, weak_gap=weak,
-        measure_rank=int(np.sum(f * va > 0)), history=history)
+        stationarity_gap=gap, converged=gap < 10 * GAP_TOL, weak_gap=weak,
+        measure_rank=int(np.sum(f * va > 0)))

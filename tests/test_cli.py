@@ -42,12 +42,22 @@ def test_eigs_from_file(tmp_path, sphere3):
                 "-k", "3"], tmp_path) == 0
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert run(["eigs", "--surface", "file"], tmp_path) == 2
     assert run(["eigs", "--surface", "file", "--mesh-file",
                 str(tmp_path / "missing.off")], tmp_path) == 2
     assert main(["nope"]) == 2
     assert run(["eigs", "--surface", "torus", "--tau", "zzz"], tmp_path) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("subdiv=abc\n")
+    capsys.readouterr()
+    assert run(["eigs", "--config", str(cfg)], tmp_path) == 2
+    assert "bad subdiv 'abc'" in capsys.readouterr().err
+    density = tmp_path / "density.txt"
+    density.write_text("1.0\nnot-a-number\n")
+    assert run(["eigs", "--subdiv", "1", "--density", str(density)],
+               tmp_path) == 2
+    assert f"bad density file {density}" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit(tmp_path):

@@ -120,6 +120,16 @@ def test_parse_errors(tmp_path):
     path.write_text("OFF\n2 1 0\n0 0 0\n")
     with pytest.raises(MeshError):
         load_mesh(path)
+    path.write_text("OFF\nfour 1 0\n")
+    with pytest.raises(MeshError, match="^bad OFF counts line$"):
+        load_mesh(path)
+    quad = "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
+    path.write_text(quad)
+    with pytest.raises(MeshError, match="^only triangle faces are supported$"):
+        load_mesh(path)
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n")
+    with pytest.raises(MeshError, match="^face index out of range$"):
+        load_mesh(path)
 
 
 def test_off_roundtrip(tmp_path, sphere3):
@@ -139,6 +149,27 @@ def test_torus_sidecar_roundtrip(tmp_path):
     back = load_mesh(path)
     assert back.chart_meta == torus.chart_meta
     assert np.allclose(back.corners, torus.corners, atol=0)
+
+
+def _punctured_torus():
+    torus = build_torus_mesh(1j, 16)
+    return puncture(torus, [0], 2.1 * torus.mean_edge_length)
+
+
+def test_punctured_torus_is_not_saved(tmp_path):
+    path = tmp_path / "holed.off"
+    with pytest.raises(MeshError, match="punctured flat torus"):
+        save_mesh(_punctured_torus(), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hole_centers_on_punctured_torus():
+    # the grid lattice names vertices of the whole torus, so a punctured one
+    # gets the farthest-point sample of a mesh without a chart
+    holed = _punctured_torus()
+    plain = TriMesh(holed.vertices, holed.triangles, corners=holed.corners)
+    for count in (1, 2, 4, 5):
+        assert hole_centers(holed, count, 0) == hole_centers(plain, count, 0)
 
 
 def test_sphere_counts():
