@@ -9,7 +9,10 @@ discretized with the cotangent Dirichlet form and lumped vertex areas. The
 two explicit families are the mollified compositions G_a . phi and
 G_a . T_b . phi of a base sphere map with the closed-form conformal
 transformations; mollification is one implicit lumped heat step, which
-contracts the Dirichlet energy and fixes constants exactly.
+contracts the Dirichlet energy and fixes constants exactly. A balanced
+point, the parameter whose member has vanishing mu-average (and, for the
+second family, vanishing phi1-weighted average), is found by one damped
+Newton solve shared by both families.
 """
 
 from __future__ import annotations
@@ -342,9 +345,6 @@ class MinMaxReport:
     grid_info: dict = field(default_factory=dict)
     refinement: list = field(default_factory=list)
     sweep_rows: list = field(default_factory=list)
-    balanced: np.ndarray | None = None
-    balanced_residual: float | None = None
-    eigen_lower_bound: float | None = None
     critical: dict | None = None
 
     def to_json_dict(self):
@@ -359,11 +359,6 @@ class MinMaxReport:
             "grid": dict(self.grid_info),
             "refinement": [float(x) for x in self.refinement],
         }
-        if self.balanced is not None:
-            doc["balanced"] = [float(x) for x in self.balanced]
-            doc["balanced_residual"] = float(self.balanced_residual)
-        if self.eigen_lower_bound is not None:
-            doc["eigen_lower_bound"] = float(self.eigen_lower_bound)
         if self.critical is not None:
             doc["critical"] = {
                 "E_eps": float(self.critical["E_eps"]),
@@ -436,145 +431,97 @@ def _measure_weights(spec, mu):
     return np.asarray(mu, dtype=float)
 
 
+def _balance(avg, starts, project, tol, what):
+    """Damped Newton on avg(p) = 0, from each start in turn.
+
+    The Jacobian is a forward difference and the step the least-squares
+    solution of J s = -avg(p), so it stays defined where `project` clips
+    and J loses rank. The step halves until |avg| falls; a start where 9
+    halvings do not reach a fall, or that has taken 50 steps, gives way to
+    the next. Returns the first point with |avg| < tol and that norm, else
+    raises FamilyError.
+    """
+    best = np.inf
+    for p in starts:
+        f = avg(p)
+        r = np.linalg.norm(f)
+        for _ in range(50):
+            if r < tol:
+                break
+            jac = np.column_stack([(avg(p + 1e-7 * e) - f) / 1e-7
+                                   for e in np.eye(len(p))])
+            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+            for t in 0.5 ** np.arange(10):
+                q = project(p + t * step)
+                fq = avg(q)
+                rq = np.linalg.norm(fq)
+                if rq < r:
+                    break
+            else:
+                break
+            p, f, r = q, fq, rq
+        if r < tol:
+            return p, r
+        best = min(best, r)
+    raise FamilyError(f"{what} not found: best residual {best:.3e} "
+                      f"(tolerance {tol:.3e})")
+
+
 def balanced_point(spec: FamilySpec, mu=None):
     """Parameter a* with vanishing mu-average of F_a.
 
-    Solves int F_a dmu = 0 by damped fixed-point iteration (400 steps) from
-    8 seeded multistarts (existence is topological, so no constructive
-    locator is available); a library root polish runs if the iteration
-    stalls. The residual must fall below 1e-6 times the mass of mu.
+    Solves int F_a dmu = 0 by `_balance` from a = 0 and 7 seeded starts in
+    the ball of radius 0.7, to a residual below 1e-6 times the mass of mu;
+    FamilyError if no start gets there, as when mu has no balanced point.
     Returns (a*, residual_norm). mu defaults to the volume measure.
     """
-    # imported here, not at module top: no recipe needs scipy.optimize, and
-    # it is about half of specx's import time and 18 MB of its memory
-    import scipy.optimize
-
     if spec.family != "first":
         raise FamilyError("balanced_point expects a first-family spec")
     w = _measure_weights(spec, mu)
-    mass = float(w.sum())
-    tol = 1e-6 * mass
-
-    def avg(a):
-        member = spec.member(a)
-        return (w[:, None] * member.values).sum(axis=0)
-
     rng = np.random.default_rng(spec.seed + 101)
     d = spec.ambient_dim
     starts = [np.zeros(d)]
     while len(starts) < 8:
         v = rng.standard_normal(d)
-        starts.append(clip_to_ball(v * rng.uniform(0, 0.7)
-                                   / np.linalg.norm(v)))
-    best = (np.inf, np.zeros(d))
-    for a0 in starts:
-        a = a0.copy()
-        damp = 0.5
-        for _ in range(400):
-            f = avg(a)
-            r = np.linalg.norm(f)
-            if r < best[0]:
-                best = (r, a.copy())
-            if r < tol:
-                return a, r
-            a = clip_to_ball(a - damp * f / mass)
-        # polish with a quasi-Newton root step from the best iterate
-        sol = scipy.optimize.root(lambda p: avg(clip_to_ball(p)), best[1],
-                                  method="hybr",
-                                  options={"maxfev": 200 * (d + 1)})
-        cand = clip_to_ball(sol.x)
-        r = float(np.linalg.norm(avg(cand)))
-        if r < best[0]:
-            best = (r, cand)
-        if best[0] < tol:
-            return best[1], best[0]
-    raise FamilyError(
-        f"balanced point not found: best residual {best[0]:.3e} "
-        f"(tolerance {tol:.3e})")
+        starts.append(v * rng.uniform(0, 0.7) / np.linalg.norm(v))
+    return _balance(lambda a: w @ spec.member(a).values, starts,
+                    clip_to_ball, 1e-6 * w.sum(), "balanced point")
 
 
 def balanced_point_second(spec: FamilySpec, phi1, mu=None):
     """Pair (a*, b*) with vanishing mu-averages of F_{a,b} and phi1*F_{a,b}.
 
-    phi1 is the first eigenfunction of the measure pencil; the 2(n+1)
-    equations are solved by damped iteration (100 steps) from 8 seeded
-    multistarts plus a root polish, to the tolerance of `balanced_point`.
+    phi1 is the first eigenfunction of the measure pencil. The 2(n+1)
+    equations are solved by `_balance` from (0, 0) and 7 seeded starts of
+    radius up to 0.8, to the tolerance of `balanced_point`. a is clipped to
+    the open ball and b to the closed one, where the root may lie.
     Returns ((a*, b*), residual_norm).
     """
-    import scipy.optimize  # see balanced_point
-
     if spec.family != "second":
         raise FamilyError("balanced_point_second expects a second-family spec")
     w = _measure_weights(spec, mu)
     phi1 = np.asarray(phi1, dtype=float)
     if phi1.shape != (spec.mesh.num_vertices,):
         raise FamilyError("phi1 must be a vertex function")
-    mass = float(w.sum())
-    tol = 1e-6 * mass
     d = spec.ambient_dim
 
     def project(p):
-        # a degenerates at the sphere (constant members); b is regular on
-        # the whole closed ball, so only snap it to |b| <= 1
         return np.concatenate([clip_to_ball(p[:d]),
                                clip_to_ball(p[d:], limit=1.0)])
 
     def avg(p):
         p = project(p)
-        member = family_second(spec, p[:d], p[d:])
-        m0 = (w[:, None] * member.values).sum(axis=0)
-        m1 = ((w * phi1)[:, None] * member.values).sum(axis=0)
-        return np.concatenate([m0, m1])
-
-    def squash(q):
-        # smooth onto parametrization of the closed b-ball (boundary zeros
-        # are reached asymptotically, avoiding the projection kink)
-        return q / np.sqrt(1.0 + float(np.dot(q, q)))
-
-    def unsquash(b):
-        n = min(np.linalg.norm(b), 1.0 - 1e-9)
-        if n == 0.0:
-            return np.asarray(b, dtype=float)
-        return np.asarray(b, dtype=float) * (1.0 / np.sqrt(1.0 - n * n))
-
-    def residual_fn(p):
-        return avg(np.concatenate([p[:d], squash(p[d:])]))
+        vals = family_second(spec, p[:d], p[d:]).values
+        return np.concatenate([w @ vals, (w * phi1) @ vals])
 
     rng = np.random.default_rng(spec.seed + 211)
     starts = [np.zeros(2 * d)]
     while len(starts) < 8:
         v = rng.standard_normal(2 * d)
         starts.append(v * rng.uniform(0, 0.8) / np.linalg.norm(v))
-    best = (np.inf, np.zeros(2 * d))
-    for p0 in starts:
-        p = p0.copy()
-        damp = 0.4
-        for _ in range(100):
-            f = avg(p)
-            r = np.linalg.norm(f)
-            if r < best[0]:
-                best = (r, project(p))
-            if r < tol:
-                break
-            p = project(p - damp * f / mass)
-        if best[0] < tol:
-            break
-        q0 = np.concatenate([best[1][:d], unsquash(best[1][d:])])
-        sol = scipy.optimize.least_squares(
-            residual_fn, q0, method="lm", xtol=1e-15, ftol=1e-15,
-            gtol=1e-15, max_nfev=1000 * (2 * d + 1))
-        cand = np.concatenate([clip_to_ball(sol.x[:d]), squash(sol.x[d:])])
-        r = float(np.linalg.norm(avg(cand)))
-        if r < best[0]:
-            best = (r, cand)
-        if best[0] < tol:
-            break
-    if best[0] >= tol:
-        raise FamilyError(
-            f"second balanced point not found: best residual {best[0]:.3e} "
-            f"(tolerance {tol:.3e})")
-    p = best[1]
-    return (p[:d], p[d:]), best[0]
+    p, r = _balance(avg, starts, project, 1e-6 * w.sum(),
+                    "second balanced point")
+    return (p[:d], p[d:]), r
 
 
 def eigen_lower_from_family(spec: FamilySpec, mu=None):

@@ -40,7 +40,6 @@ class IndexReport:
     nul_S: int
     ind_E: int
     margins: list
-    normalization: str = NORMALIZATION
 
     def to_json_dict(self):
         return {
@@ -48,7 +47,7 @@ class IndexReport:
             "nul_S": int(self.nul_S),
             "ind_E": int(self.ind_E),
             "margins": [float(m) for m in self.margins],
-            "normalization": self.normalization,
+            "normalization": NORMALIZATION,
         }
 
 

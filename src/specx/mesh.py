@@ -327,10 +327,8 @@ class SymmetricForm:
     def diagonal(self):
         return self.matrix.diagonal()
 
-    def __call__(self, u, v=None):
-        if v is None:
-            v = u
-        return float(u @ (self.matrix @ v))
+    def __call__(self, u):
+        return float(u @ (self.matrix @ u))
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +591,18 @@ def _whole_chart(mesh):
 def save_mesh(mesh, path):
     """Write ASCII OFF; flat tori get a sidecar `<path>.chart` with tau/res.
 
-    A punctured flat torus is refused (MeshError, nothing written): its
-    chart sidecar could only restore the whole torus.
+    A punctured or scaled flat torus is refused (MeshError, nothing
+    written): its chart sidecar could only restore the whole unit-scale
+    torus.
     """
-    if mesh.chart_meta and not _whole_chart(mesh):
+    meta = mesh.chart_meta
+    if meta and not _whole_chart(mesh):
         raise MeshError("cannot save a punctured flat torus: its chart "
                         "sidecar describes only the whole torus")
+    if meta and not np.array_equal(mesh.vertices, build_torus_mesh(
+            complex(meta["tau_re"], meta["tau_im"]), meta["res"]).vertices):
+        raise MeshError("cannot save a scaled flat torus: its chart "
+                        "sidecar describes only the unit-scale torus")
     path = str(path)
     with open(path, "w") as fh:
         fh.write("OFF\n")

@@ -308,12 +308,12 @@ def nondecreasing_trend(values, lambda_ref):
             and values[-1] > values[0])
 
 
-def normalized(value, mesh, density=None, boundary=False):
+def normalized(value, mesh, boundary=False):
     """Scale-invariant normalization: eigenvalue times area (or boundary
     length for the Steklov problem)."""
     if boundary:
         return float(value) * curve_measure(mesh).mass
-    return float(value) * area(mesh, density)
+    return float(value) * area(mesh)
 
 
 def multiplicity(spec: Spectrum, value):

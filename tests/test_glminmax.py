@@ -406,6 +406,23 @@ def test_balanced_point_second_dim_error(unit_sphere3, identity3):
         balanced_point_second(spec2, np.ones(7))
 
 
+def test_balanced_point_point_mass_has_no_root(sphere_spec, unit_sphere3,
+                                              identity3):
+    # mu = delta at one vertex: |F(v)| stays near 1 there for every
+    # parameter, so no balanced point exists and neither solver may
+    # return a non-root
+    w = np.zeros(unit_sphere3.num_vertices)
+    w[0] = 1.0
+    mu = MeshMeasure("volume", w)
+    with pytest.raises(FamilyError, match="^balanced point not found"):
+        balanced_point(sphere_spec, mu=mu)
+    spec2 = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
+                             eps=0.1, family="second")
+    phi1 = unit_sphere3.vertices[:, 2]
+    with pytest.raises(FamilyError, match="^second balanced point not found"):
+        balanced_point_second(spec2, phi1, mu=mu)
+
+
 def test_eigen_lower_sphere_equality(sphere_spec, unit_sphere3):
     w = volume_measure(unit_sphere3).weights
     mu = MeshMeasure("volume", w / w.sum())
@@ -502,9 +519,19 @@ def test_vector_map_validation():
 
 
 def test_specx_import_leaves_scipy_optimize_unloaded():
-    # a fresh interpreter: this one may have loaded scipy.optimize already
+    # a fresh interpreter: this one may have loaded scipy.optimize already;
+    # both balanced-point solvers run there too
     src = os.path.dirname(os.path.dirname(gl.__file__))
-    code = ("import sys, specx.cli, specx.glminmax; "
+    code = ("import sys, specx.cli\n"
+            "from specx import glminmax as gl, harmonic as hm, spectra as sx\n"
+            "from specx.mesh import build_sphere_mesh, volume_measure\n"
+            "mesh = build_sphere_mesh(2)\n"
+            "phi = hm.identity_sphere_map(mesh)\n"
+            "gl.balanced_point(gl.make_family_spec(mesh, phi))\n"
+            "phi1 = sx.measure_eigs(mesh, volume_measure(mesh), k=1)"
+            ".vectors[:, 1]\n"
+            "gl.balanced_point_second(\n"
+            "    gl.make_family_spec(mesh, phi, family='second'), phi1)\n"
             "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

@@ -163,6 +163,15 @@ def test_punctured_torus_is_not_saved(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scaled_torus_is_not_saved(tmp_path):
+    # the chart sidecar rebuilds the unit-scale torus, so a scaled one
+    # would load back with area 1 instead of 4
+    path = tmp_path / "big.off"
+    with pytest.raises(MeshError, match="scaled flat torus"):
+        save_mesh(build_torus_mesh(1j, 8).scaled(2.0), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hole_centers_on_punctured_torus():
     # the grid lattice names vertices of the whole torus, so a punctured one
     # gets the farthest-point sample of a mesh without a chart
