@@ -14,6 +14,7 @@ import datetime
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -326,7 +327,14 @@ def cmd_index(cfg):
     mesh = _build_mesh(cfg)
     base = _base_map(cfg, mesh)
     base = harmonic.harmonic_flow(mesh, base, steps=400)
-    rep = index.index_report(mesh, base)
+    with warnings.catch_warnings():  # the line below replaces the warning
+        warnings.simplefilter("ignore", UserWarning)
+        rep = index.index_report(mesh, base)
+    if rep.tension_residual > index.RESIDUAL_WARN:
+        print(f"specx: index: map has tension residual "
+              f"{rep.tension_residual:.3g} (above {index.RESIDUAL_WARN}); "
+              "index counts assume an approximately harmonic map",
+              file=sys.stderr)
     _write_json(cfg, "index.json", rep.to_json_dict())
     _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "ind_S",
                          str(rep.ind_S)])

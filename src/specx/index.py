@@ -40,6 +40,8 @@ class IndexReport:
     nul_S: int
     ind_E: int
     margins: list
+    tension_residual: float  # of the indexed map; above RESIDUAL_WARN the
+    # counts assume a harmonicity the map lacks
 
     def to_json_dict(self):
         return {
@@ -48,6 +50,7 @@ class IndexReport:
             "ind_E": int(self.ind_E),
             "margins": [float(m) for m in self.margins],
             "normalization": NORMALIZATION,
+            "tension_residual": float(self.tension_residual),
         }
 
 
@@ -83,6 +86,10 @@ def spectral_index(mesh, phi: SphereMap, cluster_tol=1e-3):
     cluster), nul_S the multiplicity at 1 within cluster_tol.
     """
     _warn_if_not_harmonic(mesh, phi)
+    return _spectral_index(mesh, phi, cluster_tol)
+
+
+def _spectral_index(mesh, phi, cluster_tol):
     b = 2.0 * energy_shares(mesh, phi)
     if b.sum() <= 0.0:
         raise MeshError("zero-energy map has no induced spectral problem")
@@ -184,6 +191,10 @@ def energy_index(mesh, phi: SphereMap, frames=None):
     taken until the top one clears -margin.
     """
     _warn_if_not_harmonic(mesh, phi)
+    return _energy_index(mesh, phi, frames)
+
+
+def _energy_index(mesh, phi, frames):
     Q, b = _second_variation(mesh, phi, frames)
     va = mesh.vertex_areas
     e_scale = float(b.sum()) / float(va.sum())
@@ -207,10 +218,14 @@ def energy_index(mesh, phi: SphereMap, frames=None):
 
 
 def index_report(mesh, phi: SphereMap) -> IndexReport:
-    ind_s, nul_s, margins_s = spectral_index(mesh, phi)
-    ind_e, margins_e = energy_index(mesh, phi)
+    """Both indices of phi and its tension residual, which is computed
+    (and warned about) once."""
+    residual = _warn_if_not_harmonic(mesh, phi)
+    ind_s, nul_s, margins_s = _spectral_index(mesh, phi, 1e-3)
+    ind_e, margins_e = _energy_index(mesh, phi, None)
     return IndexReport(ind_S=ind_s, nul_S=nul_s, ind_E=ind_e,
-                       margins=margins_s + margins_e)
+                       margins=margins_s + margins_e,
+                       tension_residual=residual)
 
 
 def check_composition_law(mesh, phi: SphereMap, m):

@@ -6,9 +6,10 @@ K and a diagonal nonnegative right-hand form B, and all go through one
 shift-invert path (`_shift_invert`, behind `solve_pencil`; the energy
 index of `index` runs its sparse second variation through it too): one
 sparse LU of K - sigma B, then the symmetric standard form on the support
-of B. Rank-deficient B (boundary measures, point masses, conical zeros)
-needs no special case: the eigenvectors come back discrete-harmonic off
-supp(B), as from the Schur complement onto supp(B).
+of B, solved by ARPACK or, warm-started from a nearby pencil's vectors, by
+a short block Krylov solve. Rank-deficient B (boundary measures, point
+masses, conical zeros) needs no special case: the eigenvectors come back
+discrete-harmonic off supp(B), as from the Schur complement onto supp(B).
 
 Every sparse matrix factored here is symmetric positive definite: K - sigma
 B with sigma below the spectrum, and the lumped heat step diag(A) + t K.
@@ -43,6 +44,10 @@ class RankError(SolverError):
 
 CLUSTER_MARGIN = 3  # Lanczos pairs beyond k+1, so a cluster is not cut
 
+WARM_RTOL = 1e-12  # x-space residual a warm pair must meet, relative to mu_max
+
+WARM_BLOCKS = 8  # block solves a warm start may take before the ARPACK path
+
 
 @dataclass
 class Spectrum:
@@ -53,6 +58,7 @@ class Spectrum:
     residuals: np.ndarray
     mass: float
     cluster_tol: float = 1e-3
+    warm: bool = False  # the warm block solve ran, not the cold path
 
     def normalized(self):
         return self.values * self.mass
@@ -75,6 +81,8 @@ class MaximizerReport:
     converged: bool = True
     weak_gap: float = 0.0
     measure_rank: int = 0
+    warm_solves: int = 0  # eigensolves taken by the warm block path
+    cold_solves: int = 0  # eigensolves taken by the cold path
 
     def to_json_dict(self):
         return {
@@ -108,14 +116,15 @@ def _check_support(mesh, b, expect_disconnected=False):
 
 
 def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
-                 expect_disconnected=False):
+                 expect_disconnected=False, start=None):
     """First k+1 eigenpairs of K v = lambda diag(b) v.
 
     One shift-invert solve (`_shift_invert`) for every pencil, with
     sigma = -1e-3 tr K / sum b < 0, so that K - sigma B is positive
     definite. The vectors are B-orthonormal and discrete-harmonic off
     supp(b), so a rank-deficient b (boundary measures, point masses,
-    conical zeros) needs no separate restriction.
+    conical zeros) needs no separate restriction. `start`, the vectors of
+    a nearby pencil's Spectrum, lets the solve warm-start (`_shift_invert`).
     """
     K = mesh.stiffness
     b = np.asarray(b, dtype=float)
@@ -128,10 +137,10 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
         raise RankError(
             f"requested {kk} eigenpairs but the form has rank {rank}")
     sigma = -1e-3 * float(K.diagonal().sum() / b.sum())
-    vals, vecs = _shift_invert(K, b, sigma, kk, seed)
+    vals, vecs, warm = _shift_invert(K, b, sigma, kk, seed, start)
     resid = _residuals(K, b, vals, vecs)
     return Spectrum(values=vals, vectors=vecs, residuals=resid,
-                    mass=float(b.sum()), cluster_tol=cluster_tol)
+                    mass=float(b.sum()), cluster_tol=cluster_tol, warm=warm)
 
 
 def _spd_factor(A):
@@ -148,7 +157,7 @@ def _spd_factor(A):
                      options={"SymmetricMode": True})
 
 
-def _shift_invert(A, m, sigma, kk, seed=0):
+def _shift_invert(A, m, sigma, kk, seed=0, start=None):
     """Lowest kk eigenpairs of the pencil A v = lambda diag(m) v.
 
     A is sparse symmetric, m >= 0 and the shift sigma lies below the
@@ -163,7 +172,13 @@ def _shift_invert(A, m, sigma, kk, seed=0):
     The vectors are M-orthonormal and A-harmonic off supp(m). Lanczos
     (ARPACK) takes a few pairs beyond kk so that a degenerate cluster is not
     cut; a dense eigh of C takes over when the rank is too small for Lanczos
-    to save work. Returns ascending values and their vectors.
+    to save work.
+
+    On the Lanczos branch, `start` (n x kk vectors of a nearby pencil) is
+    tried first by `_block_krylov`, from x = m^{1/2} v on supp(m); if it
+    does not meet its acceptance rule, the seeded ARPACK solve runs as
+    without a start. Returns ascending values, their vectors, and whether
+    the warm block solve gave them.
     """
     n = A.shape[0]
     shifted = A.tocsc(copy=True)
@@ -184,7 +199,17 @@ def _shift_invert(A, m, sigma, kk, seed=0):
     ncv = max(40, 2 * nev + 1)
     # ARPACK needs rank > ncv, and up to about twice that materializing C
     # costs less than the Lanczos restarts
-    if rank <= 2 * ncv:
+    warm = None
+    if start is not None and rank > 2 * ncv:
+        def apply_c(x):  # (A - sigma M)^{-1} M^{1/2} x and C x
+            z = lu.solve(lift(x))
+            return z, root[:, None] * z[s_idx]
+
+        warm = _block_krylov(apply_c, root[:, None] * start[s_idx], kk,
+                             seed)
+    if warm is not None:
+        mu, vecs = warm
+    elif rank <= 2 * ncv:
         X = lu.solve(lift(np.eye(rank)))  # (A - sigma M)^{-1} M^{1/2}
         C = root[:, None] * X[s_idx]
         mu, x = sla.eigh(0.5 * (C + C.T),
@@ -208,7 +233,73 @@ def _shift_invert(A, m, sigma, kk, seed=0):
         vecs = lu.solve(lift(x[:, top]))
     order = np.argsort(-mu)  # ascending lambda
     mu = mu[order]
-    return sigma + 1.0 / mu, vecs[:, order] / mu
+    return sigma + 1.0 / mu, vecs[:, order] / mu, warm is not None
+
+
+def _block_krylov(apply_c, start, kk, seed):
+    """Largest kk eigenpairs (mu, (A - sigma M)^{-1} M^{1/2} x) of the
+    standard form C from a warm start, or None.
+
+    The start block is `start` (x-space columns from a nearby pencil) plus
+    CLUSTER_MARGIN + 1 seeded random columns, through which a direction
+    that the old frame lacks can still enter. Block Lanczos with full
+    reorthogonalisation: each block costs one multi-right-hand-side solve
+    `apply_c`, then Rayleigh-Ritz by a small eigh. From the second block on
+    (so that the random columns have grown once), the top kk Ritz pairs
+    are accepted when each has residual ||C x - mu x|| <= WARM_RTOL mu_max:
+    first by the Lanczos estimate ||R_j s_j|| (R_j the triangular factor of
+    the next block), then by the explicit residual. None, and so the cold
+    solve, follows after WARM_BLOCKS blocks, or sooner once the estimate,
+    falling at its last rate, would still miss the tolerance at the last
+    block.
+    """
+    rank, kept = start.shape
+    width = kept + CLUSTER_MARGIN + 1
+    q = np.empty((rank, WARM_BLOCKS * width))  # orthonormal Krylov basis
+    w = np.empty_like(q)  # C q
+    h = np.zeros((WARM_BLOCKS * width,) * 2)  # q^T C q, lower triangle
+    lifted = []
+    rng = np.random.default_rng(seed)
+    block = _orth(np.hstack([start, rng.standard_normal(
+        (rank, width - kept))]))[0]
+    for j in range(WARM_BLOCKS):
+        lo, hi = j * width, (j + 1) * width
+        q[:, lo:hi] = block
+        z, w[:, lo:hi] = apply_c(block)
+        lifted.append(z)
+        basis = q[:, :hi]
+        coef = basis.T @ w[:, lo:hi]
+        h[lo:hi, :hi] = coef.T
+        # the next block: C q_j orthogonalised against the basis, twice
+        # ("twice is enough", Kahan), each pass followed by a QR
+        block, r = _orth(w[:, lo:hi] - basis @ coef)
+        block = _orth(block - basis @ (basis.T @ block))[0]
+        mu, s = sla.eigh(h[:hi, :hi], subset_by_index=[hi - kk, hi - 1],
+                         check_finite=False)
+        tol = WARM_RTOL * mu[-1]
+        est = float(_column_norms(r @ s[lo:]).max())
+        if j and est <= tol:
+            resid = _column_norms(w[:, :hi] @ s - (basis @ s) * mu)
+            if np.all(resid <= tol):
+                return mu, np.hstack(lifted) @ s
+        # a direction missing from the start enters the top kk during the
+        # first growth, so rates count from the third block
+        rate = min(est / last, 1.0) if j > 1 else 0.0
+        if est * rate ** (WARM_BLOCKS - 1 - j) > tol:
+            return None
+        last = est
+    return None
+
+
+def _orth(x):
+    """Thin QR of a tall block."""
+    return sla.qr(x, mode="economic", check_finite=False)
+
+
+def _column_norms(x):
+    # column norms without the squared temporary of norm(x, axis=0), which
+    # made the residuals slower than a per-pair loop on large meshes
+    return np.sqrt(np.einsum("ij,ij->j", x, x))
 
 
 def _residuals(K, b, vals, vecs):
@@ -217,14 +308,8 @@ def _residuals(K, b, vals, vecs):
     scale = float(np.abs(K.diagonal()).max())
     kv = K @ vecs
     r = kv - vals * (b[:, None] * vecs)
-
-    def norms(x):
-        # column norms without the squared temporary of norm(x, axis=0),
-        # which made this slower than a per-pair loop on large meshes
-        return np.sqrt(np.einsum("ij,ij->j", x, x))
-
-    denom = np.maximum(norms(kv), 1e-6 * scale * norms(vecs))
-    return norms(r) / np.maximum(denom, 1e-300)
+    denom = np.maximum(_column_norms(kv), 1e-6 * scale * _column_norms(vecs))
+    return _column_norms(r) / np.maximum(denom, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +450,14 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
     from 7 eigenpairs), renormalized to unit area, with one lumped
     heat-flow smoothing step of time h^2 per iteration. The ascent stops
     once the stationarity gap ||f - u|| falls below GAP_TOL. The returned
-    lambda_bar is a certified lower bound for the conformal supremum.
+    lambda_bar is lambda_1 of the returned discrete density (unit area);
+    nothing here shows that it reaches the conformal supremum.
+
+    From the second iteration on, each pencil is warm-started from the
+    previous eigenvectors (`solve_pencil`'s `start`). A warm start that
+    falls back to the cold solve doubles the wait before the next attempt,
+    so where warm starts do not pay (far from a fixed point) they cost
+    little. The report counts the warm and cold solves.
     """
     if not mesh.is_closed:
         raise MeshError("conformal maximization expects a closed mesh")
@@ -380,8 +472,17 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
     smooth = _heat_factor(mesh, mesh.mean_edge_length ** 2)
     best = (-np.inf, f.copy(), np.inf, np.inf)
     it = 0
+    spec = None
+    warm_solves = 0
+    wait, retry = 1, 2  # each failed warm start doubles the wait to the next
     for it in range(1, iters + 1):
-        spec = laplace_eigs(mesh, f, k=6, seed=seed)
+        start = spec.vectors if it >= retry else None
+        spec = solve_pencil(mesh, volume_measure(mesh, f).weights, 6,
+                            seed=seed, start=start)
+        warm_solves += spec.warm
+        if start is not None:
+            wait = 1 if spec.warm else 2 * wait
+            retry = it + wait
         lam1 = float(spec.values[1])
         frame = spec.vectors[:, eigenvalue_cluster(spec, 1, 0.1)]
         u = np.sum(frame * frame, axis=1)
@@ -405,4 +506,5 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
     return MaximizerReport(
         density=density, lambda_bar=lambda_bar, iterations=it,
         stationarity_gap=gap, converged=gap < 10 * GAP_TOL, weak_gap=weak,
-        measure_rank=int(np.sum(f * va > 0)))
+        measure_rank=int(np.sum(f * va > 0)), warm_solves=warm_solves,
+        cold_solves=it - warm_solves)

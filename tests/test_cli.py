@@ -212,3 +212,19 @@ def test_steklov_rejects_several_hole_counts(tmp_path, capsys):
         assert "sweep steklov-holes" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "steklov.json")
     assert not os.path.exists(tmp_path / "results.csv")
+
+
+def test_index_flags_a_nonharmonic_map(tmp_path, capsys):
+    # the flowed torus collapse map is far from harmonic: one stderr line,
+    # the residual in the payload, and exit code 0 as before
+    assert run(["index", "--surface", "torus", "--res", "16"],
+               tmp_path / "torus") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "tension residual" in err[0]
+    doc = load_json(tmp_path / "torus", "index.json")
+    assert doc["payload"]["tension_residual"] > 0.01
+    assert run(["index", "--surface", "sphere", "--subdiv", "2"],
+               tmp_path / "sphere") == 0
+    assert capsys.readouterr().err == ""
+    doc = load_json(tmp_path / "sphere", "index.json")
+    assert doc["payload"]["tension_residual"] < 0.01

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -5,7 +7,7 @@ import scipy.sparse.linalg as spla
 from specx import harmonic as hm
 from specx import index as ix
 from specx.harmonic import SphereMap, embed_map, power_map
-from specx.mesh import MeshError, build_sphere_mesh
+from specx.mesh import MeshError, build_sphere_mesh, build_torus_mesh
 from specx.spectra import SolverError
 
 
@@ -151,6 +153,38 @@ def test_index_report_json(sphere3, flowed_identity3):
     assert doc["ind_S"] == 1 and doc["nul_S"] == 3 and doc["ind_E"] == 0
     assert doc["normalization"] == "density |dPhi|^2, threshold 1"
     assert len(doc["margins"]) >= 2
+
+
+def test_index_report_residual_once_flowed_sphere(sphere3, flowed_identity3,
+                                                   monkeypatch):
+    calls = _count_calls(monkeypatch, "tension_residual")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # harmonic enough: no warning
+        rep = ix.index_report(sphere3, flowed_identity3)
+    assert len(calls) == 1
+    _, agg = hm.tension_residual(sphere3, flowed_identity3)
+    assert rep.to_json_dict()["tension_residual"] == agg
+    assert agg < ix.RESIDUAL_WARN
+
+
+def test_index_report_residual_once_torus(monkeypatch):
+    # the flowed collapse map of a torus is far from harmonic (no
+    # degree-one harmonic map T^2 -> S^2 exists); the report carries its
+    # residual and warns once, and direct callers still get the warning
+    mesh = build_torus_mesh(1j, 16)
+    phi = hm.harmonic_flow(mesh, hm.torus_collapse_map(mesh), steps=400)
+    _, agg = hm.tension_residual(mesh, phi)
+    assert agg > ix.RESIDUAL_WARN
+    calls = _count_calls(monkeypatch, "tension_residual")
+    with pytest.warns(UserWarning, match="tension residual") as record:
+        rep = ix.index_report(mesh, phi)
+    assert len(calls) == len(record) == 1
+    assert rep.to_json_dict()["tension_residual"] == agg
+    with pytest.warns(UserWarning, match="tension residual"):
+        assert ix.spectral_index(mesh, phi)[:2] == (rep.ind_S, rep.nul_S)
+    with pytest.warns(UserWarning, match="tension residual"):
+        assert ix.energy_index(mesh, phi)[0] == rep.ind_E
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

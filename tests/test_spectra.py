@@ -5,6 +5,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from specx import mesh as meshmod
+from specx import spectra
+from specx.harmonic import energy_density, torus_collapse_map
 from specx.mesh import (ConformalDensity, MeshError, MeshMeasure,
                         build_sphere_mesh, build_torus_mesh, curve_measure,
                         hole_centers, puncture, volume_measure)
@@ -546,3 +548,145 @@ def test_residuals_match_loop_oracle(sphere3):
         np.testing.assert_allclose(spec.residuals, want, rtol=0, atol=1e-12)
     # the kernel pair (lambda = 0, Kv ~ roundoff) meets the denominator floor
     assert np.isfinite(cases[0][2].residuals).all()
+
+
+# ---------------------------------------------------------------------------
+# warm-started solves: the maximiser in lockstep with cold solves, and the
+# acceptance and fallback rules of the block Krylov path
+# ---------------------------------------------------------------------------
+
+def _lockstep(monkeypatch):
+    """Make every warm-started `solve_pencil` also solve its pencil cold
+    and compare: values to 1e-10 relative (the kernel value against
+    lambda_1), residuals <= 1e-8, and a fallback equal to the cold solve
+    bit for bit. Returns the warm flags of the started solves."""
+    flags = []
+    original = spectra.solve_pencil
+
+    def solve(mesh, b, k, *args, start=None, **kwargs):
+        spec = original(mesh, b, k, *args, start=start, **kwargs)
+        if start is not None:
+            cold = original(mesh, b, k, *args, **kwargs)
+            assert not cold.warm
+            np.testing.assert_allclose(spec.values, cold.values, rtol=1e-10,
+                                       atol=1e-10 * cold.values[1])
+            assert spec.residuals.max() <= 1e-8
+            if not spec.warm:
+                assert np.array_equal(spec.values, cold.values)
+                assert np.array_equal(spec.vectors, cold.vectors)
+            flags.append(spec.warm)
+        return spec
+
+    monkeypatch.setattr(spectra, "solve_pencil", solve)
+    return flags
+
+
+def _cold_maximiser(mesh, monkeypatch, **kwargs):
+    """The maximiser with every start dropped, as before warm starts."""
+    original = spectra.solve_pencil
+
+    def cold(*args, start=None, **kw):
+        return original(*args, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "solve_pencil", cold)
+        return maximize_lambda1_conformal(mesh, **kwargs)
+
+
+def _check_lockstep(mesh, monkeypatch, **kwargs):
+    cold = _cold_maximiser(mesh, monkeypatch, **kwargs)
+    flags = _lockstep(monkeypatch)
+    rep = maximize_lambda1_conformal(mesh, **kwargs)
+    monkeypatch.undo()
+    assert rep.warm_solves == sum(flags)
+    assert rep.warm_solves + rep.cold_solves == rep.iterations
+    assert (rep.iterations, rep.converged) == (cold.iterations,
+                                               cold.converged)
+    assert abs(rep.lambda_bar - cold.lambda_bar) <= 1e-10 * cold.lambda_bar
+    assert cold.warm_solves == 0
+    assert "warm_solves" not in rep.to_json_dict()
+    assert "cold_solves" not in rep.to_json_dict()
+    return rep
+
+
+def test_warm_lockstep_sphere(sphere3, monkeypatch):
+    # the conformal-max benchmark pass: most steps take the warm path
+    rep = _check_lockstep(sphere3, monkeypatch, iters=50)
+    assert rep.iterations == 50
+    assert rep.warm_solves > rep.cold_solves
+
+
+def test_warm_lockstep_torus_multistart(torus32, monkeypatch):
+    # far from the fixed point the warm starts fall back; each fallback
+    # doubles the wait to the next attempt
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        f0 = rng.uniform(0.3, 3.0, torus32.num_vertices)
+        _check_lockstep(torus32, monkeypatch, iters=120, f0=f0)
+
+
+def test_warm_lockstep_long_torus_nonflat(monkeypatch):
+    # tau = 2i from the collapse map's energy density, a slow drift away
+    # from a density with zeros (rank-deficient pencils)
+    mesh = build_torus_mesh(2j, 48)
+    f0 = energy_density(mesh, torus_collapse_map(mesh)).f
+    assert f0.min() == 0.0
+    rep = _check_lockstep(mesh, monkeypatch, iters=40, f0=f0)
+    assert rep.warm_solves > 0
+
+
+def _tilted_pencil(sphere3):
+    # a non-round metric on the sphere splits the lambda_1 cluster
+    f = np.exp(0.5 * sphere3.vertices[:, 2])
+    return volume_measure(sphere3, f).weights
+
+
+@pytest.mark.parametrize("missing", [1, 2, 3])
+def test_warm_start_missing_a_cluster_vector(sphere3, monkeypatch, missing):
+    # a start frame without one eigenvector of the lambda_1 cluster: the
+    # random columns bring it in, or the solve falls back; either way the
+    # values are the cold ones
+    b = _tilted_pencil(sphere3)
+    cold = solve_pencil(sphere3, b, 6)
+    start = np.delete(cold.vectors, missing, axis=1)
+    spec = solve_pencil(sphere3, b, 6, start=start)
+    np.testing.assert_allclose(spec.values, cold.values, rtol=1e-10,
+                               atol=1e-10 * cold.values[1])
+    # with room for enough blocks the warm path itself finds it
+    monkeypatch.setattr(spectra, "WARM_BLOCKS", 30)
+    spec = solve_pencil(sphere3, b, 6, start=start)
+    assert spec.warm
+    np.testing.assert_allclose(spec.values, cold.values, rtol=1e-10,
+                               atol=1e-10 * cold.values[1])
+    assert spec.residuals.max() <= 1e-8
+
+
+@pytest.mark.parametrize("start", ["random", "round"])
+def test_warm_start_fallback_is_cold_bit_for_bit(sphere3, start):
+    # a start too far from the pencil cannot converge within WARM_BLOCKS
+    # blocks; the seeded ARPACK solve then runs as without a start
+    b = _tilted_pencil(sphere3)
+    if start == "random":
+        vecs = np.random.default_rng(5).standard_normal(
+            (sphere3.num_vertices, 7))
+    else:
+        vecs = laplace_eigs(sphere3, k=6).vectors
+    cold = solve_pencil(sphere3, b, 6)
+    spec = solve_pencil(sphere3, b, 6, start=vecs)
+    assert not spec.warm
+    assert np.array_equal(spec.values, cold.values)
+    assert np.array_equal(spec.vectors, cold.vectors)
+    assert np.array_equal(spec.residuals, cold.residuals)
+
+
+def test_warm_start_ignored_at_small_rank(torus32):
+    # rank <= 2 ncv takes the dense branch, which never reads the start:
+    # a start of NaNs changes nothing
+    b = np.zeros(torus32.num_vertices)
+    b[:40] = torus32.vertex_areas[:40]
+    cold = solve_pencil(torus32, b, 4)
+    spec = solve_pencil(torus32, b, 4,
+                        start=np.full((torus32.num_vertices, 5), np.nan))
+    assert not spec.warm
+    assert np.array_equal(spec.values, cold.values)
+    assert np.array_equal(spec.vectors, cold.vectors)
