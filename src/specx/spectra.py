@@ -249,20 +249,21 @@ def _block_krylov(apply_c, start, kk, seed):
     are accepted when each has residual ||C x - mu x|| <= WARM_RTOL mu_max:
     first by the Lanczos estimate ||R_j s_j|| (R_j the triangular factor of
     the next block), then by the explicit residual. None, and so the cold
-    solve, follows after WARM_BLOCKS blocks, or sooner once the estimate,
-    falling at its last rate, would still miss the tolerance at the last
-    block.
+    solve, follows after WARM_BLOCKS blocks (fewer where the basis would
+    outgrow the rank), or sooner once the estimate, falling at its last
+    rate, would still miss the tolerance at the last block.
     """
     rank, kept = start.shape
     width = kept + CLUSTER_MARGIN + 1
-    q = np.empty((rank, WARM_BLOCKS * width))  # orthonormal Krylov basis
+    blocks = min(WARM_BLOCKS, rank // width)  # the basis must stay in R^rank
+    q = np.empty((rank, blocks * width))  # orthonormal Krylov basis
     w = np.empty_like(q)  # C q
-    h = np.zeros((WARM_BLOCKS * width,) * 2)  # q^T C q, lower triangle
+    h = np.zeros((blocks * width,) * 2)  # q^T C q, lower triangle
     lifted = []
     rng = np.random.default_rng(seed)
     block = _orth(np.hstack([start, rng.standard_normal(
         (rank, width - kept))]))[0]
-    for j in range(WARM_BLOCKS):
+    for j in range(blocks):
         lo, hi = j * width, (j + 1) * width
         q[:, lo:hi] = block
         z, w[:, lo:hi] = apply_c(block)
@@ -285,7 +286,7 @@ def _block_krylov(apply_c, start, kk, seed):
         # a direction missing from the start enters the top kk during the
         # first growth, so rates count from the third block
         rate = min(est / last, 1.0) if j > 1 else 0.0
-        if est * rate ** (WARM_BLOCKS - 1 - j) > tol:
+        if est * rate ** (blocks - 1 - j) > tol:
             return None
         last = est
     return None

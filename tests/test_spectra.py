@@ -690,3 +690,20 @@ def test_warm_start_ignored_at_small_rank(torus32):
     assert not spec.warm
     assert np.array_equal(spec.values, cold.values)
     assert np.array_equal(spec.vectors, cold.vectors)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+def test_warm_start_near_the_lanczos_rank_floor(torus32, eps):
+    # rank 85 is just above 2 ncv = 80, where WARM_BLOCKS blocks of 11
+    # columns would outgrow the space; the block count is capped by the
+    # rank, and warm or cold the values are the cold ones
+    b = np.zeros(torus32.num_vertices)
+    b[:85] = torus32.vertex_areas[:85]
+    near = b * (1.0 + eps * np.sin(np.arange(len(b))))
+    cold = solve_pencil(torus32, b, 6)
+    start = solve_pencil(torus32, near, 6).vectors
+    spec = solve_pencil(torus32, b, 6, start=start)
+    assert spec.warm or eps > 1e-6
+    np.testing.assert_allclose(spec.values, cold.values, rtol=1e-10,
+                               atol=1e-10 * cold.values[1])
+    assert spec.residuals.max() <= 1e-8
