@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels, mobius, spectra
+from ._kernels import _row_dot
 from ._ballopt import BALL_EDGE, ball_grid, clip_to_ball, maximize_over_ball
 from .harmonic import SphereMap, normalize_rows, tension_residual
 from .mesh import MeshMeasure, TriMesh, volume_measure
@@ -88,11 +89,18 @@ def gl_gradient(mesh, u, eps):
     if eps <= 0.0:
         raise FamilyError("eps must be positive")
     vals = _values(u)
-    va = mesh.vertex_areas
-    n2 = np.sum(vals * vals, axis=1)
-    g = (mesh.stiffness @ vals) / va[:, None] \
-        - (1.0 - n2)[:, None] * vals / eps ** 2
+    g, _, _ = _gradient_terms(mesh.vertex_areas, vals, mesh.stiffness @ vals,
+                              eps)
     return VectorMap(g)
+
+
+def _gradient_terms(va, vals, ku, eps):
+    """gl_gradient's values g from the stiffness product ku = K vals, with
+    the per-vertex n2 = |vals|^2 and q = |g|^2 that the line quartic and
+    the gradient norm share."""
+    n2 = _row_dot(vals, vals)
+    g = ku / va[:, None] - (1.0 - n2)[:, None] * vals / eps ** 2
+    return g, n2, _row_dot(g, g)
 
 
 def gl_inner(mesh, u, v):
@@ -124,26 +132,24 @@ def gl_second_variation(mesh, u, eps, v, w=None):
     return dir_part + pot
 
 
-def _line_quartic(mesh, u, g, eps):
-    """Coefficients (c2, c3, c4) of the energy change along u - s g.
+def _line_quartic(K, va, g, p, q, n2, eps):
+    """Coefficients (c2, c3, c4) of the energy change along u - s g, and
+    the stiffness product K g they need.
 
     gl_energy(u - s g) - gl_energy(u) = c1 s + c2 s^2 + c3 s^3 + c4 s^4
-    exactly, and c1 = -gl_norm(g)^2 when g is gl_gradient(u). With
-    p = <u, g>, q = |g|^2 and d = 1 - |u|^2 per vertex:
-    c2 = <g, K g>/2 + eps^-2 sum A (p^2 - d q/2), c3 = -eps^-2 sum A p q,
-    c4 = eps^-2 sum A q^2 / 4.
+    exactly, and c1 = -gl_norm(g)^2 when g is gl_gradient(u). It takes
+    the per-vertex p = <u, g>, q = |g|^2 and n2 = |u|^2; with
+    d = 1 - n2: c2 = <g, K g>/2 + eps^-2 sum A (p^2 - d q/2),
+    c3 = -eps^-2 sum A p q, c4 = eps^-2 sum A q^2 / 4.
     """
-    va = mesh.vertex_areas
-    p = np.einsum("ij,ij->i", u, g)
-    q = np.einsum("ij,ij->i", g, g)
-    d = 1.0 - np.einsum("ij,ij->i", u, u)
+    kg = K @ g
     aq = va * q
     inv = 1.0 / eps ** 2
-    c2 = 0.5 * float(np.vdot(g, mesh.stiffness @ g)) \
-        + inv * float(va @ (p * p) - 0.5 * (aq @ d))
+    c2 = 0.5 * float(np.vdot(g, kg)) \
+        + inv * float(va @ (p * p) - 0.5 * (aq @ (1.0 - n2)))
     c3 = -inv * float(aq @ p)
     c4 = 0.25 * inv * float(aq @ q)
-    return c2, c3, c4
+    return (c2, c3, c4), kg
 
 
 def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
@@ -154,23 +160,42 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
     exact quartic of _line_quartic, s (c2 + s (c3 + s c4)) <= |g|^2 / 2,
     which subtracts no two energies: it stays decisive when the decrease
     is below the rounding error of E. `backtracks` counts the halvings.
+
+    A step costs one stiffness product, the quartic's K g: K u is carried
+    as K u - s K g. The carried product drifts by rounding, so when its
+    gradient norm first drops below tol, K u is recomputed and the test
+    repeated on the exact product. The returned gradient norm and energy
+    are those of the returned map. A non-finite gradient raises
+    FamilyError.
     """
+    if eps <= 0.0:
+        raise FamilyError("eps must be positive")
     vals = _values(u0).copy()
+    K = mesh.stiffness
     va = mesh.vertex_areas
-    rate = float((mesh.stiffness.diagonal() / va).max())
+    rate = float((K.diagonal() / va).max())
     if step0 is None:
         step0 = 0.9 / (rate + 2.0 / eps ** 2)
+    ku = K @ vals
+    exact = True
     converged = False
     it = 0
     backtracks = 0
-    gnorm = np.inf
     for it in range(1, max_iters + 1):
-        g = gl_gradient(mesh, vals, eps).values
-        gnorm = gl_norm(mesh, g)
+        g, n2, q = _gradient_terms(va, vals, ku, eps)
+        gnorm = float(np.sqrt(va @ q))
+        if gnorm < tol and not exact:  # confirm on an exact product
+            ku = K @ vals
+            exact = True
+            g, n2, q = _gradient_terms(va, vals, ku, eps)
+            gnorm = float(np.sqrt(va @ q))
+        if not np.isfinite(gnorm):
+            raise FamilyError("vector map has non-finite entries")
         if gnorm < tol:
             converged = True
             break
-        c2, c3, c4 = _line_quartic(mesh, vals, g, eps)
+        (c2, c3, c4), kg = _line_quartic(K, va, g, _row_dot(vals, g), q, n2,
+                                         eps)
         half_g2 = 0.5 * gnorm ** 2
         step = step0
         for _ in range(40):
@@ -180,7 +205,11 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
             backtracks += 1
         else:
             break  # line search stalled at numerical floor
-        vals = vals - step * g
+        vals -= step * g
+        ku -= step * kg
+        exact = False
+    if not converged:
+        gnorm = gl_norm(mesh, gl_gradient(mesh, vals, eps))
     return {"u": VectorMap(vals), "gradient_norm": gnorm,
             "E_eps": gl_energy(mesh, vals, eps), "iterations": it,
             "converged": converged, "backtracks": backtracks}

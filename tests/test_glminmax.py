@@ -192,7 +192,10 @@ def test_line_quartic_matches_energy_difference():
         c1 = -np.sum(g * (K @ u)) + np.sum(
             va * d * np.sum(u * g, axis=1)) / eps ** 2
         assert c1 == pytest.approx(-g2, rel=1e-12)
-        c2, c3, c4 = gl._line_quartic(mesh, u, g, eps)
+        (c2, c3, c4), kg = gl._line_quartic(
+            K, va, g, np.sum(u * g, axis=1), np.sum(g * g, axis=1),
+            np.sum(u * u, axis=1), eps)
+        assert np.array_equal(kg, K @ g)
         e0 = gl_energy(mesh, u, eps)
         for s in np.geomspace(1e-6, 1.0, 13):
             direct = gl_energy(mesh, u - s * g, eps) - e0
@@ -221,8 +224,10 @@ def test_descend_matches_difference_oracle(unit_sphere3, recipe_eps02):
     assert out["iterations"] == ref["iterations"] == 2000
     assert not out["converged"] and not ref["converged"]
     assert out["E_eps"] == pytest.approx(ref["E_eps"], rel=1e-10)
-    assert out["gradient_norm"] == pytest.approx(ref["gradient_norm"],
-                                                 rel=1e-10)
+    # the oracle reports the gradient of the map before its last step
+    assert out["gradient_norm"] == pytest.approx(
+        gl.gl_norm(unit_sphere3, gl_gradient(unit_sphere3, ref["u"], 0.2)),
+        rel=1e-10)
 
 
 def test_descend_converges_below_energy_rounding(unit_sphere3, recipe_eps02):
@@ -250,6 +255,106 @@ def test_descend_stall_break():
     assert not out["converged"]
     assert (out["iterations"], out["backtracks"]) == (1, 40)
     assert np.array_equal(out["u"].values, u0)
+
+
+def _einsum_line_quartic(mesh, u, g, eps):
+    """The earlier _line_quartic, kept for _two_product_descend."""
+    va = mesh.vertex_areas
+    p = np.einsum("ij,ij->i", u, g)
+    q = np.einsum("ij,ij->i", g, g)
+    d = 1.0 - np.einsum("ij,ij->i", u, u)
+    aq = va * q
+    inv = 1.0 / eps ** 2
+    c2 = 0.5 * float(np.vdot(g, mesh.stiffness @ g)) \
+        + inv * float(va @ (p * p) - 0.5 * (aq @ d))
+    c3 = -inv * float(aq @ p)
+    c4 = 0.25 * inv * float(aq @ q)
+    return c2, c3, c4
+
+
+def _two_product_descend(mesh, u0, eps, tol=1e-6, max_iters=2000,
+                         step0=None):
+    """The earlier gl_descend, kept as an oracle: two stiffness products a
+    step, K u for the gradient and K g for the quartic. At the cap it
+    reports the gradient norm of the map before the last step."""
+    vals = gl._values(u0).copy()
+    va = mesh.vertex_areas
+    rate = float((mesh.stiffness.diagonal() / va).max())
+    if step0 is None:
+        step0 = 0.9 / (rate + 2.0 / eps ** 2)
+    converged = False
+    it = 0
+    backtracks = 0
+    gnorm = np.inf
+    for it in range(1, max_iters + 1):
+        g = gl_gradient(mesh, vals, eps).values
+        gnorm = gl.gl_norm(mesh, g)
+        if gnorm < tol:
+            converged = True
+            break
+        c2, c3, c4 = _einsum_line_quartic(mesh, vals, g, eps)
+        half_g2 = 0.5 * gnorm ** 2
+        step = step0
+        for _ in range(40):
+            if step * (c2 + step * (c3 + step * c4)) <= half_g2:
+                break
+            step *= 0.5
+            backtracks += 1
+        else:
+            break  # line search stalled at numerical floor
+        vals = vals - step * g
+    return {"u": VectorMap(vals), "gradient_norm": gnorm,
+            "E_eps": gl_energy(mesh, vals, eps), "iterations": it,
+            "converged": converged, "backtracks": backtracks}
+
+
+def _recipe_descents(descend, mesh, start):
+    """The glminmax recipe's descents: eps = 0.2 from `start`, then 0.1
+    and 0.05, each warm-started from the last."""
+    outs = []
+    for eps in (0.2, 0.1, 0.05):
+        outs.append(descend(mesh, start, eps))
+        start = outs[-1]["u"]
+    return outs
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_descend_lockstep_with_two_product_oracle(unit_sphere3, identity3,
+                                                  dim):
+    # dim 4 is the base of `glminmax --n 3`
+    base = hm.embed_map(identity3, dim)
+    spec = make_family_spec(unit_sphere3, base, eps=0.2)
+    start = spec.member(minmax_upper(spec).argmax)
+    outs = _recipe_descents(gl_descend, unit_sphere3, start)
+    refs = _recipe_descents(_two_product_descend, unit_sphere3, start)
+    assert [o["iterations"] for o in outs] == [2000, 492, 97]
+    for out, ref in zip(outs, refs):
+        for key in ("iterations", "backtracks", "converged"):
+            assert out[key] == ref[key]
+        assert out["E_eps"] == pytest.approx(ref["E_eps"], rel=1e-10)
+        # the carried K u differs from an exact product by rounding, and
+        # the descent from the saddle amplifies rounding: a one-ulp change
+        # of the start alone moves the oracle's maps by up to 1e-10
+        u, v = out["u"].values, ref["u"].values
+        assert np.linalg.norm(u - v) <= 1e-8 * np.linalg.norm(v)
+
+
+def test_descend_reports_gradient_of_returned_map(unit_sphere3,
+                                                  recipe_eps02):
+    _, capped = recipe_eps02
+    converged = gl_descend(unit_sphere3, capped["u"], 0.1)
+    assert not capped["converged"] and converged["converged"]
+    for out, eps in ((capped, 0.2), (converged, 0.1)):
+        g = gl_gradient(unit_sphere3, out["u"], eps)
+        assert out["gradient_norm"] == pytest.approx(
+            gl.gl_norm(unit_sphere3, g), rel=1e-12)
+
+
+def test_descend_rejects_non_finite_start(sphere3, identity3):
+    u0 = identity3.values.copy()
+    u0[5, 1] = np.nan
+    with pytest.raises(FamilyError, match="non-finite"):
+        gl_descend(sphere3, u0, 0.1)
 
 
 def test_mollify_properties(sphere3, identity3):
