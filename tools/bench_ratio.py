@@ -72,9 +72,8 @@ def paired(parents, changes, better):
     for name in sorted(names):
         p = [doc["metrics"][name]["value"] for doc in parents]
         c = [doc["metrics"][name]["value"] for doc in changes]
-        sign = -1.0 if better.get(
-            name, better.get(name.partition(".")[2], "lower")) == "higher" \
-            else 1.0
+        direction = better.get(name) or better.get(name.partition(".")[2])
+        sign = -1.0 if direction == "higher" else 1.0
         q25, med, q75 = statistics.quantiles(p, n=4, method="inclusive")
         c_med = statistics.median(c)
         won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
