@@ -4,6 +4,8 @@ Everything here operates on plain float64 arrays; callers own shape
 validation.
 """
 
+import functools
+
 import numpy as np
 
 HAVE_NUMBA = False  # read by the environment block of specxbench/run.py
@@ -15,7 +17,15 @@ def _row_dot(x, y):
     One matrix-vector product with a ones vector: on (642, 3) arrays it
     costs a third of np.sum(x * y, axis=1).
     """
-    return (x * y) @ np.ones(x.shape[1])
+    return (x * y) @ _ones(x.shape[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(d):
+    """A read-only ones vector of length d, made once per width."""
+    ones = np.ones(d)
+    ones.flags.writeable = False
+    return ones
 
 
 def tri_geometry(corners):

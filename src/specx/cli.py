@@ -245,7 +245,9 @@ def cmd_eigs(cfg):
 
 def cmd_maximize(cfg):
     mesh = _build_mesh(cfg)
-    rep = spectra.maximize_lambda1_conformal(mesh, seed=cfg.seed)
+    density = _load_density(cfg, mesh)
+    rep = spectra.maximize_lambda1_conformal(
+        mesh, seed=cfg.seed, f0=None if density is None else density.f)
     _write_json(cfg, "maximize.json", rep.to_json_dict())
     _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "lambda_bar_1",
                          repr(float(rep.lambda_bar))])
@@ -261,8 +263,8 @@ def cmd_glminmax(cfg):
     results = []
     warm = None  # track the critical branch across the eps schedule
     for eps in cfg.eps_list:
-        spec = glminmax.make_family_spec(unit, base, eps=eps,
-                                         seed=cfg.seed, n_dirs=cfg.grid)
+        spec = glminmax.FamilySpec(unit, base, eps=eps, seed=cfg.seed,
+                                   n_dirs=cfg.grid)
         rep = glminmax.extract_critical(spec, glminmax.minmax_upper(spec),
                                         tol=1e-6, max_iters=2000, start=warm)
         crit = rep.critical

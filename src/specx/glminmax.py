@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels, mobius, spectra
 from ._kernels import _row_dot
 from ._ballopt import BALL_EDGE, ball_grid, clip_to_ball, maximize_over_ball
-from .harmonic import SphereMap, normalize_rows, tension_residual
+from .harmonic import SphereMap, _values, normalize_rows, tension_residual
 from .mesh import MeshMeasure, TriMesh, volume_measure
 
 
@@ -54,12 +54,6 @@ class VectorMap:
     @property
     def ambient_dim(self):
         return self.values.shape[1]
-
-
-def _values(u):
-    if isinstance(u, (VectorMap, SphereMap)):
-        return u.values
-    return np.asarray(u, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +238,8 @@ class FamilySpec:
 
     mesh: TriMesh
     base_map: SphereMap
-    mollify_time: float
-    eps: float
+    mollify_time: float = 1e-4
+    eps: float = 0.1
     family: str = "first"  # "first" (G_a . phi) | "second" (G_a . T_b . phi)
     grid: np.ndarray | None = None
     seed: int = 0
@@ -312,31 +306,27 @@ class FamilySpec:
         return family_second(self, a, b)
 
 
-def make_family_spec(mesh, base_map, mollify_time=1e-4, eps=0.1,
-                     family="first", **kwargs):
-    return FamilySpec(mesh=mesh, base_map=base_map,
-                      mollify_time=mollify_time, eps=eps, family=family,
-                      **kwargs)
-
-
 def family_first(spec: FamilySpec, a):
     """Mollified G_a . phi; for |a| = 1 the constant map a, exactly."""
-    a = np.asarray(a, dtype=float)
-    if np.linalg.norm(a) >= BALL_EDGE:
-        const = a / np.linalg.norm(a)
-        return VectorMap(np.tile(const, (spec.mesh.num_vertices, 1)))
-    vals = mobius.mobius_apply(a, spec.base_map.values)
-    return mollify(spec.mesh, vals, spec.mollify_time, _factor=spec._factor)
+    return _mollified_member(spec, a, None)
 
 
 def family_second(spec: FamilySpec, a, b):
     """Mollified G_a . T_b . phi with the boundary identities exact."""
+    return _mollified_member(spec, a, b)
+
+
+def _mollified_member(spec, a, b):
+    """The tail both families share: the constant map a / |a| once
+    |a| >= BALL_EDGE, else G_a . T_b . phi (G_a . phi for b None)
+    mollified with the spec's heat factor."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     if np.linalg.norm(a) >= BALL_EDGE:
         const = a / np.linalg.norm(a)
         return VectorMap(np.tile(const, (spec.mesh.num_vertices, 1)))
-    vals = mobius.upsilon(a, b, spec.base_map.values)
+    phi = spec.base_map.values
+    vals = (mobius.mobius_apply(a, phi) if b is None
+            else mobius.upsilon(a, b, phi))
     return mollify(spec.mesh, vals, spec.mollify_time, _factor=spec._factor)
 
 
@@ -573,8 +563,8 @@ def eigen_lower_from_family(spec: FamilySpec, mu=None):
     if l2mu <= 0.0:
         raise FamilyError("balanced member vanishes in L2(mu)")
     ratio = dirichlet2 / l2mu
-    mm_ = MeshMeasure("volume", w)
-    lam1 = float(spectra.measure_eigs(spec.mesh, mm_, k=1).values[1])
+    lam1 = float(spectra.measure_eigs(spec.mesh, MeshMeasure(w),
+                                      k=1).values[1])
     if lam1 > ratio * (1.0 + 1e-6) + 1e-6:
         raise FamilyError(
             f"eigenvalue bound violated: lambda_1={lam1} > R={ratio}")

@@ -166,9 +166,9 @@ def energy(mesh, phi):
 
 
 def _values(phi):
-    if isinstance(phi, (SphereMap,)):
-        return phi.values
-    return np.asarray(phi, dtype=float)
+    """The (V, d) array of a map object (anything with `.values`, as
+    SphereMap and glminmax.VectorMap) or of an array."""
+    return np.asarray(getattr(phi, "values", phi), dtype=float)
 
 
 def energy_shares(mesh, phi):
@@ -197,7 +197,7 @@ def energy_density(mesh, phi):
 
 def energy_measure(mesh, phi):
     """Energy density as a vertex-lumped measure with mass == energy."""
-    return MeshMeasure("volume", np.maximum(energy_shares(mesh, phi), 0.0))
+    return MeshMeasure(np.maximum(energy_shares(mesh, phi), 0.0))
 
 
 def tension_residual(mesh, phi):

@@ -297,38 +297,17 @@ class ConformalDensity:
 class MeshMeasure:
     """Vertex-lumped Radon measure (volume-type or boundary-curve-type)."""
 
-    kind: str  # "volume" | "curve"
     weights: np.ndarray
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.kind not in ("volume", "curve"):
-            raise MeshError(f"unknown measure kind {self.kind!r}")
 
     @property
     def mass(self):
         return float(self.weights.sum())
 
     def scaled(self, c):
-        return MeshMeasure(self.kind, self.weights * c)
-
-
-@dataclass
-class SymmetricForm:
-    """Sparse symmetric quadratic form on vertex functions."""
-
-    matrix: sp.spmatrix
-
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
-
-    @property
-    def diagonal(self):
-        return self.matrix.diagonal()
-
-    def __call__(self, u):
-        return float(u @ (self.matrix @ u))
+        return MeshMeasure(self.weights * c)
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +394,8 @@ def build_torus_mesh(modulus, resolution):
 # spec operations
 # ---------------------------------------------------------------------------
 
-def stiffness_matrix(mesh):
-    """Cotangent Dirichlet form; depends only on the conformal class."""
-    return SymmetricForm(mesh.stiffness)
-
-
-def mass_matrix(mesh, density=None):
-    """Lumped (diagonal) mass matrix for the metric density*g0."""
-    f = _density_values(mesh, density)
-    w = f * mesh.vertex_areas
-    if w.sum() <= 0.0:
-        raise MeshError("mass matrix has zero total mass")
-    return SymmetricForm(sp.diags(w).tocsr())
-
-
 def area(mesh, density=None):
-    """Total area of the metric density*g0 (equals mass-matrix trace)."""
+    """Total area of the metric density*g0 (the mass of `volume_measure`)."""
     f = _density_values(mesh, density)
     return float(np.sum(f * mesh.vertex_areas))
 
@@ -463,13 +428,13 @@ def curve_measure(mesh, loop_ids=None):
     # edge by edge, both ends in turn: the order of a sequential sum
     w = np.zeros(mesh.num_vertices)
     np.add.at(w, np.stack([i, j], axis=1).ravel(), np.repeat(half, 2))
-    return MeshMeasure("curve", w)
+    return MeshMeasure(w)
 
 
 def volume_measure(mesh, density=None):
     """Vertex-lumped area measure of density*g0."""
     f = _density_values(mesh, density)
-    return MeshMeasure("volume", f * mesh.vertex_areas)
+    return MeshMeasure(f * mesh.vertex_areas)
 
 
 def geodesic_distances(mesh, sources):

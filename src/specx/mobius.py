@@ -10,8 +10,6 @@ Euclidean sphere inversion through stereographic projection with pole at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -22,30 +20,12 @@ from .harmonic import SphereMap, energy
 BOUNDARY_SNAP = 1.0 - 1e-12
 
 
-@dataclass
-class MobiusParam:
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        if np.linalg.norm(self.a) > 1.0 + 1e-12:
-            raise ValueError("Mobius parameter must lie in the closed ball")
-
-
-@dataclass
-class CapParam:
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        if np.linalg.norm(self.b) > 1.0 + 1e-12:
-            raise ValueError("cap parameter must lie in the closed ball")
-
-
-def _param(p, cls):
-    if isinstance(p, cls):
-        return p
-    return cls(p)
+def _in_ball(p, what):
+    """p as a float array; ValueError unless it lies in the closed ball."""
+    p = np.asarray(p, dtype=float)
+    if np.linalg.norm(p) > 1.0 + 1e-12:
+        raise ValueError(f"{what} parameter must lie in the closed ball")
+    return p
 
 
 def mobius_apply(a, x):
@@ -53,7 +33,7 @@ def mobius_apply(a, x):
 
     For |a| = 1 the family degenerates to the constant map a.
     """
-    a = _param(a, MobiusParam).a
+    a = _in_ball(a, "Mobius")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -67,7 +47,7 @@ def mobius_apply(a, x):
 
 def cap_reflection(b, x):
     """Apply T_b: identity on the cap, conformal reflection outside."""
-    b = _param(b, CapParam).b
+    b = _in_ball(b, "cap")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -86,7 +66,7 @@ def cap_reflection(b, x):
 
 def cap_reflection_raw(b, x):
     """The reflection branch alone (an involution away from the pole)."""
-    b = _param(b, CapParam).b
+    b = _in_ball(b, "cap")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)

@@ -4,8 +4,10 @@ import os
 
 import numpy as np
 
+from specx import glminmax
 from specx.cli import RunConfig, _build_parser, main
-from specx.mesh import build_sphere_mesh, save_mesh
+from specx.mesh import build_sphere_mesh, load_mesh, puncture, save_mesh
+from specx.spectra import steklov_eigs
 
 
 def run(args, out):
@@ -40,6 +42,18 @@ def test_eigs_from_file(tmp_path, sphere3):
     save_mesh(sphere3, mesh_path)
     assert run(["eigs", "--surface", "file", "--mesh-file", str(mesh_path),
                 "-k", "3"], tmp_path) == 0
+
+
+def test_eigs_on_open_mesh_is_steklov(tmp_path):
+    mesh_path = tmp_path / "holed.off"
+    sphere = build_sphere_mesh(2)
+    save_mesh(puncture(sphere, [0], 0.3), mesh_path)
+    assert run(["eigs", "--surface", "file", "--mesh-file", str(mesh_path),
+                "-k", "2"], tmp_path) == 0
+    payload = load_json(tmp_path, "eigs.json")["payload"]
+    assert payload["kind"] == "steklov"
+    want = steklov_eigs(load_mesh(mesh_path), k=2)
+    assert payload["values"] == [float(v) for v in want.values]
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -124,6 +138,21 @@ def test_eigs_with_density_file(tmp_path):
     assert abs(doc["payload"]["values"][1] - 1.0) < 0.02  # 2 / density
 
 
+def test_maximize_starts_from_density_file(tmp_path):
+    args = ["maximize", "--surface", "torus", "--res", "12"]
+    assert run(args, tmp_path / "plain") == 0
+    plain = load_json(tmp_path / "plain", "maximize.json")["payload"]
+    n = len(plain["density"])
+    flat, bumped = tmp_path / "flat.txt", tmp_path / "bumped.txt"
+    np.savetxt(flat, np.ones(n))
+    np.savetxt(bumped, 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(n) / 12))
+    assert run(args + ["--density", str(flat)], tmp_path / "flat") == 0
+    assert load_json(tmp_path / "flat", "maximize.json")["payload"] == plain
+    assert run(args + ["--density", str(bumped)], tmp_path / "bumped") == 0
+    bumped_doc = load_json(tmp_path / "bumped", "maximize.json")["payload"]
+    assert bumped_doc["density"] != plain["density"]
+
+
 def test_maximize_and_index(tmp_path):
     assert run(["maximize", "--surface", "torus", "--res", "16"],
                tmp_path) == 0
@@ -160,6 +189,24 @@ def test_glminmax_flags_unconverged_descent(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert "eps=0.2" in lines[0] and "not converged" in lines[0]
+
+
+def test_glminmax_sandwich_failure(tmp_path, monkeypatch, capsys):
+    # the sandwich holds on every mesh here, so a failing check stands in;
+    # the report up to the failing eps is still written
+    real = glminmax.sandwich_holds
+
+    def fails_below_02(spec, lam1, sup_energy):
+        ok, lhs, rhs = real(spec, lam1, sup_energy)
+        return ok and spec.eps >= 0.2, lhs, rhs
+
+    monkeypatch.setattr(glminmax, "sandwich_holds", fails_below_02)
+    assert run(["glminmax", "--surface", "sphere", "--subdiv", "1",
+                "--eps", "0.2,0.1,0.05"], tmp_path) == 1
+    assert "eigenvalue sandwich violated" in capsys.readouterr().err
+    docs = load_json(tmp_path, "glminmax.json")["payload"]
+    assert [d["eps"] for d in docs] == [0.2, 0.1]
+    assert [d["sandwich"]["holds"] for d in docs] == [True, False]
 
 
 def test_steklov_command(tmp_path):

@@ -16,9 +16,8 @@ from specx.glminmax import (FamilyError, FamilySpec, VectorMap,
                             eigen_lower_from_family, embedded_member,
                             extract_critical, family_first, family_second,
                             gl_descend, gl_energy, gl_gradient, gl_inner,
-                            gl_second_variation, make_family_spec,
-                            minmax_upper, mollify, sandwich_holds,
-                            sweep_to_csv)
+                            gl_second_variation, minmax_upper, mollify,
+                            sandwich_holds, sweep_to_csv)
 from specx.mesh import (MeshMeasure, area, build_sphere_mesh,
                         build_torus_mesh, curve_measure, puncture,
                         volume_measure)
@@ -31,8 +30,7 @@ def unit_sphere3(sphere3):
 
 @pytest.fixture(scope="module")
 def sphere_spec(unit_sphere3, identity3):
-    return make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                            eps=0.1)
+    return FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=0.1)
 
 
 def test_gl_energy_cases(sphere3, identity3):
@@ -210,7 +208,7 @@ def test_line_quartic_matches_energy_difference():
 @pytest.fixture(scope="module")
 def recipe_eps02(unit_sphere3, identity3):
     """The glminmax recipe's first stage: eps = 0.2 from the argmax."""
-    spec = make_family_spec(unit_sphere3, identity3, eps=0.2)
+    spec = FamilySpec(unit_sphere3, identity3, eps=0.2)
     start = spec.member(minmax_upper(spec).argmax)
     return start, gl_descend(unit_sphere3, start, 0.2)
 
@@ -323,7 +321,7 @@ def test_descend_lockstep_with_two_product_oracle(unit_sphere3, identity3,
                                                   dim):
     # dim 4 is the base of `glminmax --n 3`
     base = hm.embed_map(identity3, dim)
-    spec = make_family_spec(unit_sphere3, base, eps=0.2)
+    spec = FamilySpec(unit_sphere3, base, eps=0.2)
     start = spec.member(minmax_upper(spec).argmax)
     outs = _recipe_descents(gl_descend, unit_sphere3, start)
     refs = _recipe_descents(_two_product_descend, unit_sphere3, start)
@@ -375,8 +373,7 @@ def test_mollify_properties(sphere3, identity3):
 
 def test_family_first_members(sphere_spec, unit_sphere3, identity3):
     a0 = family_first(sphere_spec, np.zeros(3))
-    tiny = make_family_spec(unit_sphere3, identity3, mollify_time=1e-9,
-                            eps=0.1)
+    tiny = FamilySpec(unit_sphere3, identity3, mollify_time=1e-9, eps=0.1)
     near_base = family_first(tiny, np.zeros(3))
     assert np.abs(near_base.values - identity3.values).max() < 1e-6
     boundary = family_first(sphere_spec, np.array([0.0, 1.0, 0.0]))
@@ -393,14 +390,13 @@ def test_family_grid_validation(unit_sphere3, identity3):
         FamilySpec(mesh=unit_sphere3, base_map=identity3, mollify_time=1e-4,
                    eps=0.1, grid=np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(FamilyError):
-        make_family_spec(unit_sphere3, identity3, mollify_time=0.0, eps=0.1)
+        FamilySpec(unit_sphere3, identity3, mollify_time=0.0, eps=0.1)
 
 
 def test_family_second_members(unit_sphere3, identity3):
-    spec2 = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                             eps=0.1, family="second")
-    spec1 = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                             eps=0.1)
+    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
+                       eps=0.1, family="second")
+    spec1 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=0.1)
     rng = np.random.default_rng(6)
     a = np.array([0.3, 0.1, 0.0])
     assert np.allclose(family_second(spec2, a, np.zeros(3)).values,
@@ -429,9 +425,9 @@ def test_minmax_upper_sphere(sphere_spec):
 
 
 def test_minmax_single_point_grid(unit_sphere3, identity3):
-    spec = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                            eps=0.1, grid=np.zeros((1, 3)),
-                            refine_rounds=0)
+    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
+                      eps=0.1, grid=np.zeros((1, 3)),
+                      refine_rounds=0)
     rep = minmax_upper(spec)
     member = family_first(spec, np.zeros(3))
     assert rep.sup_energy == pytest.approx(
@@ -464,8 +460,7 @@ def test_balanced_point_symmetric(sphere_spec):
 def test_balanced_point_shifted(unit_sphere3, identity3):
     shifted = hm.SphereMap(hm.normalize_rows(
         mb.mobius_apply(np.array([0.5, 0.0, 0.0]), identity3.values)))
-    spec = make_family_spec(unit_sphere3, shifted, mollify_time=1e-4,
-                            eps=0.1)
+    spec = FamilySpec(unit_sphere3, shifted, mollify_time=1e-4, eps=0.1)
     a_star, res = balanced_point(spec)
     assert res < 1e-6 * area(unit_sphere3)
     # the balancing parameter undoes the shift along the same axis
@@ -474,8 +469,8 @@ def test_balanced_point_shifted(unit_sphere3, identity3):
 
 
 def test_balanced_point_wrong_family(unit_sphere3, identity3):
-    spec2 = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                             eps=0.1, family="second")
+    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
+                       eps=0.1, family="second")
     with pytest.raises(FamilyError):
         balanced_point(spec2)
 
@@ -483,10 +478,10 @@ def test_balanced_point_wrong_family(unit_sphere3, identity3):
 def test_balanced_point_second_sphere(unit_sphere3, identity3):
     w = volume_measure(unit_sphere3).weights
     w = w / w.sum()
-    mu = MeshMeasure("volume", w)
+    mu = MeshMeasure(w)
     phi1 = sx.measure_eigs(unit_sphere3, mu, k=1).vectors[:, 1]
-    spec2 = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                             eps=0.1, family="second")
+    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
+                       eps=0.1, family="second")
     (a_star, b_star), res = balanced_point_second(spec2, phi1, mu=mu)
     assert res < 1e-6
     # b lands on the symmetry axis of the chosen first eigenfunction
@@ -499,14 +494,14 @@ def test_balanced_point_second_sphere(unit_sphere3, identity3):
     assert align > 0.999
     # homogeneity: scaling the measure leaves the root unchanged
     (a2, b2), _ = balanced_point_second(spec2, phi1,
-                                        mu=MeshMeasure("volume", 3.0 * w))
+                                        mu=MeshMeasure(3.0 * w))
     assert np.abs(a_star - a2).max() < 1e-6
     assert np.abs(b_star - b2).max() < 1e-6
 
 
 def test_balanced_point_second_dim_error(unit_sphere3, identity3):
-    spec2 = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                             eps=0.1, family="second")
+    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
+                       eps=0.1, family="second")
     with pytest.raises(FamilyError):
         balanced_point_second(spec2, np.ones(7))
 
@@ -518,11 +513,11 @@ def test_balanced_point_point_mass_has_no_root(sphere_spec, unit_sphere3,
     # return a non-root
     w = np.zeros(unit_sphere3.num_vertices)
     w[0] = 1.0
-    mu = MeshMeasure("volume", w)
+    mu = MeshMeasure(w)
     with pytest.raises(FamilyError, match="^balanced point not found"):
         balanced_point(sphere_spec, mu=mu)
-    spec2 = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                             eps=0.1, family="second")
+    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
+                       eps=0.1, family="second")
     phi1 = unit_sphere3.vertices[:, 2]
     with pytest.raises(FamilyError, match="^second balanced point not found"):
         balanced_point_second(spec2, phi1, mu=mu)
@@ -530,7 +525,7 @@ def test_balanced_point_point_mass_has_no_root(sphere_spec, unit_sphere3,
 
 def test_eigen_lower_sphere_equality(sphere_spec, unit_sphere3):
     w = volume_measure(unit_sphere3).weights
-    mu = MeshMeasure("volume", w / w.sum())
+    mu = MeshMeasure(w / w.sum())
     ratio = eigen_lower_from_family(sphere_spec, mu=mu)
     target = 8 * np.pi
     assert abs(ratio - target) < 0.02 * target
@@ -539,9 +534,9 @@ def test_eigen_lower_sphere_equality(sphere_spec, unit_sphere3):
 def test_eigen_lower_torus_inequality():
     torus = build_torus_mesh(1j, 24)
     base = hm.torus_clifford_map(torus)
-    spec = make_family_spec(torus, base, mollify_time=1e-4, eps=0.1)
+    spec = FamilySpec(torus, base, mollify_time=1e-4, eps=0.1)
     w = volume_measure(torus).weights
-    mu = MeshMeasure("volume", w / w.sum())
+    mu = MeshMeasure(w / w.sum())
     ratio = eigen_lower_from_family(spec, mu=mu)
     lam1 = sx.measure_eigs(torus, mu, k=1).values[1]
     assert lam1 <= ratio * (1 + 1e-9)
@@ -555,9 +550,8 @@ def test_eigen_lower_steklov_measure(unit_sphere3, identity3):
     w = np.zeros(unit_sphere3.num_vertices)
     cm = curve_measure(sub)
     w[sub.orig_vertex_ids] = cm.weights
-    mu = MeshMeasure("curve", w / w.sum())
-    spec = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                            eps=0.1)
+    mu = MeshMeasure(w / w.sum())
+    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=0.1)
     ratio = eigen_lower_from_family(spec, mu=mu)
     st = sx.steklov_eigs(sub, k=1)
     # sigma_bar = sigma_1 * Length equals the eigenvalue of the unit-mass
@@ -574,13 +568,13 @@ def test_eigen_lower_steklov_measure(unit_sphere3, identity3):
 def test_eigen_lower_needs_unit_mass(sphere_spec):
     w = volume_measure(sphere_spec.mesh).weights
     with pytest.raises(FamilyError):
-        eigen_lower_from_family(sphere_spec, mu=MeshMeasure("volume", 2 * w))
+        eigen_lower_from_family(sphere_spec, mu=MeshMeasure(2 * w))
 
 
 def test_extract_critical_sphere(sphere3, identity3):
     # on the area-4pi sphere eps=0.1 is deep in the rigid regime, so the
     # descended critical point stays near the identity level
-    spec = make_family_spec(sphere3, identity3, mollify_time=1e-4, eps=0.1)
+    spec = FamilySpec(sphere3, identity3, mollify_time=1e-4, eps=0.1)
     rep = extract_critical(spec, tol=1e-5)
     crit = rep.critical
     assert crit["E_eps"] <= rep.sup_energy + 1e-12
@@ -591,8 +585,7 @@ def test_extract_critical_sphere(sphere3, identity3):
 def test_extract_critical_eps_monotone(unit_sphere3, identity3):
     es = []
     for eps in (0.2, 0.1, 0.05):
-        spec = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                                eps=eps)
+        spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=eps)
         rep = extract_critical(spec, tol=1e-5)
         es.append(rep.critical["E_eps"])
     for a, b in zip(es, es[1:]):
@@ -602,8 +595,7 @@ def test_extract_critical_eps_monotone(unit_sphere3, identity3):
 def test_sandwich_consistency(unit_sphere3, identity3):
     lam1 = sx.laplace_eigs(unit_sphere3, k=1).values[1]
     for eps in (0.2, 0.1, 0.05):
-        spec = make_family_spec(unit_sphere3, identity3, mollify_time=1e-4,
-                                eps=eps)
+        spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=eps)
         ok, lhs, rhs = sandwich_holds(spec, lam1)
         assert ok
 
@@ -632,11 +624,11 @@ def test_specx_import_leaves_scipy_optimize_unloaded():
             "from specx.mesh import build_sphere_mesh, volume_measure\n"
             "mesh = build_sphere_mesh(2)\n"
             "phi = hm.identity_sphere_map(mesh)\n"
-            "gl.balanced_point(gl.make_family_spec(mesh, phi))\n"
+            "gl.balanced_point(gl.FamilySpec(mesh, phi))\n"
             "phi1 = sx.measure_eigs(mesh, volume_measure(mesh), k=1)"
             ".vectors[:, 1]\n"
             "gl.balanced_point_second(\n"
-            "    gl.make_family_spec(mesh, phi, family='second'), phi1)\n"
+            "    gl.FamilySpec(mesh, phi, family='second'), phi1)\n"
             "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

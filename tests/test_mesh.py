@@ -9,8 +9,8 @@ from specx import mesh as meshmod
 from specx.mesh import (ConformalDensity, MeshError, NonManifoldError,
                         OrientationError, TriMesh, area, build_sphere_mesh,
                         build_torus_mesh, curve_measure, geodesic_distances,
-                        hole_centers, load_mesh, mass_matrix, puncture, save_mesh,
-                        stiffness_matrix)
+                        hole_centers, load_mesh, puncture, save_mesh,
+                        volume_measure)
 
 from conftest import build_annulus_mesh, build_disk_mesh
 
@@ -151,6 +151,20 @@ def test_torus_sidecar_roundtrip(tmp_path):
     assert np.allclose(back.corners, torus.corners, atol=0)
 
 
+def test_bad_torus_sidecar(tmp_path):
+    path = tmp_path / "t.off"
+    save_mesh(build_torus_mesh(1j, 8), path)
+    sidecar = tmp_path / "t.off.chart"
+    good = sidecar.read_text()
+    for text in ("tau_re=0.0\ntau_im=1.0\n", good.replace("res=8", "res=x")):
+        sidecar.write_text(text)
+        with pytest.raises(MeshError, match="^bad chart sidecar"):
+            load_mesh(path)
+    sidecar.write_text(good.replace("res=8", "res=9"))
+    with pytest.raises(MeshError, match="does not match its chart sidecar"):
+        load_mesh(path)
+
+
 def _punctured_torus():
     torus = build_torus_mesh(1j, 16)
     return puncture(torus, [0], 2.1 * torus.mean_edge_length)
@@ -210,7 +224,7 @@ def test_torus_argument_errors():
 def test_stiffness_right_isoceles_triangle():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     mesh = TriMesh(verts, np.array([[0, 1, 2]]))
-    K = stiffness_matrix(mesh).matrix.toarray()
+    K = mesh.stiffness.toarray()
     # legs get half-cot(45deg) = 1/2, hypotenuse half-cot(90deg) = 0
     assert np.isclose(K[0, 1], -0.5)
     assert np.isclose(K[0, 2], -0.5)
@@ -223,10 +237,10 @@ def test_stiffness_kernel_and_scaling(sphere3, torus32):
         K = mesh.stiffness
         ones = np.ones(mesh.num_vertices)
         assert np.abs(K @ ones).max() < 1e-12
-    K1 = stiffness_matrix(sphere3).matrix
-    K2 = stiffness_matrix(sphere3.scaled(2.0)).matrix
+    K1 = sphere3.stiffness
+    K2 = sphere3.scaled(2.0).stiffness
     assert (K1 != K2).nnz == 0  # bit-identical under power-of-two scaling
-    K3 = stiffness_matrix(sphere3.scaled(3.0)).matrix
+    K3 = sphere3.scaled(3.0).stiffness
     assert np.allclose(K1.toarray(), K3.toarray(), rtol=1e-12, atol=1e-14)
 
 
@@ -270,10 +284,10 @@ def test_degenerate_triangle_rejected():
         _ = mesh.face_geometry
 
 
-def test_mass_matrix_trace_is_area(torus32):
-    assert np.isclose(mass_matrix(torus32).matrix.diagonal().sum(), 1.0)
+def test_volume_measure_mass_is_area(torus32):
+    assert np.isclose(volume_measure(torus32).weights.sum(), 1.0)
     f = ConformalDensity(np.full(torus32.num_vertices, 3.0))
-    assert np.isclose(mass_matrix(torus32, f).matrix.diagonal().sum(), 3.0)
+    assert np.isclose(volume_measure(torus32, f).weights.sum(), 3.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -282,7 +296,7 @@ def test_mass_area_consistency_random_density(seed):
     mesh = build_torus_mesh(1j, 8)
     rng = np.random.default_rng(seed)
     f = rng.uniform(0.0, 2.0, mesh.num_vertices)
-    assert mass_matrix(mesh, f).matrix.diagonal().sum() == area(mesh, f)
+    assert volume_measure(mesh, f).weights.sum() == area(mesh, f)
 
 
 def test_mass_single_star():

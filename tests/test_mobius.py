@@ -203,7 +203,9 @@ def test_li_yau_chain(sphere3, torus32, identity3):
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        mb.MobiusParam(np.array([1.2, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        mb.CapParam(np.array([0.0, 1.2, 0.0]))
+    x = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="Mobius parameter must lie"):
+        mb.mobius_apply(np.array([1.2, 0.0, 0.0]), x)
+    for reflect in (mb.cap_reflection, mb.cap_reflection_raw):
+        with pytest.raises(ValueError, match="cap parameter must lie"):
+            reflect(np.array([0.0, 1.2, 0.0]), x)

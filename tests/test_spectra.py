@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -68,11 +70,29 @@ def test_measure_energy_density_eigenvalue_two(sphere4):
 def test_measure_point_mass(torus32):
     w = np.zeros(torus32.num_vertices)
     w[7] = 1.0
-    mu = MeshMeasure("volume", w)
+    mu = MeshMeasure(w)
     spec = measure_eigs(torus32, mu, k=0)
     assert abs(spec.values[0]) < 1e-10
     with pytest.raises(RankError):
         measure_eigs(torus32, mu, k=1)
+
+
+def test_zero_form_is_rank_error(torus32):
+    with pytest.raises(RankError, match="identically zero"):
+        solve_pencil(torus32, np.zeros(torus32.num_vertices), 1)
+
+
+def test_split_support_warns(torus32):
+    # two disjoint patches around vertices 0 and 16 * 32 + 16
+    dist = meshmod.geodesic_distances(torus32, [0, 528])
+    b = (dist.min(axis=0) < 0.1).astype(float)
+    with pytest.warns(UserWarning, match="splits into 2 components"):
+        solve_pencil(torus32, b, 1)
+    # Steklov pencils of several boundary loops expect the split
+    holed = puncture(torus32, [0, 528], 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steklov_eigs(holed, k=1)
 
 
 def test_measure_scaling_invariance(torus32):

@@ -35,15 +35,23 @@ def make(**kwargs):
     return Box(**kwargs)
 '''
 
+BENCH = '''\
+from specx.mod import Box, scale
+
+
+def run():
+    scale(1, 3)
+    box = Box(2)
+    box.label = "boxed"
+'''
+
 CALLER = '''\
-from specx.mod import Box, make, scale
+from specx.mod import make, scale
 
 
 def test_calls():
-    scale(1, 3)
     make(size=1, color="blue")
-    box = Box(2)
-    box.label = "boxed"
+    scale(2, clip=1.0)
 '''
 
 
@@ -57,20 +65,23 @@ def src_size():
 
 def test_code_lines_and_unset_defaults(tmp_path, src_size, capsys):
     (tmp_path / "src" / "specx").mkdir(parents=True)
+    (tmp_path / "specxbench").mkdir()
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "specx" / "mod.py").write_text(MODULE)
+    (tmp_path / "specxbench" / "bench_mod.py").write_text(BENCH)
     (tmp_path / "tests" / "test_mod.py").write_text(CALLER)
-    # factor is set by position, color through make's **kwargs, label by
-    # an attribute assignment; docstrings and the comment are not code
+    # the benchmark sets factor by position and label by an attribute
+    # assignment; only the tests set color, through make's **kwargs, and
+    # clip; docstrings and the comment are not code
     want = textwrap.dedent("""\
         mod.py: 11 code lines
-          Box.color = 'red'
+          Box.color = 'red'  tests-only
           Box.label = ''
           scale.factor = RATE
           scale.offset = 0.0  unset
-          scale.clip = None  unset
-        total: 11 code lines, 5 defaulted parameters and fields, 2 unset
-        """)
+          scale.clip = None  tests-only
+        """) + ("total: 11 code lines, 5 defaulted parameters and fields, "
+                "1 unset, 2 tests-only\n")
     assert src_size.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == want
 

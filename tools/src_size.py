@@ -8,7 +8,9 @@ script sits in) it prints the code lines, which leave out blank lines,
 comment lines and docstrings, and then each parameter with a default value
 and each dataclass field with a default, as `function.param = default` or
 `Class.field = default`. An entry is marked `unset` when no call in `src/`,
-`tests/` or `specxbench/` sets it. A last line gives the totals.
+`tests/` or `specxbench/` sets it, and `tests-only` when calls in `tests/`
+set it but none in `src/` or `specxbench/` does. A last line gives the
+totals.
 
 Matching is by name, without resolving imports or types: a call sets a
 parameter when the called name (`f(...)` or `obj.f(...)`; `Class(...)` for
@@ -22,6 +24,7 @@ only.
 """
 
 import ast
+import collections
 import os
 import sys
 import tokenize
@@ -195,11 +198,12 @@ def report(root):
     """Lines of the report for the repository at root."""
     pkg = os.path.join(root, "src", "specx")
     modules = sorted(f for f in os.listdir(pkg) if f.endswith(".py"))
-    callers = []
-    for sub in ("src", "tests", "specxbench"):
+    callers = {}
+    for sub in ("src", "specxbench", "tests"):
+        callers[sub] = []
         for path in _python_files(root, sub):
             with open(path) as fh:
-                callers.append(ast.parse(fh.read()))
+                callers[sub].append(ast.parse(fh.read()))
     per_module, all_defs, forwards = {}, [], {}
     for name in modules:
         with open(os.path.join(pkg, name)) as fh:
@@ -208,24 +212,34 @@ def report(root):
         all_defs += defs
         for key, targets in fwd.items():
             forwards.setdefault(key, set()).update(targets)
-    set_by, assigned = settings(callers, all_defs, forwards)
+    own = callers["src"] + callers["specxbench"]
+    by_all = settings(own + callers["tests"], all_defs, forwards)
+    by_own = settings(own, all_defs, forwards)
     lines = []
-    total_code = total_defaults = total_unset = 0
+    total_code = total_defaults = 0
+    marks = collections.Counter()
     for name in modules:
         code = code_lines(os.path.join(pkg, name))
         total_code += code
         lines.append(f"{name}: {code} code lines")
         for d in per_module[name]:
             for param, default in d.defaults:
-                unset = param not in set_by.get(d.name, ()) and not (
-                    d.is_dataclass and param in assigned)
                 total_defaults += 1
-                total_unset += unset
-                mark = "  unset" if unset else ""
-                lines.append(f"  {d.label}.{param} = {default}{mark}")
+                mark = ("" if _is_set(d, param, *by_own)
+                        else "tests-only" if _is_set(d, param, *by_all)
+                        else "unset")
+                marks[mark] += 1
+                lines.append(f"  {d.label}.{param} = {default}"
+                             + (f"  {mark}" if mark else ""))
     lines.append(f"total: {total_code} code lines, {total_defaults} "
-                 f"defaulted parameters and fields, {total_unset} unset")
+                 f"defaulted parameters and fields, {marks['unset']} unset, "
+                 f"{marks['tests-only']} tests-only")
     return lines
+
+
+def _is_set(d, param, set_by, assigned):
+    return param in set_by.get(d.name, ()) or (
+        d.is_dataclass and param in assigned)
 
 
 def main(argv=None):
