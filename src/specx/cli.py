@@ -221,6 +221,14 @@ def _append_ledger(cfg, row):
     return path
 
 
+def _flag_unconverged(what, rep):
+    """One stderr line for a maximiser report that did not converge."""
+    if not rep.converged:
+        print(f"specx: {what}: ascent not converged after {rep.iterations} "
+              f"iterations (stationarity gap {rep.stationarity_gap:.3e})",
+              file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -248,6 +256,7 @@ def cmd_maximize(cfg):
     density = _load_density(cfg, mesh)
     rep = spectra.maximize_lambda1_conformal(
         mesh, seed=cfg.seed, f0=None if density is None else density.f)
+    _flag_unconverged("maximize", rep)
     _write_json(cfg, "maximize.json", rep.to_json_dict())
     _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "lambda_bar_1",
                          repr(float(rep.lambda_bar))])
@@ -318,7 +327,7 @@ def cmd_steklov(cfg):
                                 meshmod.hole_radius(mesh, holes, 0.5))
     spec = spectra.steklov_eigs(mesh, k=cfg.count, seed=cfg.seed)
     payload = spec.to_json_dict()
-    payload["boundary_length"] = meshmod.curve_measure(mesh).mass
+    payload["boundary_length"] = spec.mass  # the boundary measure's mass
     _write_json(cfg, "steklov.json", payload)
     _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "sigma_bar_1",
                          repr(float(spec.values[1] * spec.mass))])
@@ -346,8 +355,9 @@ def cmd_index(cfg):
 def cmd_sweep(cfg):
     counts = cfg.holes_list  # argparse admits only the steklov-holes recipe
     mesh = _build_mesh(cfg)
-    lam_ref = spectra.maximize_lambda1_conformal(mesh,
-                                                 seed=cfg.seed).lambda_bar
+    ref = spectra.maximize_lambda1_conformal(mesh, seed=cfg.seed)
+    _flag_unconverged("sweep lambda_bar_ref", ref)
+    lam_ref = ref.lambda_bar
     rows = spectra.steklov_hole_sweep(mesh, counts, seed=cfg.seed)
     for holes, sigma_bar, _, _ in rows:
         _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed,

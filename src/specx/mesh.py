@@ -118,7 +118,7 @@ class TriMesh:
                 f"directed edge ({src[p]},{dst[p]}) appears twice: "
                 f"inconsistent face orientation")
         # a boundary half-edge (i, j) has no twin (j, i), so its edge key
-        # stands alone; the boundary successor map sends j to i
+        # stands alone
         lone = np.ones(len(order), dtype=bool)
         lone[1:] &= ~pair
         lone[:-1] &= ~pair
@@ -128,13 +128,20 @@ class TriMesh:
             q = np.setdiff1d(np.arange(len(bnd)), fan_first)[0]
             raise NonManifoldError(
                 f"vertex {dst[bnd[q]]} has multiple boundary fans")
+        into = np.full(len(self.vertices), -1, dtype=np.int64)
+        into[dst[bnd]] = bnd
         self._cache["edges"] = {
             "num_edges": len(order) - int(pair.sum()),
-            "boundary_next": dict(zip(dst[bnd].tolist(), src[bnd].tolist()))}
+            # the boundary half-edge ending at each vertex, -1 off the boundary
+            "boundary_in": into}
         return self._cache["edges"]
 
     def _trace_boundary(self):
-        nxt = self._edge_tables()["boundary_next"]
+        into = self._edge_tables()["boundary_in"]
+        ends = np.flatnonzero(into >= 0)
+        starts = self.triangles.ravel()[into[ends]]
+        # the boundary successor map sends j to i along each half-edge (i, j)
+        nxt = dict(zip(ends.tolist(), starts.tolist()))
         seen = set()
         loops = []
         for start in sorted(nxt):
@@ -412,7 +419,8 @@ def curve_measure(mesh, loop_ids=None):
     """Length measure of selected boundary loops.
 
     Vertex weights are half-sums of incident boundary edge lengths; total
-    mass equals the length of the selected loops.
+    mass equals the length of the selected loops. Each length comes from
+    the face chart of the edge's one half-edge, as in `edge_lengths`.
     """
     if loop_ids is None:
         loop_ids = list(range(len(mesh.boundary_loops)))
@@ -424,7 +432,10 @@ def curve_measure(mesh, loop_ids=None):
     loops = [mesh.boundary_loops[lid] for lid in loop_ids]
     i = np.concatenate(loops)
     j = np.concatenate([np.roll(loop, -1) for loop in loops])
-    half = 0.5 * np.asarray(mesh.edge_lengths[i, j]).ravel()
+    # edge (i, j) is the boundary half-edge j -> i, the one ending at i
+    t, k = np.divmod(mesh._edge_tables()["boundary_in"][i], 3)
+    co = mesh.corners
+    half = 0.5 * np.linalg.norm(co[t, (k + 1) % 3] - co[t, k], axis=1)
     # edge by edge, both ends in turn: the order of a sequential sum
     w = np.zeros(mesh.num_vertices)
     np.add.at(w, np.stack([i, j], axis=1).ravel(), np.repeat(half, 2))
@@ -473,20 +484,22 @@ def puncture(mesh, centers, radius):
             if dist[p, centers[q]] <= radii[p] + radii[q]:
                 raise MeshError(
                     f"puncture disks at {centers[p]} and {centers[q]} overlap")
-    tri = mesh.triangles
-    removed = np.zeros(len(tri), dtype=bool)
-    for p in range(len(centers)):
-        inside = dist[p] <= radii[p]
-        rm = np.all(inside[tri], axis=1)
-        star = np.any(tri == centers[p], axis=1)
-        if not np.all(rm[star]):
-            raise MeshError(
-                f"radius {radii[p]} below mesh resolution at vertex "
-                f"{centers[p]}")
-        removed |= rm
-    keep = ~removed
-    new_tri_old = tri[keep]
-    used = np.unique(new_tri_old)
+    # the overlap check makes the disks disjoint: label each vertex with
+    # the disk that holds it, and remove the faces inside one disk
+    inside = dist <= radii[:, None]
+    label = np.where(inside.any(axis=0), np.argmax(inside, axis=0), -1)
+    lab = label[mesh.triangles]
+    keep = (lab[:, 0] < 0) | (lab.min(axis=1) != lab.max(axis=1))
+    new_tri_old = mesh.triangles[keep]
+    kept = np.zeros(mesh.num_vertices, dtype=bool)
+    kept[new_tri_old] = True
+    low = np.flatnonzero(kept[centers])  # a centre left on a kept face
+    if len(low):
+        p = low[0]
+        raise MeshError(
+            f"radius {radii[p]} below mesh resolution at vertex "
+            f"{centers[p]}")
+    used = np.flatnonzero(kept)
     remap = -np.ones(mesh.num_vertices, dtype=np.int64)
     remap[used] = np.arange(len(used))
     sub = TriMesh(mesh.vertices[used], remap[new_tri_old],
@@ -494,6 +507,9 @@ def puncture(mesh, centers, radius):
                   corners=mesh.corners[keep],
                   orig_vertex_ids=mesh.orig_vertex_ids[used],
                   chart_meta=mesh.chart_meta)
+    if "geometry" in mesh._cache:  # tri_geometry works face by face
+        sub._cache["geometry"] = tuple(g[keep]
+                                       for g in mesh._cache["geometry"])
     expected = len(mesh.boundary_loops) + len(centers)
     if len(sub.boundary_loops) != expected:
         raise MeshError(

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 
-from specx import glminmax
+from specx import glminmax, spectra
 from specx.cli import RunConfig, _build_parser, main
 from specx.mesh import build_sphere_mesh, load_mesh, puncture, save_mesh
 from specx.spectra import steklov_eigs
@@ -240,6 +241,39 @@ def test_sweep_command(tmp_path):
     assert len(rows) == 4
     doc = load_json(tmp_path, "sweep.json")
     assert len(doc["payload"]["rows"]) == 3
+
+
+def test_unconverged_ascent_is_flagged(tmp_path, monkeypatch, capsys):
+    # both ascents converge here, so an unconverged report stands in; the
+    # files and exit codes stay as they were, bar the report's own flag
+    runs = {"maximize": ["maximize", "--surface", "torus", "--res", "12"],
+            "sweep lambda_bar_ref": ["sweep", "steklov-holes", "--surface",
+                                     "torus", "--res", "16", "--holes",
+                                     "1..2"]}
+    for name, args in runs.items():
+        assert run(args, tmp_path / "real" / args[0]) == 0
+    assert capsys.readouterr().err == ""
+    real = spectra.maximize_lambda1_conformal
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(spectra, "maximize_lambda1_conformal", unconverged)
+    for name, args in runs.items():
+        assert run(args, tmp_path / "flagged" / args[0]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"specx: {name}: ascent not converged")
+    docs = [load_json(tmp_path / out / "maximize", "maximize.json")["payload"]
+            for out in ("real", "flagged")]
+    assert [doc.pop("converged") for doc in docs] == [True, False]
+    assert docs[0] == docs[1]
+    for name in ("sweep.json", "steklov_holes.csv", "results.csv"):
+        texts = [(tmp_path / out / "sweep" / name).read_text()
+                 for out in ("real", "flagged")]
+        if name.endswith(".json"):
+            texts = [json.loads(t)["payload"] for t in texts]
+        assert texts[0] == texts[1]
 
 
 def test_hole_counts_below_one_are_usage_errors(tmp_path, capsys):

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
-from specx import mesh as meshmod
-from specx.mesh import (ConformalDensity, MeshError, NonManifoldError,
-                        OrientationError, TriMesh, area, build_sphere_mesh,
-                        build_torus_mesh, curve_measure, geodesic_distances,
-                        hole_centers, load_mesh, puncture, save_mesh,
+from specx import _kernels, mesh as meshmod
+from specx.mesh import (ConformalDensity, DegenerateTriangleError,
+                        MeshError, NonManifoldError, OrientationError,
+                        TriMesh, area, build_sphere_mesh, build_torus_mesh,
+                        curve_measure, geodesic_distances, hole_centers,
+                        hole_radius, load_mesh, puncture, save_mesh,
                         volume_measure)
 
 from conftest import build_annulus_mesh, build_disk_mesh
@@ -356,6 +357,35 @@ def test_puncture_errors(sphere3):
         puncture(sphere3, [0], 1e-4)  # below mesh resolution
 
 
+def test_puncture_names_the_first_centre_below_resolution(torus32):
+    centers, radii = [0, 520, 300], [0.1, 1e-3, 1e-3]
+    for order in ([0, 1, 2], [0, 2, 1], [2, 1, 0]):
+        c = [centers[p] for p in order]
+        r = [radii[p] for p in order]
+        first = next(p for p in range(3) if r[p] < 0.1)
+        with pytest.raises(MeshError) as err:
+            puncture(torus32, c, r)
+        assert str(err.value) == (f"radius {r[first]} below mesh resolution "
+                                  f"at vertex {c[first]}")
+
+
+def test_puncture_overlap_message(sphere3):
+    with pytest.raises(MeshError) as err:
+        puncture(sphere3, [0, 1], 0.6)
+    assert str(err.value) == "puncture disks at 0 and 1 overlap"
+
+
+def test_puncture_loop_count_guard(disk):
+    # a hole that reaches the rim merges with the outer loop: the subdomain
+    # passes the edge checks, with one loop where two were expected
+    rim = int(np.argmin(np.linalg.norm(disk.vertices - [15 / 16, 0, 0],
+                                       axis=1)))
+    with pytest.raises(MeshError) as err:
+        puncture(disk, [rim], 0.15)
+    assert str(err.value) == ("puncture produced 1 boundary loops, expected "
+                              "2; holes may merge (radius too large)")
+
+
 def test_puncture_euler_drop_torus(torus32):
     sub = puncture(torus32, [0, 520], 0.08)
     v, e, f = sub.num_vertices, sub.num_edges, len(sub.triangles)
@@ -549,6 +579,68 @@ def test_open_meshes_match_loop_reference(disk):
         assert np.array_equal(curve_measure(mesh).weights,
                               _loop_curve_weights(
                                   mesh, range(len(mesh.boundary_loops))))
+
+
+def _matrix_curve_weights(mesh, loop_ids):
+    """The earlier `curve_measure`, kept as an oracle: it reads the
+    boundary edge lengths from the whole `edge_lengths` matrix."""
+    loops = [mesh.boundary_loops[lid] for lid in loop_ids]
+    i = np.concatenate(loops)
+    j = np.concatenate([np.roll(loop, -1) for loop in loops])
+    half = 0.5 * np.asarray(mesh.edge_lengths[i, j]).ravel()
+    # edge by edge, both ends in turn: the order of a sequential sum
+    w = np.zeros(mesh.num_vertices)
+    np.add.at(w, np.stack([i, j], axis=1).ravel(), np.repeat(half, 2))
+    return w
+
+
+def _punctured(mesh, holes):
+    _ = mesh.face_geometry  # cached, so that puncture seeds the subdomain
+    return puncture(mesh, hole_centers(mesh, holes, 0),
+                    hole_radius(mesh, holes, 0.5))
+
+
+_PUNCTURED = [(tau, holes) for tau in (1j, 2j) for holes in (1, 5, 9)]
+
+
+@pytest.mark.parametrize("tau, holes", _PUNCTURED)
+def test_punctured_torus_geometry_and_lengths_are_bit_identical(tau, holes):
+    mesh = _punctured(build_torus_mesh(tau, 48), holes)
+    assert "geometry" in mesh._cache
+    for seeded, own in zip(mesh.face_geometry,
+                           _kernels.tri_geometry(mesh.corners)):
+        assert seeded.dtype == own.dtype and np.array_equal(seeded, own)
+    every = list(range(holes))
+    for ids in (every, every[::2] + every[:1]):
+        assert np.array_equal(curve_measure(mesh, ids).weights,
+                              _matrix_curve_weights(mesh, ids))
+
+
+def test_punctured_sphere_and_open_meshes_are_bit_identical(sphere3, disk):
+    holed = _punctured(sphere3, 2)
+    assert "geometry" in holed._cache
+    for seeded, own in zip(holed.face_geometry,
+                           _kernels.tri_geometry(holed.corners)):
+        assert np.array_equal(seeded, own)
+    for mesh in (holed, disk, build_annulus_mesh()):
+        ids = range(len(mesh.boundary_loops))
+        assert np.array_equal(curve_measure(mesh).weights,
+                              _matrix_curve_weights(mesh, ids))
+
+
+def test_puncture_removes_a_degenerate_face_of_an_unmeasured_parent():
+    torus = build_torus_mesh(1j, 12)
+    corners = torus.corners.copy()
+    face = int(np.flatnonzero(np.any(torus.triangles == 0, axis=1))[0])
+    corners[face, 2] = 0.5 * (corners[face, 0] + corners[face, 1])
+    parent = TriMesh(torus.vertices, torus.triangles, genus_hint=1,
+                     corners=corners, chart_meta=torus.chart_meta)
+    sub = puncture(parent, [0], 2.5 / 12)
+    assert len(sub.boundary_loops) == 1
+    assert "geometry" not in parent._cache
+    with pytest.raises(DegenerateTriangleError):
+        _ = parent.face_geometry
+    assert np.all(sub.face_geometry[1] > 0.0)
 
 
 def _outcome(fn):
