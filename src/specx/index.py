@@ -8,8 +8,12 @@ the spectral threshold sits at eigenvalue 1 (the induced-metric eigenvalue
 pointwise-orthogonal sections through an explicit per-vertex orthonormal
 tangent frame, which makes it the exact Hessian of the constrained
 discrete energy at a discrete critical point. It is assembled as one
-sparse matrix and its negative directions are counted on the pencil with
-the lumped section mass, through the shift-invert solver of `spectra`.
+sparse matrix.
+
+Every count is the inertia of one sparse factorisation
+(`spectra.count_below`): the eigenvalues of a pencil (A, M) below t are
+the negative pivots of A - t M. The margins of the reports then come from
+one shift-invert solve of just the lowest count + 1 pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ NORMALIZATION = "density |dPhi|^2, threshold 1"
 
 RESIDUAL_WARN = 1e-2
 
-MAX_PAIRS = 48  # eigenpair budget of the growing index solves
+CLUSTER_TOL = 1e-3  # half-width of the threshold cluster at eigenvalue 1
 
 MARGIN_FACTOR = 0.05  # energy-index margin, in units of the mean density
 
@@ -63,53 +67,59 @@ def _warn_if_not_harmonic(mesh, phi):
     return agg
 
 
-def _lowest_until(solve, bound, rank):
-    """Ascending lowest eigenvalues from solve(k), which returns k+1 of
-    them; k starts at 12 and doubles until the top value exceeds bound or
-    the rank is used up."""
-    k = min(12, rank - 1)
-    while True:
-        vals = solve(k)
-        if vals[-1] > bound or k == rank - 1:
-            return vals
-        k = min(2 * k, rank - 1)
-        if k > MAX_PAIRS:
-            raise spectra.SolverError(
-                "threshold eigenvalue not reached within MAX_PAIRS")
+def _density(mesh, phi):
+    """The lumped |dPhi|^2 mass b of the spectral problem."""
+    b = 2.0 * energy_shares(mesh, phi)
+    if b.sum() <= 0.0:
+        raise MeshError("zero-energy map has no induced spectral problem")
+    return np.maximum(b, 0.0)
 
 
-def spectral_index(mesh, phi: SphereMap, cluster_tol=1e-3):
-    """(ind_S, nul_S): position and multiplicity of the threshold eigenvalue.
+def spectral_index(mesh, phi: SphereMap, cluster_tol=CLUSTER_TOL):
+    """(ind_S, nul_S, margins): position and multiplicity of the threshold
+    eigenvalue.
 
     Counts generalized eigenvalues of (K, B) with B the |dPhi|^2 lumped
     mass: ind_S is the number strictly below 1 (outside the threshold
     cluster), nul_S the multiplicity at 1 within cluster_tol.
     """
     _warn_if_not_harmonic(mesh, phi)
-    return _spectral_index(mesh, phi, cluster_tol)
+    return _spectral_index(mesh, _density(mesh, phi), cluster_tol)
 
 
-def _spectral_index(mesh, phi, cluster_tol):
-    b = 2.0 * energy_shares(mesh, phi)
-    if b.sum() <= 0.0:
-        raise MeshError("zero-energy map has no induced spectral problem")
-    b = np.maximum(b, 0.0)
-    vals = _lowest_until(
-        lambda k: spectra.solve_pencil(mesh, b, k,
-                                       cluster_tol=cluster_tol).values,
-        1.0 + 10 * cluster_tol, int(np.sum(b > 0)))
-    in_cluster = np.abs(vals - 1.0) <= cluster_tol
-    ind_s = int(np.sum(vals < 1.0 - cluster_tol))
-    nul_s = int(np.sum(in_cluster))
-    below = vals[vals < 1.0 - cluster_tol]
-    above = vals[vals > 1.0 + cluster_tol]
+def _spectral_index(mesh, b, cluster_tol):
+    """(ind_S, nul_S, margins) of the pencil (K, diag(b)), b >= 0.
+
+    ind_S is the inertia count of K - (1 - cluster_tol) B, and nul_S that
+    of K - (1 + cluster_tol) B less ind_S (`spectra.count_below`). Where b
+    vanishes on a vertex set Z, B is only semidefinite. Haynsworth's
+    inertia additivity over the Schur complement onto s = supp(b) then
+    gives inertia(K - t B) = inertia(K_ZZ) + inertia(S - t B_ss), with
+    S = K_ss - K_sZ K_ZZ^-1 K_Zs, and the pencil (S, B_ss) has exactly the
+    finite eigenvalues of (K, B). K_ZZ is positive definite when every
+    component of Z touches supp(b): a vector x on Z with x^T K x = 0 lies
+    in ker K, so it is constant on each component of the mesh, and each
+    mesh component that meets Z then meets supp(b), where x is zero. So
+    the negative pivots count exactly the finite eigenvalues below t; on
+    a connected mesh that holds for any b != 0.
+
+    The margins come from one solve of the lowest ind_S + nul_S + 1
+    pairs, or of all of them if the rank is smaller: the half-width of the
+    threshold cluster, the gap below it and the gap above it.
+    """
+    K = mesh.stiffness
+    ind_s = spectra.count_below(K, b, 1.0 - cluster_tol)
+    nul_s = spectra.count_below(K, b, 1.0 + cluster_tol) - ind_s
+    kk = min(ind_s + nul_s + 1, int(np.sum(b > 0)))
+    vals = spectra.solve_pencil(mesh, b, kk - 1).values
+    below, cluster, above = np.split(vals, [ind_s, ind_s + nul_s])
     margins = []
-    if len(vals[in_cluster]):
-        margins.append(float(np.abs(vals[in_cluster] - 1.0).max()))
+    if len(cluster):
+        margins.append(float(np.abs(cluster - 1.0).max()))
     if len(below):
-        margins.append(float(1.0 - below.max()))
+        margins.append(float(1.0 - below[-1]))
     if len(above):
-        margins.append(float(above.min() - 1.0))
+        margins.append(float(above[0] - 1.0))
     return ind_s, nul_s, margins
 
 
@@ -172,7 +182,7 @@ def energy_hessian(mesh, phi: SphereMap, frames=None):
 
 def energy_index(mesh, phi: SphereMap, frames=None):
     """Morse index of the energy at phi: negative directions of the second
-    variation over pointwise-orthogonal sections.
+    variation over pointwise-orthogonal sections, and margins.
 
     The sparse form Q is diagonalized against the lumped L2 product on
     sections, M = diag(vertex areas, repeated per frame vector), so
@@ -180,21 +190,24 @@ def energy_index(mesh, phi: SphereMap, frames=None):
     Schroedinger-type operator sit at O(1) (e.g. -2 for extra coordinates
     of an embedded map) while the discretely broken Moebius null modes sit
     at -O(h^2). The margin is MARGIN_FACTOR times the area-mean e of the
-    energy density (the operator's potential scale); eigenvalues below
-    -margin are counted and the distances of the nearest kept/discarded
-    eigenvalues to the threshold are reported.
+    energy density (the operator's potential scale); the eigenvalues below
+    -margin are counted, as the negative pivots of Q + margin M
+    (`spectra.count_below`), and the distances of the nearest kept and
+    discarded eigenvalues to the threshold are reported.
 
     The stiffness part of Q is positive semidefinite, so Q >= -diag(b) and
-    no eigenvalue lies below -max(b_i / m_i). The pencil (Q, M) is solved
-    by shift-invert Lanczos with the shift sigma = -max(b_i / m_i) - e
-    below that bound, so the lowest eigenvalues come first; more pairs are
-    taken until the top one clears -margin.
+    no eigenvalue lies below -max(b_i / m_i). The margins come from one
+    shift-invert Lanczos solve of the lowest ind_E + 1 pairs of (Q, M),
+    with the shift sigma = -max(b_i / m_i) - e below that bound.
     """
     _warn_if_not_harmonic(mesh, phi)
     return _energy_index(mesh, phi, frames)
 
 
-def _energy_index(mesh, phi, frames):
+def _energy_count(mesh, phi, frames):
+    """ind_E, and what the margins solve needs: Q, the section mass M's
+    diagonal, the margin and a shift below the spectrum of (Q, M), as
+    `energy_index` describes them."""
     Q, b = _second_variation(mesh, phi, frames)
     va = mesh.vertex_areas
     e_scale = float(b.sum()) / float(va.sum())
@@ -203,17 +216,18 @@ def _energy_index(mesh, phi, frames):
     margin = MARGIN_FACTOR * e_scale
     msec = np.repeat(va, phi.ambient_dim - 1)
     sigma = -float(np.max(b / va)) - e_scale
-    evals = _lowest_until(
-        lambda k: spectra._shift_invert(Q, msec, sigma, k + 1)[0],
-        -margin, len(msec))
-    ind_e = int(np.sum(evals < -margin))
-    kept = evals[evals < -margin]
-    rest = evals[evals >= -margin]
+    return spectra.count_below(Q, msec, -margin), Q, msec, margin, sigma
+
+
+def _energy_index(mesh, phi, frames):
+    ind_e, Q, msec, margin, sigma = _energy_count(mesh, phi, frames)
+    kk = min(ind_e + 1, len(msec))
+    evals = spectra._shift_invert(Q, msec, sigma, kk)[0]
     margins = []
-    if len(kept):
-        margins.append(float(-margin - kept.max()))
-    if len(rest):
-        margins.append(float(rest.min() + margin))
+    if ind_e:
+        margins.append(float(-margin - evals[ind_e - 1]))
+    if kk > ind_e:
+        margins.append(float(evals[ind_e] + margin))
     return ind_e, margins
 
 
@@ -221,7 +235,8 @@ def index_report(mesh, phi: SphereMap) -> IndexReport:
     """Both indices of phi and its tension residual, which is computed
     (and warned about) once."""
     residual = _warn_if_not_harmonic(mesh, phi)
-    ind_s, nul_s, margins_s = _spectral_index(mesh, phi, 1e-3)
+    ind_s, nul_s, margins_s = _spectral_index(mesh, _density(mesh, phi),
+                                              CLUSTER_TOL)
     ind_e, margins_e = _energy_index(mesh, phi, None)
     return IndexReport(ind_S=ind_s, nul_S=nul_s, ind_E=ind_e,
                        margins=margins_s + margins_e,
@@ -233,19 +248,17 @@ def check_composition_law(mesh, phi: SphereMap, m):
     the totally geodesic embedding into the m-sphere, computed
     independently.
 
-    The base indices (ind_E, ind_S) of phi do not depend on m; they are
-    solved once per mesh and map values and memoised on the mesh, so checking several m repeats only the embedded solve.
+    Each index is one inertia count (`spectra.count_below`), so no
+    eigenpair is solved for; the tension residual is warned about once.
     """
     n = phi.ambient_dim - 1
     if m < n:
         raise MeshError("embedding target dimension below the map's")
-    embedded = embed_map(phi, m + 1)
-    lhs, _ = energy_index(mesh, embedded)
-    memo = mesh._cache.setdefault("composition_base", {})
-    key = (phi.values.tobytes(), phi.values.shape)
-    if key not in memo:
-        memo[key] = (energy_index(mesh, phi)[0], spectral_index(mesh, phi)[0])
-    ind_e, ind_s = memo[key]
+    _warn_if_not_harmonic(mesh, phi)
+    lhs = _energy_count(mesh, embed_map(phi, m + 1), None)[0]
+    ind_e = _energy_count(mesh, phi, None)[0]
+    ind_s = spectra.count_below(mesh.stiffness, _density(mesh, phi),
+                                1.0 - CLUSTER_TOL)
     rhs = ind_e + (m - n) * ind_s
     return {"lhs": int(lhs), "rhs": int(rhs), "equal": lhs == rhs,
             "ind_E": int(ind_e), "ind_S": int(ind_s)}

@@ -11,11 +11,14 @@ a short block Krylov solve. Rank-deficient B (boundary measures, point
 masses, conical zeros) needs no special case: the eigenvectors come back
 discrete-harmonic off supp(B), as from the Schur complement onto supp(B).
 
-Every sparse matrix factored here is symmetric positive definite: K - sigma
-B with sigma below the spectrum, and the lumped heat step diag(A) + t K.
-So all factorisations go through `_spd_factor`, which orders on the
-pattern of A + A^T and pivots on the diagonal; on these meshes that about
-halves the LU fill of SuperLU's unsymmetric defaults.
+Every sparse matrix factored for a solve here is symmetric positive
+definite: K - sigma B with sigma below the spectrum, and the lumped heat
+step diag(A) + t K. So all factorisations go through `_spd_factor`, which
+orders on the pattern of A + A^T and pivots on the diagonal; on these
+meshes that about halves the LU fill of SuperLU's unsymmetric defaults.
+The same factorisation of an indefinite A - t M gives, by Sylvester's law
+of inertia, the number of eigenvalues below t (`count_below`), which is
+how `index` counts.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ CLUSTER_MARGIN = 3  # Lanczos pairs beyond k+1, so a cluster is not cut
 WARM_RTOL = 1e-12  # x-space residual a warm pair must meet, relative to mu_max
 
 WARM_BLOCKS = 8  # block solves a warm start may take before the ARPACK path
+
+INERTIA_RTOL = 1e-10  # relative backward error an inertia count's solve may
+# have; the index forms measure 2e-16 to 1e-14
 
 
 @dataclass
@@ -144,17 +150,52 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
 
 
 def _spd_factor(A):
-    """Sparse LU of a symmetric positive definite A, in SuperLU's symmetric
-    mode: a minimum-degree ordering of the pattern of A + A^T, applied to
-    rows and columns alike, and pivots taken on the diagonal.
+    """Sparse LU of a symmetric A, in SuperLU's symmetric mode: a
+    minimum-degree ordering of the pattern of A + A^T, applied to rows and
+    columns alike, and pivots taken on the diagonal.
 
-    The caller must pass an SPD matrix. Its diagonal pivots are then all
-    positive and the factorisation is stable without row interchanges;
-    nothing here checks this, since reading the factors back would cost
-    memory on every call.
+    For an SPD A the diagonal pivots are all positive and the factorisation
+    is stable without row interchanges; the solvers pass only such
+    matrices, and nothing here checks this, since reading the factors back
+    would cost memory on every call. `count_below` also factors indefinite
+    forms, for their inertia, and checks the factorisation itself.
     """
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
+
+
+def _shifted(A, m, t):
+    """A - t diag(m), as a new CSC matrix."""
+    out = A.tocsc(copy=True)
+    out.setdiag(A.diagonal() - t * m)
+    return out
+
+
+def count_below(A, m, t):
+    """Number of negative pivots of A - t diag(m), for a sparse symmetric A
+    and m >= 0.
+
+    Where m > 0 this is, by Sylvester's law of inertia, the number of
+    eigenvalues of A v = lambda diag(m) v below t; for an m that vanishes
+    somewhere see `index._spectral_index`. One `_spd_factor`: without a
+    row interchange it is P (A - t M) P^T = L U with L unit lower
+    triangular and U = D L^T, so the signs of diag(U) are those of an
+    LDL^T. Nothing bounds pivot growth in an indefinite factorisation, so
+    two guards raise SolverError, there being no other count to fall back
+    on: SuperLU must have kept the rows in the columns' order
+    (perm_r == perm_c), and one solve must have a relative backward error
+    of at most INERTIA_RTOL.
+    """
+    shifted = _shifted(A, m, t)
+    lu = _spd_factor(shifted)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError("row interchange in an inertia factorisation")
+    x = lu.solve(np.ones(A.shape[0]))  # backward error for rhs = 1
+    scale = spla.norm(shifted, np.inf) * np.abs(x).max() + 1.0
+    if np.abs(1.0 - shifted @ x).max() > INERTIA_RTOL * scale:
+        raise SolverError("pivot growth in an inertia factorisation")
+    # lu.U is a copy as large as the fill: read its diagonal and drop it
+    return int(np.sum(lu.U.diagonal() < 0.0))
 
 
 def _shift_invert(A, m, sigma, kk, seed=0, start=None):
@@ -181,9 +222,7 @@ def _shift_invert(A, m, sigma, kk, seed=0, start=None):
     the warm block solve gave them.
     """
     n = A.shape[0]
-    shifted = A.tocsc(copy=True)
-    shifted.setdiag(A.diagonal() - sigma * m)
-    lu = _spd_factor(shifted)
+    lu = _spd_factor(_shifted(A, m, sigma))
     s_idx = np.flatnonzero(m > 0.0)
     rank = len(s_idx)
     root = np.sqrt(m[s_idx])

@@ -541,6 +541,26 @@ def test_spd_factor_pivots_give_inertia(torus32):
                                    sigma))
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert int(np.sum(lu.U.diagonal() < 0.0)) == below
+    assert spectra.count_below(torus32.stiffness, torus32.vertex_areas,
+                               sigma) == below
+
+
+def test_count_below_guards():
+    # a zero diagonal makes SuperLU swap rows (perm_r = [0, 1] against
+    # perm_c = [1, 0]), after which the pivots say nothing of the inertia
+    swap = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(SolverError, match="row interchange"):
+        spectra.count_below(swap, np.ones(2), 0.0)
+    # tiny diagonal pivots are taken without interchange, and the second
+    # pivot grows to -1e20: the solve's backward error is 0.5
+    tiny = sp.csc_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
+    assert np.array_equal(_spd_factor(tiny).perm_r, _spd_factor(tiny).perm_c)
+    with pytest.raises(SolverError, match="pivot growth"):
+        spectra.count_below(tiny, np.ones(2), 0.0)
+    # a benign indefinite form passes both guards
+    sign = sp.diags([2.0, -3.0, 5.0]).tocsc()
+    assert spectra.count_below(sign, np.ones(3), 0.0) == 1
+    assert spectra.count_below(sign, np.ones(3), 3.0) == 2
 
 
 def _residuals_loop(K, b, vals, vecs):

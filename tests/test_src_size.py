@@ -80,10 +80,76 @@ def test_code_lines_and_unset_defaults(tmp_path, src_size, capsys):
           scale.factor = RATE
           scale.offset = 0.0  unset
           scale.clip = None  tests-only
+          def make  tests-only
         """) + ("total: 11 code lines, 5 defaulted parameters and fields, "
-                "1 unset, 2 tests-only\n")
+                "1 unset, 2 tests-only; 1 functions and classes tests-only, "
+                "0 unreached\n")
     assert src_size.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == want
+
+
+REACH = '''\
+import sys
+
+
+class Helper:
+    def run(self):
+        return leaf()
+
+
+def leaf():
+    return 1
+
+
+def entry():
+    return Helper().run()
+
+
+def chained():
+    return inner()
+
+
+def inner():
+    return 2
+
+
+def lonely():
+    return 3
+
+
+COMMANDS = {"entry": entry}
+
+if __name__ == "__main__":
+    sys.exit(main())
+'''
+
+REACH_TEST = '''\
+from specx import reach
+
+
+def test_chain():
+    assert reach.chained() == 2
+    assert reach.leaf() == 1
+'''
+
+
+def test_functions_only_tests_reach(tmp_path, src_size):
+    (tmp_path / "src" / "specx").mkdir(parents=True)
+    (tmp_path / "specxbench").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "specx" / "reach.py").write_text(REACH)
+    (tmp_path / "tests" / "test_reach.py").write_text(REACH_TEST)
+    # the command table reaches entry, and through it Helper and, from a
+    # method, leaf, which tests also call; chained and, through it, inner
+    # only from tests; lonely from nowhere
+    lines = src_size.report(str(tmp_path))
+    assert lines == [
+        "reach.py: 17 code lines",
+        "  def chained  tests-only",
+        "  def inner  tests-only",
+        "  def lonely  unreached",
+        "total: 17 code lines, 0 defaulted parameters and fields, 0 unset, "
+        "0 tests-only; 2 functions and classes tests-only, 1 unreached"]
 
 
 def test_usage(src_size, capsys):

@@ -9,8 +9,10 @@ comment lines and docstrings, and then each parameter with a default value
 and each dataclass field with a default, as `function.param = default` or
 `Class.field = default`. An entry is marked `unset` when no call in `src/`,
 `tests/` or `specxbench/` sets it, and `tests-only` when calls in `tests/`
-set it but none in `src/` or `specxbench/` does. A last line gives the
-totals.
+set it but none in `src/` or `specxbench/` does. Then each module-level
+function or class that no code outside `tests/` reaches is listed, as
+`def name` or `class name`, marked `tests-only` when `tests/` reaches it
+and `unreached` otherwise. A last line gives the totals.
 
 Matching is by name, without resolving imports or types: a call sets a
 parameter when the called name (`f(...)` or `obj.f(...)`; `Class(...)` for
@@ -19,8 +21,14 @@ call passes the parameter by keyword or by position. A keyword that a
 function takes through `**kwargs` and forwards with `g(..., **kwargs)`
 also counts for g. A dataclass field is also set by an assignment
 `obj.field = ...` to an object other than `self`. Functions or fields of
-one name in several modules therefore share their callers. Standard library
-only.
+one name in several modules therefore share their callers.
+
+Reach is matched by name too: a definition is reached when a reached
+piece of code names it (`name` or `obj.name`, imports aside), and what a
+reached definition names is reached in turn. Outside `tests/` the code
+reached first is all of `specxbench/` and the module-level statements of
+`src/`, which hold the command tables and the `__main__` entry; in
+`tests/` it is all of `tests/`. Standard library only.
 """
 
 import ast
@@ -186,6 +194,41 @@ def settings(trees, defs, forwards):
     return set_by, assigned
 
 
+def _names(node):
+    """Names that the code under node refers to, as `name` or `obj.name`."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def top_level(tree):
+    """{name: names its body refers to} for the module-level functions and
+    classes of a module, and the names its other statements refer to."""
+    defs, rest = {}, set()
+    for node in tree.body:
+        if isinstance(node, FUNCS + (ast.ClassDef,)):
+            defs[node.name] = _names(node)
+        else:
+            rest |= _names(node)
+    return defs, rest
+
+
+def reached(roots, refs):
+    """Names reachable from roots through refs, {name: names it refers
+    to}; names that refs lacks end a path."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in refs and name not in seen:
+            seen.add(name)
+            todo.extend(refs[name])
+    return seen
+
+
 def _python_files(root, sub):
     for base, dirs, files in os.walk(os.path.join(root, sub)):
         dirs.sort()
@@ -205,19 +248,29 @@ def report(root):
             with open(path) as fh:
                 callers[sub].append(ast.parse(fh.read()))
     per_module, all_defs, forwards = {}, [], {}
+    trees, refs, roots = {}, {}, set()
     for name in modules:
         with open(os.path.join(pkg, name)) as fh:
-            defs, fwd = definitions(ast.parse(fh.read()))
+            trees[name] = ast.parse(fh.read())
+        defs, fwd = definitions(trees[name])
         per_module[name] = defs
         all_defs += defs
         for key, targets in fwd.items():
             forwards.setdefault(key, set()).update(targets)
+        tops, rest = top_level(trees[name])
+        for key, names in tops.items():
+            refs.setdefault(key, set()).update(names)
+        roots |= rest
+    for tree in callers["specxbench"]:
+        roots |= _names(tree)
+    reach_own = reached(roots, refs)
+    reach_tests = reached(set().union(*map(_names, callers["tests"])), refs)
     own = callers["src"] + callers["specxbench"]
     by_all = settings(own + callers["tests"], all_defs, forwards)
     by_own = settings(own, all_defs, forwards)
     lines = []
     total_code = total_defaults = 0
-    marks = collections.Counter()
+    marks, reach = collections.Counter(), collections.Counter()
     for name in modules:
         code = code_lines(os.path.join(pkg, name))
         total_code += code
@@ -231,9 +284,19 @@ def report(root):
                 marks[mark] += 1
                 lines.append(f"  {d.label}.{param} = {default}"
                              + (f"  {mark}" if mark else ""))
+        for node in trees[name].body:
+            if (isinstance(node, FUNCS + (ast.ClassDef,))
+                    and node.name not in reach_own):
+                mark = ("tests-only" if node.name in reach_tests
+                        else "unreached")
+                kind = "class" if isinstance(node, ast.ClassDef) else "def"
+                reach[mark] += 1
+                lines.append(f"  {kind} {node.name}  {mark}")
     lines.append(f"total: {total_code} code lines, {total_defaults} "
                  f"defaulted parameters and fields, {marks['unset']} unset, "
-                 f"{marks['tests-only']} tests-only")
+                 f"{marks['tests-only']} tests-only; "
+                 f"{reach['tests-only']} functions and classes tests-only, "
+                 f"{reach['unreached']} unreached")
     return lines
 
 
