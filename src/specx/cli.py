@@ -179,9 +179,11 @@ def _load_density(cfg, mesh):
         vals = np.loadtxt(cfg.density)
     except ValueError as exc:
         raise UsageError(f"bad density file {cfg.density}: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"bad density file {cfg.density}: non-finite value")
     if vals.shape != (mesh.num_vertices,):
         raise UsageError("density file length does not match the mesh")
-    return meshmod.ConformalDensity(vals).validate(mesh)
+    return meshmod.validate_density(mesh, vals)
 
 
 def _base_map(cfg, mesh):
@@ -254,8 +256,7 @@ def cmd_eigs(cfg):
 def cmd_maximize(cfg):
     mesh = _build_mesh(cfg)
     density = _load_density(cfg, mesh)
-    rep = spectra.maximize_lambda1_conformal(
-        mesh, seed=cfg.seed, f0=None if density is None else density.f)
+    rep = spectra.maximize_lambda1_conformal(mesh, seed=cfg.seed, f0=density)
     _flag_unconverged("maximize", rep)
     _write_json(cfg, "maximize.json", rep.to_json_dict())
     _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "lambda_bar_1",

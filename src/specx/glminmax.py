@@ -26,7 +26,7 @@ from . import _kernels, mobius, spectra
 from ._kernels import _row_dot
 from ._ballopt import BALL_EDGE, ball_grid, clip_to_ball, maximize_over_ball
 from .harmonic import SphereMap, _values, normalize_rows, tension_residual
-from .mesh import MeshMeasure, TriMesh, volume_measure
+from .mesh import TriMesh, volume_measure
 
 
 class FamilyError(ValueError):
@@ -443,10 +443,9 @@ def sweep_to_csv(report: MinMaxReport, path):
 # ---------------------------------------------------------------------------
 
 def _measure_weights(spec, mu):
+    """Vertex weights of mu (None: the volume measure of spec.mesh)."""
     if mu is None:
-        return volume_measure(spec.mesh).weights
-    if isinstance(mu, MeshMeasure):
-        return mu.weights
+        return volume_measure(spec.mesh)
     return np.asarray(mu, dtype=float)
 
 
@@ -563,8 +562,7 @@ def eigen_lower_from_family(spec: FamilySpec, mu=None):
     if l2mu <= 0.0:
         raise FamilyError("balanced member vanishes in L2(mu)")
     ratio = dirichlet2 / l2mu
-    lam1 = float(spectra.measure_eigs(spec.mesh, MeshMeasure(w),
-                                      k=1).values[1])
+    lam1 = float(spectra.solve_pencil(spec.mesh, w, 1).values[1])
     if lam1 > ratio * (1.0 + 1e-6) + 1e-6:
         raise FamilyError(
             f"eigenvalue bound violated: lambda_1={lam1} > R={ratio}")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ConformalDensity, MeshMeasure
 from . import spectra
 
 
@@ -51,16 +50,6 @@ class SphereMap:
         if vals.shape[1] != int(doc["ambient_dim"]):
             raise MapError("ambient_dim does not match values")
         return cls(vals)
-
-
-@dataclass
-class HopfField:
-    """Per-triangle complex Hopf differential values in the face charts."""
-
-    values: np.ndarray
-
-    def magnitude(self):
-        return np.abs(self.values)
 
 
 def normalize_rows(values):
@@ -184,20 +173,14 @@ def energy_shares(mesh, phi):
 
 
 def energy_density(mesh, phi):
-    """Energy density 0.5*|dPhi|^2 as a conformal density.
+    """Energy density 0.5*|dPhi|^2 as vertex values of a conformal density.
 
     Total lumped mass equals energy(mesh, phi) exactly. The result may
     vanish (constant map) or have isolated zeros (branch points); callers
-    using it as a metric must check positivity.
+    using it as a metric must check it with `mesh.validate_density`.
     """
     shares = energy_shares(mesh, phi)
-    f = shares / mesh.vertex_areas
-    return ConformalDensity(np.maximum(f, 0.0))
-
-
-def energy_measure(mesh, phi):
-    """Energy density as a vertex-lumped measure with mass == energy."""
-    return MeshMeasure(np.maximum(energy_shares(mesh, phi), 0.0))
+    return np.maximum(shares / mesh.vertex_areas, 0.0)
 
 
 def tension_residual(mesh, phi):
@@ -253,11 +236,11 @@ def check_eigenvalue_two(mesh, phi):
     """Whether 2 is an eigenvalue of the Laplacian for the induced metric
     0.5*|dPhi|^2 g, with its multiplicity within the relative cluster_tol
     1e-3 of `spectra` and the gap to the rest of the lowest 9 eigenvalues."""
-    mu = energy_measure(mesh, phi)
-    if mu.mass <= 0.0:
+    w = np.maximum(energy_shares(mesh, phi), 0.0)  # mass == energy
+    if w.sum() <= 0.0:
         raise MapError("map has zero energy; induced metric is degenerate")
-    k = min(8, int(np.sum(mu.weights > 0)) - 1)
-    spec = spectra.measure_eigs(mesh, mu, k=k)
+    k = min(8, int(np.sum(w > 0)) - 1)
+    spec = spectra.solve_pencil(mesh, w, k)
     mult = spectra.multiplicity(spec, 2.0)
     tol = spec.cluster_tol * 2.0
     outside = spec.values[np.abs(spec.values - 2.0) > tol]
@@ -285,7 +268,8 @@ def _face_charts(mesh):
 
 def hopf_differential(mesh, phi):
     """Per-face Hopf differential |Phi_x|^2 - |Phi_y|^2 - 2i<Phi_x, Phi_y>
-    in the deterministic face chart (first edge = real axis)."""
+    in the deterministic face chart (first edge = real axis), as a complex
+    array of length F."""
     vals = _values(phi)
     tri = mesh.triangles
     l1, x2, y2 = _face_charts(mesh)
@@ -295,14 +279,5 @@ def hopf_differential(mesh, phi):
     # gradient of the linear interpolant in chart coordinates
     dx = (v1 - v0) / l1[:, None]
     dy = (v2 - v0 - x2[:, None] * dx) / y2[:, None]
-    h = (np.sum(dx * dx, axis=1) - np.sum(dy * dy, axis=1)
-         - 2.0j * np.sum(dx * dy, axis=1))
-    return HopfField(h)
-
-
-def hopf_to_csv(field: HopfField, path):
-    with open(str(path), "w") as fh:
-        fh.write("face_id,re,im,abs\n")
-        for i, z in enumerate(field.values):
-            fh.write(f"{i},{float(z.real)!r},{float(z.imag)!r},"
-                     f"{float(abs(z))!r}\n")
+    return (np.sum(dx * dx, axis=1) - np.sum(dy * dy, axis=1)
+            - 2.0j * np.sum(dx * dy, axis=1))

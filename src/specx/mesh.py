@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -277,46 +276,6 @@ class TriMesh:
                        chart_meta=self.chart_meta)
 
 
-@dataclass
-class ConformalDensity:
-    """Nonnegative per-vertex density multiplying the background metric."""
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=float)
-
-    def validate(self, mesh):
-        if self.f.shape != (mesh.num_vertices,):
-            raise MeshError("density shape mismatch")
-        if np.any(self.f < -1e-12):
-            raise MeshError("density must be nonnegative")
-        if area(mesh, self) <= 0.0:
-            raise MeshError("density has zero total mass")
-        zero = self.f <= 0.0
-        if np.any(np.all(zero[mesh.triangles], axis=1)):
-            raise MeshError("density vanishes on a whole triangle; "
-                            "zeros must be isolated")
-        return self
-
-
-@dataclass
-class MeshMeasure:
-    """Vertex-lumped Radon measure (volume-type or boundary-curve-type)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-
-    @property
-    def mass(self):
-        return float(self.weights.sum())
-
-    def scaled(self, c):
-        return MeshMeasure(self.weights * c)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -402,17 +361,28 @@ def build_torus_mesh(modulus, resolution):
 # ---------------------------------------------------------------------------
 
 def area(mesh, density=None):
-    """Total area of the metric density*g0 (the mass of `volume_measure`)."""
-    f = _density_values(mesh, density)
-    return float(np.sum(f * mesh.vertex_areas))
+    """Total area of the metric density*g0 (the mass of `volume_measure`);
+    density is None (the background metric) or a vertex array."""
+    return float(np.sum(volume_measure(mesh, density)))
 
 
-def _density_values(mesh, density):
-    if density is None:
-        return np.ones(mesh.num_vertices)
-    if isinstance(density, ConformalDensity):
-        return density.f
-    return np.asarray(density, dtype=float)
+def validate_density(mesh, f):
+    """Raise MeshError unless f, a vertex array, is a usable conformal
+    density: finite, nonnegative, of positive total mass, and with zeros
+    isolated (not vanishing on a whole triangle). Returns f."""
+    if f.shape != (mesh.num_vertices,):
+        raise MeshError("density shape mismatch")
+    if not np.all(np.isfinite(f)):
+        raise MeshError("density must be finite")
+    if np.any(f < -1e-12):
+        raise MeshError("density must be nonnegative")
+    if area(mesh, f) <= 0.0:
+        raise MeshError("density has zero total mass")
+    zero = f <= 0.0
+    if np.any(np.all(zero[mesh.triangles], axis=1)):
+        raise MeshError("density vanishes on a whole triangle; "
+                        "zeros must be isolated")
+    return f
 
 
 def curve_measure(mesh, loop_ids=None):
@@ -439,13 +409,15 @@ def curve_measure(mesh, loop_ids=None):
     # edge by edge, both ends in turn: the order of a sequential sum
     w = np.zeros(mesh.num_vertices)
     np.add.at(w, np.stack([i, j], axis=1).ravel(), np.repeat(half, 2))
-    return MeshMeasure(w)
+    return w
 
 
 def volume_measure(mesh, density=None):
-    """Vertex-lumped area measure of density*g0."""
-    f = _density_values(mesh, density)
-    return MeshMeasure(f * mesh.vertex_areas)
+    """Vertex weights of the lumped area measure of density*g0; density is
+    None (the background metric) or a vertex array."""
+    if density is None:
+        return mesh.vertex_areas.copy()
+    return density * mesh.vertex_areas
 
 
 def geodesic_distances(mesh, sources):

@@ -64,17 +64,6 @@ def cap_reflection(b, x):
     return out[0] if single else out
 
 
-def cap_reflection_raw(b, x):
-    """The reflection branch alone (an involution away from the pole)."""
-    b = _in_ball(b, "cap")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    out = _kernels.cap_reflect_raw(np.ascontiguousarray(pts),
-                                   np.ascontiguousarray(b))
-    return out[0] if single else out
-
-
 def upsilon(a, b, x):
     """The composition G_a . T_b."""
     return mobius_apply(a, cap_reflection(b, x))

@@ -32,9 +32,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .mesh import (ConformalDensity, MeshError, MeshMeasure, area,
-                   curve_measure, geodesic_distances, hole_centers,
-                   hole_radius, puncture, volume_measure)
+from .mesh import (MeshError, area, curve_measure, geodesic_distances,
+                   hole_centers, hole_radius, puncture, validate_density,
+                   volume_measure)
 
 
 class SolverError(RuntimeError):
@@ -80,7 +80,7 @@ class Spectrum:
 
 @dataclass
 class MaximizerReport:
-    density: ConformalDensity
+    density: np.ndarray  # vertex values of the returned conformal density
     lambda_bar: float
     iterations: int
     stationarity_gap: float
@@ -98,7 +98,7 @@ class MaximizerReport:
             "converged": bool(self.converged),
             "weak_gap": float(self.weak_gap),
             "measure_rank": int(self.measure_rank),
-            "density": [float(x) for x in self.density.f],
+            "density": [float(x) for x in self.density],
         }
 
 
@@ -357,28 +357,21 @@ def _residuals(K, b, vals, vecs):
 # ---------------------------------------------------------------------------
 
 def laplace_eigs(mesh, density=None, k=5, cluster_tol=1e-3, seed=0):
-    """Eigenpairs of the Laplacian for the conformal metric density*g0."""
+    """Eigenpairs of the Laplacian for the conformal metric density*g0;
+    density is None or a vertex array, checked by `validate_density`."""
     if k >= mesh.num_vertices:
         raise MeshError("k must be below the vertex count")
-    if isinstance(density, ConformalDensity):
-        density.validate(mesh)
-    mu = volume_measure(mesh, density)
-    return solve_pencil(mesh, mu.weights, k, cluster_tol, seed)
-
-
-def measure_eigs(mesh, mu: MeshMeasure, k=5, cluster_tol=1e-3, seed=0):
-    """Eigenpairs of the Radon-measure Rayleigh quotient for mu."""
-    if mu.mass <= 0.0:
-        raise MeshError("measure has zero total mass")
-    return solve_pencil(mesh, mu.weights, k, cluster_tol, seed)
+    if density is not None:
+        validate_density(mesh, density)
+    return solve_pencil(mesh, volume_measure(mesh, density), k, cluster_tol,
+                        seed)
 
 
 def steklov_eigs(mesh, k=5, cluster_tol=1e-3, seed=0):
     """Steklov eigenvalues: pencil with the boundary length measure."""
     if mesh.is_closed:
         raise MeshError("Steklov problem needs a nonempty boundary")
-    mu = curve_measure(mesh)
-    return solve_pencil(mesh, mu.weights, k, cluster_tol, seed,
+    return solve_pencil(mesh, curve_measure(mesh), k, cluster_tol, seed,
                         expect_disconnected=len(mesh.boundary_loops) > 1)
 
 
@@ -431,14 +424,6 @@ def nondecreasing_trend(values, lambda_ref):
     return (all(b >= a - TREND_SLACK * lambda_ref
                 for a, b in zip(values, values[1:]))
             and values[-1] > values[0])
-
-
-def normalized(value, mesh, boundary=False):
-    """Scale-invariant normalization: eigenvalue times area (or boundary
-    length for the Steklov problem)."""
-    if boundary:
-        return float(value) * curve_measure(mesh).mass
-    return float(value) * area(mesh)
 
 
 def multiplicity(spec: Spectrum, value):
@@ -517,7 +502,7 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
     wait, retry = 1, 2  # each failed warm start doubles the wait to the next
     for it in range(1, iters + 1):
         start = spec.vectors if it >= retry else None
-        spec = solve_pencil(mesh, volume_measure(mesh, f).weights, 6,
+        spec = solve_pencil(mesh, volume_measure(mesh, f), 6,
                             seed=seed, start=start)
         warm_solves += spec.warm
         if start is not None:
@@ -542,9 +527,8 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
         f = np.maximum(f, 0.0)
         f /= area(mesh, f)
     lambda_bar, f, gap, weak = best
-    density = ConformalDensity(np.maximum(f, 0.0))
     return MaximizerReport(
-        density=density, lambda_bar=lambda_bar, iterations=it,
+        density=np.maximum(f, 0.0), lambda_bar=lambda_bar, iterations=it,
         stationarity_gap=gap, converged=gap < 10 * GAP_TOL, weak_gap=weak,
         measure_rank=int(np.sum(f * va > 0)), warm_solves=warm_solves,
         cold_solves=it - warm_solves)

@@ -90,7 +90,7 @@ def test_criterion_2_conformal_maximization(sphere_max_report,
         rep_t = torus_max_report
         assert abs(rep_t.lambda_bar - 4 * np.pi ** 2) \
             <= 0.02 * 4 * np.pi ** 2
-        f = rep_t.density.f
+        f = rep_t.density
         assert f.std() <= 0.05 * f.mean()  # density converges to constant
 
 

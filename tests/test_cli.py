@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from specx import glminmax, spectra
 from specx.cli import RunConfig, _build_parser, main
@@ -73,6 +74,21 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["eigs", "--subdiv", "1", "--density", str(density)],
                tmp_path) == 2
     assert f"bad density file {density}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eigs", "maximize"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_density_file_is_usage_error(tmp_path, capsys, command,
+                                                value):
+    # a non-finite value is a malformed file (exit 2), not a numerical
+    # failure of the solver it would otherwise reach
+    n = build_sphere_mesh(1).num_vertices
+    density = tmp_path / "density.txt"
+    density.write_text("1.0\n" * (n - 1) + value + "\n")
+    assert run([command, "--subdiv", "1", "--density", str(density)],
+               tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"bad density file {density}: non-finite value" in err
 
 
 def test_numerical_failure_exit(tmp_path):

@@ -18,9 +18,8 @@ from specx.glminmax import (FamilyError, FamilySpec, VectorMap,
                             gl_descend, gl_energy, gl_gradient, gl_inner,
                             gl_second_variation, minmax_upper, mollify,
                             sandwich_holds, sweep_to_csv)
-from specx.mesh import (MeshMeasure, area, build_sphere_mesh,
-                        build_torus_mesh, curve_measure, puncture,
-                        volume_measure)
+from specx.mesh import (area, build_sphere_mesh, build_torus_mesh,
+                        curve_measure, puncture, volume_measure)
 
 
 @pytest.fixture(scope="module")
@@ -476,10 +475,9 @@ def test_balanced_point_wrong_family(unit_sphere3, identity3):
 
 
 def test_balanced_point_second_sphere(unit_sphere3, identity3):
-    w = volume_measure(unit_sphere3).weights
-    w = w / w.sum()
-    mu = MeshMeasure(w)
-    phi1 = sx.measure_eigs(unit_sphere3, mu, k=1).vectors[:, 1]
+    w = volume_measure(unit_sphere3)
+    mu = w / w.sum()
+    phi1 = sx.solve_pencil(unit_sphere3, mu, 1).vectors[:, 1]
     spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
                        eps=0.1, family="second")
     (a_star, b_star), res = balanced_point_second(spec2, phi1, mu=mu)
@@ -493,8 +491,7 @@ def test_balanced_point_second_sphere(unit_sphere3, identity3):
     align = abs(b_star @ axis) / max(np.linalg.norm(b_star), 1e-12)
     assert align > 0.999
     # homogeneity: scaling the measure leaves the root unchanged
-    (a2, b2), _ = balanced_point_second(spec2, phi1,
-                                        mu=MeshMeasure(3.0 * w))
+    (a2, b2), _ = balanced_point_second(spec2, phi1, mu=3.0 * mu)
     assert np.abs(a_star - a2).max() < 1e-6
     assert np.abs(b_star - b2).max() < 1e-6
 
@@ -511,9 +508,8 @@ def test_balanced_point_point_mass_has_no_root(sphere_spec, unit_sphere3,
     # mu = delta at one vertex: |F(v)| stays near 1 there for every
     # parameter, so no balanced point exists and neither solver may
     # return a non-root
-    w = np.zeros(unit_sphere3.num_vertices)
-    w[0] = 1.0
-    mu = MeshMeasure(w)
+    mu = np.zeros(unit_sphere3.num_vertices)
+    mu[0] = 1.0
     with pytest.raises(FamilyError, match="^balanced point not found"):
         balanced_point(sphere_spec, mu=mu)
     spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
@@ -524,8 +520,8 @@ def test_balanced_point_point_mass_has_no_root(sphere_spec, unit_sphere3,
 
 
 def test_eigen_lower_sphere_equality(sphere_spec, unit_sphere3):
-    w = volume_measure(unit_sphere3).weights
-    mu = MeshMeasure(w / w.sum())
+    w = volume_measure(unit_sphere3)
+    mu = w / w.sum()
     ratio = eigen_lower_from_family(sphere_spec, mu=mu)
     target = 8 * np.pi
     assert abs(ratio - target) < 0.02 * target
@@ -535,10 +531,10 @@ def test_eigen_lower_torus_inequality():
     torus = build_torus_mesh(1j, 24)
     base = hm.torus_clifford_map(torus)
     spec = FamilySpec(torus, base, mollify_time=1e-4, eps=0.1)
-    w = volume_measure(torus).weights
-    mu = MeshMeasure(w / w.sum())
+    w = volume_measure(torus)
+    mu = w / w.sum()
     ratio = eigen_lower_from_family(spec, mu=mu)
-    lam1 = sx.measure_eigs(torus, mu, k=1).values[1]
+    lam1 = sx.solve_pencil(torus, mu, 1).values[1]
     assert lam1 <= ratio * (1 + 1e-9)
     rep = minmax_upper(spec)
     assert ratio <= 2 * rep.sup_energy / (
@@ -548,9 +544,8 @@ def test_eigen_lower_torus_inequality():
 def test_eigen_lower_steklov_measure(unit_sphere3, identity3):
     sub = puncture(unit_sphere3, [0], 0.07)
     w = np.zeros(unit_sphere3.num_vertices)
-    cm = curve_measure(sub)
-    w[sub.orig_vertex_ids] = cm.weights
-    mu = MeshMeasure(w / w.sum())
+    w[sub.orig_vertex_ids] = curve_measure(sub)
+    mu = w / w.sum()
     spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=0.1)
     ratio = eigen_lower_from_family(spec, mu=mu)
     st = sx.steklov_eigs(sub, k=1)
@@ -566,9 +561,9 @@ def test_eigen_lower_steklov_measure(unit_sphere3, identity3):
 
 
 def test_eigen_lower_needs_unit_mass(sphere_spec):
-    w = volume_measure(sphere_spec.mesh).weights
+    w = volume_measure(sphere_spec.mesh)
     with pytest.raises(FamilyError):
-        eigen_lower_from_family(sphere_spec, mu=MeshMeasure(2 * w))
+        eigen_lower_from_family(sphere_spec, mu=2 * w)
 
 
 def test_extract_critical_sphere(sphere3, identity3):
@@ -625,7 +620,7 @@ def test_specx_import_leaves_scipy_optimize_unloaded():
             "mesh = build_sphere_mesh(2)\n"
             "phi = hm.identity_sphere_map(mesh)\n"
             "gl.balanced_point(gl.FamilySpec(mesh, phi))\n"
-            "phi1 = sx.measure_eigs(mesh, volume_measure(mesh), k=1)"
+            "phi1 = sx.solve_pencil(mesh, volume_measure(mesh), 1)"
             ".vectors[:, 1]\n"
             "gl.balanced_point_second(\n"
             "    gl.FamilySpec(mesh, phi, family='second'), phi1)\n"

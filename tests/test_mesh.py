@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 from specx import _kernels, mesh as meshmod
-from specx.mesh import (ConformalDensity, DegenerateTriangleError,
-                        MeshError, NonManifoldError, OrientationError,
-                        TriMesh, area, build_sphere_mesh, build_torus_mesh,
-                        curve_measure, geodesic_distances, hole_centers,
-                        hole_radius, load_mesh, puncture, save_mesh,
-                        volume_measure)
+from specx.mesh import (DegenerateTriangleError, MeshError, NonManifoldError,
+                        OrientationError, TriMesh, area, build_sphere_mesh,
+                        build_torus_mesh, curve_measure, geodesic_distances,
+                        hole_centers, hole_radius, load_mesh, puncture,
+                        save_mesh, validate_density, volume_measure)
 
 from conftest import build_annulus_mesh, build_disk_mesh
 
@@ -286,9 +285,9 @@ def test_degenerate_triangle_rejected():
 
 
 def test_volume_measure_mass_is_area(torus32):
-    assert np.isclose(volume_measure(torus32).weights.sum(), 1.0)
-    f = ConformalDensity(np.full(torus32.num_vertices, 3.0))
-    assert np.isclose(volume_measure(torus32, f).weights.sum(), 3.0)
+    assert np.isclose(volume_measure(torus32).sum(), 1.0)
+    f = np.full(torus32.num_vertices, 3.0)
+    assert np.isclose(volume_measure(torus32, f).sum(), 3.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -297,7 +296,7 @@ def test_mass_area_consistency_random_density(seed):
     mesh = build_torus_mesh(1j, 8)
     rng = np.random.default_rng(seed)
     f = rng.uniform(0.0, 2.0, mesh.num_vertices)
-    assert volume_measure(mesh, f).weights.sum() == area(mesh, f)
+    assert volume_measure(mesh, f).sum() == area(mesh, f)
 
 
 def test_mass_single_star():
@@ -314,15 +313,15 @@ def test_curve_measure_polygon_mass(disk):
     mu = curve_measure(disk)
     n_seg = len(disk.boundary_loops[0])
     expected = n_seg * 2 * np.sin(np.pi / n_seg)
-    assert np.isclose(mu.mass, expected)
-    assert abs(mu.mass - 2 * np.pi) < 0.02 * 2 * np.pi
+    assert np.isclose(mu.sum(), expected)
+    assert abs(mu.sum() - 2 * np.pi) < 0.02 * 2 * np.pi
 
 
 def test_curve_measure_convergence_rate():
     errs = []
     for n in (8, 16, 32):
         mu = curve_measure(build_disk_mesh(n))
-        errs.append(abs(mu.mass - 2 * np.pi))
+        errs.append(abs(mu.sum() - 2 * np.pi))
     # inscribed polygon perimeter error is O(N^-2)
     assert errs[1] < errs[0] / 3.0
     assert errs[2] < errs[1] / 3.0
@@ -333,7 +332,7 @@ def test_curve_measure_additive_and_errors():
     both = curve_measure(ann)
     first = curve_measure(ann, [0])
     second = curve_measure(ann, [1])
-    assert np.isclose(both.mass, first.mass + second.mass)
+    assert np.isclose(both.sum(), first.sum() + second.sum())
     with pytest.raises(MeshError):
         curve_measure(ann, [])
     with pytest.raises(MeshError):
@@ -396,16 +395,21 @@ def test_puncture_euler_drop_torus(torus32):
 def test_density_validation(torus32):
     n = torus32.num_vertices
     with pytest.raises(MeshError):
-        ConformalDensity(-np.ones(n)).validate(torus32)
+        validate_density(torus32, -np.ones(n))
     with pytest.raises(MeshError):
-        ConformalDensity(np.zeros(n)).validate(torus32)
+        validate_density(torus32, np.zeros(n))
     ok = np.ones(n)
     ok[5] = 0.0  # isolated zero is allowed
-    ConformalDensity(ok).validate(torus32)
+    validate_density(torus32, ok)
     bad = np.ones(n)
     bad[torus32.triangles[0]] = 0.0  # a whole dead triangle is not
     with pytest.raises(MeshError):
-        ConformalDensity(bad).validate(torus32)
+        validate_density(torus32, bad)
+    for value in (np.nan, np.inf):
+        bad = np.ones(n)
+        bad[5] = value
+        with pytest.raises(MeshError, match="finite"):
+            validate_density(torus32, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +570,17 @@ def test_punctured_torus_matches_loop_reference(tau, holes):
     assert len(mesh.boundary_loops) == holes
     _assert_same_combinatorics(mesh)
     every = list(range(holes))
-    assert np.array_equal(curve_measure(mesh).weights,
+    assert np.array_equal(curve_measure(mesh),
                           _loop_curve_weights(mesh, every))
     some = every[::2] + every[:1]  # repeated ids accumulate in order
-    assert np.array_equal(curve_measure(mesh, some).weights,
+    assert np.array_equal(curve_measure(mesh, some),
                           _loop_curve_weights(mesh, some))
 
 
 def test_open_meshes_match_loop_reference(disk):
     for mesh in (disk, build_annulus_mesh()):
         _assert_same_combinatorics(mesh)
-        assert np.array_equal(curve_measure(mesh).weights,
+        assert np.array_equal(curve_measure(mesh),
                               _loop_curve_weights(
                                   mesh, range(len(mesh.boundary_loops))))
 
@@ -612,7 +616,7 @@ def test_punctured_torus_geometry_and_lengths_are_bit_identical(tau, holes):
         assert seeded.dtype == own.dtype and np.array_equal(seeded, own)
     every = list(range(holes))
     for ids in (every, every[::2] + every[:1]):
-        assert np.array_equal(curve_measure(mesh, ids).weights,
+        assert np.array_equal(curve_measure(mesh, ids),
                               _matrix_curve_weights(mesh, ids))
 
 
@@ -624,7 +628,7 @@ def test_punctured_sphere_and_open_meshes_are_bit_identical(sphere3, disk):
         assert np.array_equal(seeded, own)
     for mesh in (holed, disk, build_annulus_mesh()):
         ids = range(len(mesh.boundary_loops))
-        assert np.array_equal(curve_measure(mesh).weights,
+        assert np.array_equal(curve_measure(mesh),
                               _matrix_curve_weights(mesh, ids))
 
 

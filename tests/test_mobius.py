@@ -109,7 +109,7 @@ def test_cap_involutive_on_complement():
     beta = np.linalg.norm(b)
     outside = (x @ (b / beta)) > 1.0 - beta
     y = mb.cap_reflection(b, x)
-    z = mb.cap_reflection_raw(b, y[outside])
+    z = _kernels.cap_reflect_raw(y[outside], b)
     assert np.abs(z - x[outside]).max() < 1e-10
 
 
@@ -186,7 +186,7 @@ def test_composed_hopf_refines():
         torus = build_torus_mesh(1j, res)
         cl = hm.torus_clifford_map(torus)
         y = hm.SphereMap(hm.normalize_rows(mb.mobius_apply(a, cl.values)))
-        maxes.append(hm.hopf_differential(torus, y).magnitude().max())
+        maxes.append(np.abs(hm.hopf_differential(torus, y)).max())
     assert maxes[1] < 0.65 * maxes[0]
     assert maxes[2] < 0.65 * maxes[1]
 
@@ -206,6 +206,5 @@ def test_param_validation():
     x = np.array([0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="Mobius parameter must lie"):
         mb.mobius_apply(np.array([1.2, 0.0, 0.0]), x)
-    for reflect in (mb.cap_reflection, mb.cap_reflection_raw):
-        with pytest.raises(ValueError, match="cap parameter must lie"):
-            reflect(np.array([0.0, 1.2, 0.0]), x)
+    with pytest.raises(ValueError, match="cap parameter must lie"):
+        mb.cap_reflection(np.array([0.0, 1.2, 0.0]), x)

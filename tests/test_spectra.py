@@ -9,13 +9,12 @@ import scipy.sparse.linalg as spla
 from specx import mesh as meshmod
 from specx import spectra
 from specx.harmonic import energy_density, torus_collapse_map
-from specx.mesh import (ConformalDensity, MeshError, MeshMeasure,
-                        build_sphere_mesh, build_torus_mesh, curve_measure,
-                        hole_centers, puncture, volume_measure)
+from specx.mesh import (MeshError, build_sphere_mesh, build_torus_mesh,
+                        curve_measure, hole_centers, puncture, volume_measure)
 from specx.spectra import (RankError, SolverError, _spd_factor,
                            laplace_eigs, maximize_lambda1_conformal,
-                           measure_eigs, multiplicity, normalized,
-                           solve_pencil, steklov_eigs, steklov_hole_sweep)
+                           multiplicity, solve_pencil, steklov_eigs,
+                           steklov_hole_sweep)
 
 from conftest import build_annulus_mesh
 
@@ -40,7 +39,7 @@ def test_sphere_spectrum(sphere4):
 def test_density_scaling(sphere3):
     base = laplace_eigs(sphere3, k=3)
     c = 2.5
-    f = ConformalDensity(np.full(sphere3.num_vertices, c))
+    f = np.full(sphere3.num_vertices, c)
     scaled = laplace_eigs(sphere3, f, k=3)
     assert np.allclose(scaled.values[1:], base.values[1:] / c, rtol=1e-9)
     assert np.isclose(scaled.normalized()[1], base.normalized()[1],
@@ -56,25 +55,24 @@ def test_residual_invariant(sphere3, torus32, disk):
 def test_measure_volume_matches_laplace(sphere3):
     direct = laplace_eigs(sphere3, k=4)
     mu = volume_measure(sphere3)
-    via_measure = measure_eigs(sphere3, mu, k=4)
+    via_measure = solve_pencil(sphere3, mu, 4)
     assert np.allclose(direct.values, via_measure.values, rtol=1e-10)
 
 
 def test_measure_energy_density_eigenvalue_two(sphere4):
-    from specx.harmonic import energy_measure, identity_sphere_map
-    mu = energy_measure(sphere4, identity_sphere_map(sphere4))
-    spec = measure_eigs(sphere4, mu, k=6)
+    from specx.harmonic import energy_shares, identity_sphere_map
+    mu = np.maximum(energy_shares(sphere4, identity_sphere_map(sphere4)), 0)
+    spec = solve_pencil(sphere4, mu, 6)
     assert multiplicity(spec, 2.0) >= 3
 
 
 def test_measure_point_mass(torus32):
     w = np.zeros(torus32.num_vertices)
     w[7] = 1.0
-    mu = MeshMeasure(w)
-    spec = measure_eigs(torus32, mu, k=0)
+    spec = solve_pencil(torus32, w, 0)
     assert abs(spec.values[0]) < 1e-10
     with pytest.raises(RankError):
-        measure_eigs(torus32, mu, k=1)
+        solve_pencil(torus32, w, 1)
 
 
 def test_zero_form_is_rank_error(torus32):
@@ -97,8 +95,8 @@ def test_split_support_warns(torus32):
 
 def test_measure_scaling_invariance(torus32):
     mu = volume_measure(torus32)
-    s1 = measure_eigs(torus32, mu, k=3)
-    s2 = measure_eigs(torus32, mu.scaled(4.0), k=3)
+    s1 = solve_pencil(torus32, mu, 3)
+    s2 = solve_pencil(torus32, 4.0 * mu, 3)
     assert np.allclose(s2.values[1:], s1.values[1:] / 4.0, rtol=1e-9)
     assert np.allclose(s2.normalized()[1:], s1.normalized()[1:], rtol=1e-9)
 
@@ -159,12 +157,6 @@ def test_steklov_closed_mesh_error(sphere3):
         steklov_eigs(sphere3, k=2)
 
 
-def test_normalized_helpers(torus32, disk):
-    assert np.isclose(normalized(2.0, torus32), 2.0)  # unit area
-    L = curve_measure(disk).mass
-    assert np.isclose(normalized(1.0, disk, boundary=True), L)
-
-
 def test_multiplicity_edges(sphere3):
     spec = laplace_eigs(sphere3, k=6)
     assert multiplicity(spec, 0.0) == 1
@@ -188,12 +180,12 @@ def test_maximizer_torus_multistart(torus32):
         rep = maximize_lambda1_conformal(torus32, iters=120, f0=f0)
         assert abs(rep.lambda_bar - target) < 0.02 * target
         # density converges to the flat metric
-        assert rep.density.f.std() < 0.05 * rep.density.f.mean()
+        assert rep.density.std() < 0.05 * rep.density.mean()
 
 
 def test_maximizer_fixed_point(torus32):
     rep = maximize_lambda1_conformal(torus32, iters=40)
-    again = maximize_lambda1_conformal(torus32, iters=1, f0=rep.density.f)
+    again = maximize_lambda1_conformal(torus32, iters=1, f0=rep.density)
     assert abs(again.lambda_bar - rep.lambda_bar) < 1e-6 * rep.lambda_bar
 
 
@@ -208,18 +200,24 @@ def test_conical_zeros_sparse_path():
     torus = build_torus_mesh(1j, 64)
     f = np.ones(torus.num_vertices)
     f[[5, 600, 2000]] = 0.0
-    density = ConformalDensity(f).validate(torus)
-    spec = laplace_eigs(torus, density, k=5)
+    spec = laplace_eigs(torus, f, k=5)
     assert spec.residuals.max() < 1e-8
     assert np.all(np.isfinite(spec.vectors))
     assert abs(spec.values[1] - 4 * np.pi ** 2) < 0.01 * 4 * np.pi ** 2
-    _check_against_oracle(torus, volume_measure(torus, density).weights,
-                          spec)
+    _check_against_oracle(torus, volume_measure(torus, f), spec)
 
 
 def test_k_bounds(sphere3):
     with pytest.raises(MeshError):
         laplace_eigs(sphere3, k=sphere3.num_vertices)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_density_is_mesh_error(sphere3, value):
+    f = np.ones(sphere3.num_vertices)
+    f[7] = value  # must be refused before it reaches the factorisation
+    with pytest.raises(MeshError, match="finite"):
+        laplace_eigs(sphere3, f, k=3)
 
 
 def test_courant_bound_genus0(sphere3, sphere4):
@@ -235,8 +233,8 @@ def test_puncture_domain_monotonicity_logged(torus32, capsys):
     base = laplace_eigs(torus32, k=1).normalized()[1]
     sub = puncture(torus32, [0], 0.08)
     mu = volume_measure(sub)
-    spec = measure_eigs(sub, mu, k=1)
-    lam_bar = spec.values[1] * mu.mass
+    spec = solve_pencil(sub, mu, 1)
+    lam_bar = spec.values[1] * mu.sum()
     print(f"puncture Neumann drift: closed={base:.4f} "
           f"punctured={lam_bar:.4f} delta={lam_bar - base:+.4f}")
     assert np.isfinite(lam_bar)
@@ -295,12 +293,11 @@ def _check_against_oracle(mesh, b, spec):
 
 def test_matches_dense_oracle(sphere3, torus32, disk):
     f = np.random.default_rng(11).uniform(0.3, 3.0, sphere3.num_vertices)
-    density = ConformalDensity(f)
-    _check_against_oracle(sphere3, volume_measure(sphere3, density).weights,
-                          laplace_eigs(sphere3, density, k=6))
-    _check_against_oracle(torus32, volume_measure(torus32).weights,
+    _check_against_oracle(sphere3, volume_measure(sphere3, f),
+                          laplace_eigs(sphere3, f, k=6))
+    _check_against_oracle(torus32, volume_measure(torus32),
                           laplace_eigs(torus32, k=6))
-    _check_against_oracle(disk, curve_measure(disk).weights,
+    _check_against_oracle(disk, curve_measure(disk),
                           steklov_eigs(disk, k=4))
 
 
@@ -309,7 +306,7 @@ def test_punctured_torus_steklov_matches_dense_oracle(holes):
     torus = build_torus_mesh(1j, 48)
     mesh = puncture(torus, hole_centers(torus, holes, 0),
                     0.2 / np.sqrt(holes))
-    _check_against_oracle(mesh, curve_measure(mesh).weights,
+    _check_against_oracle(mesh, curve_measure(mesh),
                           steklov_eigs(mesh, k=5))
 
 
@@ -318,7 +315,7 @@ def test_k_cutting_a_degenerate_cluster(sphere3, k):
     # lambda_1 of the round sphere has multiplicity 3; asking for part of
     # the cluster must return cluster members, not skip to lambda_2
     spec = laplace_eigs(sphere3, k=k)
-    _check_against_oracle(sphere3, volume_measure(sphere3).weights, spec)
+    _check_against_oracle(sphere3, volume_measure(sphere3), spec)
     assert np.allclose(spec.values[1:], 2.0, rtol=1e-3)
 
 
@@ -504,7 +501,7 @@ def _spd_matrices(torus32, sphere3):
     holed = puncture(torus, hole_centers(torus, 5, 0),
                      meshmod.hole_radius(torus, 5, 0.5))
     yield "punctured torus48", _stiffness_shift(holed,
-                                                curve_measure(holed).weights)
+                                                curve_measure(holed))
     # the shift energy_index takes for the Morse form at m = 5
     Q, b = _second_variation(
         sphere3, embed_map(identity_sphere_map(sphere3), 6), None)
@@ -580,9 +577,9 @@ def test_residuals_match_loop_oracle(sphere3):
     torus = build_torus_mesh(1j, 48)
     holed = puncture(torus, hole_centers(torus, 5, 0),
                      meshmod.hole_radius(torus, 5, 0.5))
-    cases = [(sphere3, volume_measure(sphere3).weights,
+    cases = [(sphere3, volume_measure(sphere3),
               laplace_eigs(sphere3, k=6)),
-             (holed, curve_measure(holed).weights, steklov_eigs(holed, k=5))]
+             (holed, curve_measure(holed), steklov_eigs(holed, k=5))]
     for mesh, b, spec in cases:
         want = _residuals_loop(mesh.stiffness, b, spec.values, spec.vectors)
         np.testing.assert_allclose(spec.residuals, want, rtol=0, atol=1e-12)
@@ -669,7 +666,7 @@ def test_warm_lockstep_long_torus_nonflat(monkeypatch):
     # tau = 2i from the collapse map's energy density, a slow drift away
     # from a density with zeros (rank-deficient pencils)
     mesh = build_torus_mesh(2j, 48)
-    f0 = energy_density(mesh, torus_collapse_map(mesh)).f
+    f0 = energy_density(mesh, torus_collapse_map(mesh))
     assert f0.min() == 0.0
     rep = _check_lockstep(mesh, monkeypatch, iters=40, f0=f0)
     assert rep.warm_solves > 0
@@ -678,7 +675,7 @@ def test_warm_lockstep_long_torus_nonflat(monkeypatch):
 def _tilted_pencil(sphere3):
     # a non-round metric on the sphere splits the lambda_1 cluster
     f = np.exp(0.5 * sphere3.vertices[:, 2])
-    return volume_measure(sphere3, f).weights
+    return volume_measure(sphere3, f)
 
 
 @pytest.mark.parametrize("missing", [1, 2, 3])
