@@ -91,14 +91,15 @@ def cap_reflect_raw(x, b):
     return out
 
 
-def gl_pointwise(values, areas, eps):
-    """Potential integral and area-averaged norm for the relaxed energy.
+def gl_pointwise(values, areas):
+    """The relaxed energy's eps-free pointwise sums.
 
-    values: (V, d), areas: (V,). Returns (potential, avg_norm) with
-    potential = sum_i A_i (1 - |u_i|^2)^2 / (4 eps^2).
+    values: (V, d), areas: (V,). Returns (numerator, avg_norm) with
+    numerator = sum_i A_i (1 - |u_i|^2)^2, the potential integral times
+    4 eps^2, and avg_norm the area-averaged |u_i|.
     """
     n2 = _row_dot(values, values)
     dev = 1.0 - n2
-    pot = float(np.sum(areas * dev * dev)) / (4.0 * eps * eps)
+    num = float(np.sum(areas * dev * dev))
     avg = float(np.sum(areas * np.sqrt(n2)) / np.sum(areas))
-    return pot, avg
+    return num, avg

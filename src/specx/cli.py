@@ -272,18 +272,19 @@ def cmd_glminmax(cfg):
     lam1 = float(spectra.laplace_eigs(unit, k=1, seed=cfg.seed).values[1])
     results = []
     warm = None  # track the critical branch across the eps schedule
+    spec = glminmax.FamilySpec(unit, base, seed=cfg.seed, n_dirs=cfg.grid)
     for eps in cfg.eps_list:
-        spec = glminmax.FamilySpec(unit, base, eps=eps, seed=cfg.seed,
-                                   n_dirs=cfg.grid)
-        rep = glminmax.extract_critical(spec, glminmax.minmax_upper(spec),
-                                        tol=1e-6, max_iters=2000, start=warm)
+        rep = glminmax.extract_critical(
+            spec, eps, glminmax.minmax_upper(spec, eps), tol=1e-6,
+            max_iters=2000, start=warm)
         crit = rep.critical
         warm = crit["u"]
         if not crit["converged"]:
             print(f"specx: glminmax eps={eps}: descent not converged after "
                   f"{crit['iterations']} iterations (gradient norm "
                   f"{crit['gradient_norm']:.3e})", file=sys.stderr)
-        ok, lhs, rhs = glminmax.sandwich_holds(spec, lam1, rep.sup_energy)
+        ok, lhs, rhs = glminmax.sandwich_holds(spec, eps, lam1,
+                                               rep.sup_energy)
         doc = rep.to_json_dict()
         doc["sandwich"] = {"holds": bool(ok), "lhs": lhs, "rhs": rhs,
                            "lambda1": lam1}

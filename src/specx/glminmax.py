@@ -60,18 +60,39 @@ class VectorMap:
 # relaxed energy, gradient, second variation
 # ---------------------------------------------------------------------------
 
-def gl_energy(mesh, u, eps, parts=False):
-    """Dirichlet part plus lumped potential integral."""
+def _check_eps(eps):
     if eps <= 0.0:
         raise FamilyError("eps must be positive")
-    vals = _values(u)
+
+
+# the parts of gl_energy(parts=True), in the column order of a sweep row
+PARTS = ("E_eps", "dirichlet", "potential", "avg_norm")
+
+
+def _eps_free_parts(mesh, vals):
+    """(dirichlet, numerator, avg_norm): the Dirichlet energy 0.5 sum u.Ku,
+    the potential's numerator sum A (1 - |u|^2)^2 and the area-averaged
+    norm of the (V, d) array vals, none of which depends on eps."""
     dirichlet = 0.5 * float(np.sum(vals * (mesh.stiffness @ vals)))
-    potential, avg = _kernels.gl_pointwise(
-        np.ascontiguousarray(vals), mesh.vertex_areas, float(eps))
-    if parts:
-        return {"E_eps": dirichlet + potential, "dirichlet": dirichlet,
-                "potential": potential, "avg_norm": avg}
-    return dirichlet + potential
+    numerator, avg = _kernels.gl_pointwise(np.ascontiguousarray(vals),
+                                           mesh.vertex_areas)
+    return dirichlet, numerator, avg
+
+
+def _parts_at(dirichlet, numerator, avg, eps):
+    """The PARTS values at eps from the eps-free ones: E_eps = dirichlet +
+    numerator / (4 eps^2). gl_energy and minmax_upper both form E_eps
+    here, so their numbers agree bit for bit."""
+    potential = numerator / (4.0 * eps * eps)
+    return dirichlet + potential, dirichlet, potential, avg
+
+
+def gl_energy(mesh, u, eps, parts=False):
+    """Dirichlet part plus lumped potential integral; with parts=True a
+    dict of the PARTS."""
+    _check_eps(eps)
+    out = _parts_at(*_eps_free_parts(mesh, _values(u)), float(eps))
+    return dict(zip(PARTS, out)) if parts else out[0]
 
 
 def gl_gradient(mesh, u, eps):
@@ -80,8 +101,7 @@ def gl_gradient(mesh, u, eps):
     Pairs with directions through the lumped L2 inner product: the
     directional derivative of gl_energy equals gl_inner(mesh, grad, v).
     """
-    if eps <= 0.0:
-        raise FamilyError("eps must be positive")
+    _check_eps(eps)
     vals = _values(u)
     g, _, _ = _gradient_terms(mesh.vertex_areas, vals, mesh.stiffness @ vals,
                               eps)
@@ -111,8 +131,7 @@ def gl_second_variation(mesh, u, eps, v, w=None):
 
     Q(v, w) = int <dv, dw> + 2 eps^-2 <u,v><u,w> - eps^-2 (1-|u|^2) <v,w>.
     """
-    if eps <= 0.0:
-        raise FamilyError("eps must be positive")
+    _check_eps(eps)
     uu = _values(u)
     vv = _values(v)
     ww = vv if w is None else _values(w)
@@ -162,8 +181,7 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
     are those of the returned map. A non-finite gradient raises
     FamilyError.
     """
-    if eps <= 0.0:
-        raise FamilyError("eps must be positive")
+    _check_eps(eps)
     vals = _values(u0).copy()
     K = mesh.stiffness
     va = mesh.vertex_areas
@@ -234,12 +252,24 @@ def mollify(mesh, f, t, _factor=None):
 @dataclass
 class FamilySpec:
     """Explicit admissible family: mollified conformal deformations of a
-    base sphere map, with a deterministic parameter grid."""
+    base sphere map, with a deterministic parameter grid.
+
+    The family does not depend on eps: the relaxation parameter is an
+    argument of `minmax_upper`, `extract_critical` and `sandwich_holds`,
+    so one spec serves a whole eps schedule. It caches its heat factor and
+    each member's eps-free energy parts (`_member_parts`), so a schedule
+    builds each member once.
+
+    Members are built one parameter at a time, never batched: the
+    icosphere is centrally symmetric, so E(a) = E(-a) up to rounding, and
+    the different rounding of a batched BLAS product or a multi-column
+    SuperLU solve could flip the argmax between mirror points and move
+    the reported payload.
+    """
 
     mesh: TriMesh
     base_map: SphereMap
     mollify_time: float = 1e-4
-    eps: float = 0.1
     family: str = "first"  # "first" (G_a . phi) | "second" (G_a . T_b . phi)
     grid: np.ndarray | None = None
     seed: int = 0
@@ -249,8 +279,6 @@ class FamilySpec:
     def __post_init__(self):
         if self.mollify_time <= 0.0:
             raise FamilyError("mollify_time must be positive")
-        if self.eps <= 0.0:
-            raise FamilyError("eps must be positive")
         if self.family not in ("first", "second"):
             raise FamilyError(f"unknown family {self.family!r}")
         if self.grid is None:
@@ -291,6 +319,19 @@ class FamilySpec:
     @cached_property
     def _factor(self):
         return spectra._heat_factor(self.mesh, self.mollify_time)
+
+    @cached_property
+    def _parts(self):
+        return {}  # parameter bytes -> _eps_free_parts of its member
+
+    def _member_parts(self, p):
+        """`_eps_free_parts` of member(p), memoised by p's bytes."""
+        p = np.asarray(p, dtype=float)
+        key = p.tobytes()
+        if key not in self._parts:
+            self._parts[key] = _eps_free_parts(self.mesh,
+                                               self.member(p).values)
+        return self._parts[key]
 
     def split(self, p):
         d = self.ambient_dim
@@ -388,22 +429,25 @@ class MinMaxReport:
         return doc
 
 
-def minmax_upper(spec: FamilySpec):
+def minmax_upper(spec: FamilySpec, eps):
     """Sup of E_eps over the family grid with local refinement rounds.
 
     Estimates the family's min-max level from its sampled maximum; records
-    the argmax parameter and one sweep row per evaluated member.
+    the argmax parameter and one sweep row per evaluated member. The spec
+    is eps-free and keeps each member's eps-free parts, so on a spec that
+    has already swept another eps only new parameters build a member;
+    E_eps is formed as in gl_energy, and the report is bit for bit the one
+    of a fresh spec. Members stay unbatched (see FamilySpec).
     """
+    _check_eps(eps)
     if len(spec.grid) == 0:
         raise FamilyError("empty parameter grid")
     rows = []
 
     def objective(p):
-        member = spec.member(p)
-        parts = gl_energy(spec.mesh, member, spec.eps, parts=True)
-        rows.append(tuple(p) + (parts["E_eps"], parts["dirichlet"],
-                                parts["potential"], parts["avg_norm"]))
-        return parts["E_eps"]
+        parts = _parts_at(*spec._member_parts(p), float(eps))
+        rows.append(tuple(p) + parts)
+        return parts[0]
 
     d = spec.ambient_dim
 
@@ -418,7 +462,7 @@ def minmax_upper(spec: FamilySpec):
         local_samples=REFINE_SAMPLES, seed=spec.seed + 17,
         grid=spec.grid, project=project)
     return MinMaxReport(
-        sup_energy=best_val, argmax=best_p, eps=spec.eps,
+        sup_energy=best_val, argmax=best_p, eps=eps,
         mollify_time=spec.mollify_time, family=spec.family, seed=spec.seed,
         grid_size=len(spec.grid),
         grid_info={"dirs": spec.n_dirs, "radii": GRID_RADII,
@@ -430,8 +474,7 @@ def minmax_upper(spec: FamilySpec):
 
 def sweep_to_csv(report: MinMaxReport, path):
     dim = len(np.atleast_1d(report.argmax))
-    header = ",".join([f"p{i}" for i in range(dim)]
-                      + ["E_eps", "dirichlet", "potential", "avg_norm"])
+    header = ",".join([f"p{i}" for i in range(dim)] + list(PARTS))
     with open(str(path), "w") as fh:
         fh.write(header + "\n")
         for row in report.sweep_rows:
@@ -569,30 +612,34 @@ def eigen_lower_from_family(spec: FamilySpec, mu=None):
     return ratio
 
 
-def sandwich_holds(spec: FamilySpec, lam1, sup_energy=None):
+def sandwich_holds(spec: FamilySpec, eps, lam1, sup_energy=None):
     """Check 2 sup >= (1 - 2 eps sup^(1/2)) lambda_1 (unit-area metric)."""
     if sup_energy is None:
-        sup_energy = minmax_upper(spec).sup_energy
+        sup_energy = minmax_upper(spec, eps).sup_energy
     lhs = 2.0 * sup_energy
-    rhs = (1.0 - 2.0 * spec.eps * np.sqrt(max(sup_energy, 0.0))) * lam1
+    rhs = (1.0 - 2.0 * eps * np.sqrt(max(sup_energy, 0.0))) * lam1
     return lhs >= rhs, lhs, rhs
 
 
-def extract_critical(spec: FamilySpec, report: MinMaxReport | None = None,
-                     tol=1e-5, max_iters=4000, start=None):
+def extract_critical(spec: FamilySpec, eps,
+                     report: MinMaxReport | None = None, tol=1e-5,
+                     max_iters=4000, start=None):
     """Descend from the sampled argmax, or from `start` (a warm start such
-    as the critical map of a larger eps), to an approximate critical point.
+    as the critical map of a larger eps), to an approximate critical point
+    of E_eps.
 
     Fills report.critical with the final energy, gradient norm, and the
     tension residual of the normalized map; from the argmax,
-    E_eps(u*) <= sup_energy by monotone descent.
+    E_eps(u*) <= sup_energy by monotone descent. A given report must be
+    minmax_upper's at the same eps.
     """
     if report is None:
-        report = minmax_upper(spec)
+        report = minmax_upper(spec, eps)
+    elif report.eps != eps:
+        raise FamilyError(f"report is for eps={report.eps}, not {eps}")
     if start is None:
         start = spec.member(report.argmax)
-    out = gl_descend(spec.mesh, start, spec.eps, tol=tol,
-                     max_iters=max_iters)
+    out = gl_descend(spec.mesh, start, eps, tol=tol, max_iters=max_iters)
     u = out["u"]
     normalized_map = SphereMap(normalize_rows(u.values))
     _, agg = tension_residual(spec.mesh, normalized_map)

@@ -137,6 +137,8 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
     n = mesh.num_vertices
     if b.shape != (n,):
         raise MeshError("right-hand form shape mismatch")
+    if not np.all(np.isfinite(b)):
+        raise MeshError("right-hand form must be finite")
     rank = _check_support(mesh, b, expect_disconnected)
     kk = k + 1
     if kk > rank:
@@ -491,6 +493,8 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
         f = np.ones(n)
     else:
         f = np.asarray(f0, dtype=float).copy()
+        if not np.all(np.isfinite(f)):
+            raise MeshError("initial density must be finite")
     f = np.maximum(f, 0.0)
     f /= area(mesh, f)
     va = mesh.vertex_areas

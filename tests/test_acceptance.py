@@ -55,8 +55,8 @@ def unit_sphere3(sphere3):
 
 @pytest.fixture(scope="module")
 def sphere_minmax(unit_sphere3, identity3):
-    spec = gl.FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=0.1)
-    return spec, gl.minmax_upper(spec)
+    spec = gl.FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
+    return spec, gl.minmax_upper(spec, 0.1)
 
 
 def test_criterion_1_analytic_spectra(sphere4, torus64, disk):
@@ -136,9 +136,9 @@ def test_criterion_5_eigenvalue_sandwich(unit_sphere3, identity3):
         ]
         for mesh, base in cases:
             lam1 = sx.laplace_eigs(mesh, k=1).values[1]
+            spec = gl.FamilySpec(mesh, base, mollify_time=1e-4)
             for eps in (0.2, 0.1, 0.05):
-                spec = gl.FamilySpec(mesh, base, mollify_time=1e-4, eps=eps)
-                ok, lhs, rhs = gl.sandwich_holds(spec, lam1)
+                ok, lhs, rhs = gl.sandwich_holds(spec, eps, lam1)
                 print(f"    sandwich eps={eps}: 2*sup={lhs:.3f} "
                       f"vs (1-2 eps sup^0.5)*lam1={rhs:.3f} "
                       f"slack={lhs - rhs:.3f}", flush=True)
@@ -149,8 +149,7 @@ def test_criterion_6_second_family(unit_sphere3, identity3, sphere_minmax):
     with criterion(6, "two-parameter family: exact boundary symmetries, "
                       "sup <= twice the conformal volume"):
         spec2 = gl.FamilySpec(unit_sphere3, identity3,
-                              mollify_time=1e-4, eps=0.1,
-                              family="second")
+                              mollify_time=1e-4, family="second")
         rng = np.random.default_rng(99)
         bdry = gl.family_second(spec2, np.array([0.0, 0.0, 1.0]),
                                 rng.uniform(-0.5, 0.5, 3))
@@ -165,7 +164,7 @@ def test_criterion_6_second_family(unit_sphere3, identity3, sphere_minmax):
                 b, gl.family_second(spec2, mb.linear_reflection(b, a),
                                     -b).values)
             assert np.abs(lhs - rhs).max() <= 1e-12
-        rep2 = gl.minmax_upper(spec2)
+        rep2 = gl.minmax_upper(spec2, 0.1)
         assert rep2.sup_energy <= 8 * np.pi * 1.03
         # with criterion 4 this instantiates the second-eigenvalue bound by
         # four conformal volumes on the sphere

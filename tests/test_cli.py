@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,6 +198,47 @@ def test_glminmax_command(tmp_path):
                                        "glminmax_sweep_eps0.1.csv"))
 
 
+def test_glminmax_builds_each_member_once(tmp_path, monkeypatch):
+    # the benchmark's schedule sweeps 107 distinct parameters at each eps,
+    # and the descent at the first eps starts from one more member; one
+    # family serves all three eps, so nothing is built twice
+    calls = {"member": 0, "heat": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(glminmax.FamilySpec, "member",
+                        counted(glminmax.FamilySpec.member, "member"))
+    monkeypatch.setattr(spectra, "_heat_factor",
+                        counted(spectra._heat_factor, "heat"))
+    assert run(["glminmax", "--surface", "sphere", "--subdiv", "3",
+                "--eps", "0.2,0.1,0.05", "--n", "2", "--seed", "0"],
+               tmp_path) == 0
+    assert calls == {"member": 108, "heat": 1}
+
+
+def test_glminmax_runs_share_no_state(tmp_path):
+    # the second run's mesh differs, so a member cache that outlived the
+    # first run would show in the second run's energies
+    src = os.path.dirname(os.path.dirname(glminmax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    runs = [["--subdiv", "2", "--seed", "0"], ["--subdiv", "1", "--seed", "1"]]
+    for i, args in enumerate(runs):
+        argv = ["glminmax", "--surface", "sphere", "--eps", "0.2,0.1"] + args
+        assert run(argv, tmp_path / f"together{i}") == 0
+        subprocess.run([sys.executable, "-m", "specx.cli"] + argv
+                       + ["--out", str(tmp_path / f"alone{i}")],
+                       check=True, env=env, capture_output=True)
+    for i in range(len(runs)):
+        assert load_json(tmp_path / f"together{i}", "glminmax.json")[
+            "payload"] == load_json(tmp_path / f"alone{i}",
+                                    "glminmax.json")["payload"]
+
+
 def test_glminmax_flags_unconverged_descent(tmp_path, capsys):
     # on sphere3 the eps = 0.2 descent leaves the saddle and hits the cap
     assert run(["glminmax", "--surface", "sphere", "--subdiv", "3",
@@ -213,9 +256,9 @@ def test_glminmax_sandwich_failure(tmp_path, monkeypatch, capsys):
     # the report up to the failing eps is still written
     real = glminmax.sandwich_holds
 
-    def fails_below_02(spec, lam1, sup_energy):
-        ok, lhs, rhs = real(spec, lam1, sup_energy)
-        return ok and spec.eps >= 0.2, lhs, rhs
+    def fails_below_02(spec, eps, lam1, sup_energy):
+        ok, lhs, rhs = real(spec, eps, lam1, sup_energy)
+        return ok and eps >= 0.2, lhs, rhs
 
     monkeypatch.setattr(glminmax, "sandwich_holds", fails_below_02)
     assert run(["glminmax", "--surface", "sphere", "--subdiv", "1",

@@ -29,7 +29,7 @@ def unit_sphere3(sphere3):
 
 @pytest.fixture(scope="module")
 def sphere_spec(unit_sphere3, identity3):
-    return FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=0.1)
+    return FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
 
 
 def test_gl_energy_cases(sphere3, identity3):
@@ -207,8 +207,8 @@ def test_line_quartic_matches_energy_difference():
 @pytest.fixture(scope="module")
 def recipe_eps02(unit_sphere3, identity3):
     """The glminmax recipe's first stage: eps = 0.2 from the argmax."""
-    spec = FamilySpec(unit_sphere3, identity3, eps=0.2)
-    start = spec.member(minmax_upper(spec).argmax)
+    spec = FamilySpec(unit_sphere3, identity3)
+    start = spec.member(minmax_upper(spec, 0.2).argmax)
     return start, gl_descend(unit_sphere3, start, 0.2)
 
 
@@ -320,8 +320,8 @@ def test_descend_lockstep_with_two_product_oracle(unit_sphere3, identity3,
                                                   dim):
     # dim 4 is the base of `glminmax --n 3`
     base = hm.embed_map(identity3, dim)
-    spec = FamilySpec(unit_sphere3, base, eps=0.2)
-    start = spec.member(minmax_upper(spec).argmax)
+    spec = FamilySpec(unit_sphere3, base)
+    start = spec.member(minmax_upper(spec, 0.2).argmax)
     outs = _recipe_descents(gl_descend, unit_sphere3, start)
     refs = _recipe_descents(_two_product_descend, unit_sphere3, start)
     assert [o["iterations"] for o in outs] == [2000, 492, 97]
@@ -372,14 +372,14 @@ def test_mollify_properties(sphere3, identity3):
 
 def test_family_first_members(sphere_spec, unit_sphere3, identity3):
     a0 = family_first(sphere_spec, np.zeros(3))
-    tiny = FamilySpec(unit_sphere3, identity3, mollify_time=1e-9, eps=0.1)
+    tiny = FamilySpec(unit_sphere3, identity3, mollify_time=1e-9)
     near_base = family_first(tiny, np.zeros(3))
     assert np.abs(near_base.values - identity3.values).max() < 1e-6
     boundary = family_first(sphere_spec, np.array([0.0, 1.0, 0.0]))
     assert np.allclose(boundary.values, [0.0, 1.0, 0.0])
-    assert gl_energy(unit_sphere3, boundary, sphere_spec.eps) < 1e-12
+    assert gl_energy(unit_sphere3, boundary, 0.1) < 1e-12
     a9 = family_first(sphere_spec, np.array([0.9, 0.0, 0.0]))
-    parts = gl_energy(unit_sphere3, a9, sphere_spec.eps, parts=True)
+    parts = gl_energy(unit_sphere3, a9, 0.1, parts=True)
     assert parts["E_eps"] <= 4 * np.pi * 1.03
     assert np.linalg.norm(a9.values, axis=1).max() <= 1.0 + 1e-9
 
@@ -387,15 +387,15 @@ def test_family_first_members(sphere_spec, unit_sphere3, identity3):
 def test_family_grid_validation(unit_sphere3, identity3):
     with pytest.raises(FamilyError):
         FamilySpec(mesh=unit_sphere3, base_map=identity3, mollify_time=1e-4,
-                   eps=0.1, grid=np.array([[1.0, 0.0, 0.0]]))
+                   grid=np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(FamilyError):
-        FamilySpec(unit_sphere3, identity3, mollify_time=0.0, eps=0.1)
+        FamilySpec(unit_sphere3, identity3, mollify_time=0.0)
 
 
 def test_family_second_members(unit_sphere3, identity3):
     spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       eps=0.1, family="second")
-    spec1 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=0.1)
+                       family="second")
+    spec1 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
     rng = np.random.default_rng(6)
     a = np.array([0.3, 0.1, 0.0])
     assert np.allclose(family_second(spec2, a, np.zeros(3)).values,
@@ -415,7 +415,7 @@ def test_family_second_members(unit_sphere3, identity3):
 
 
 def test_minmax_upper_sphere(sphere_spec):
-    rep = minmax_upper(sphere_spec)
+    rep = minmax_upper(sphere_spec, 0.1)
     assert abs(rep.sup_energy - 4 * np.pi) < 0.03 * 4 * np.pi
     assert rep.grid_size == len(sphere_spec.grid)
     assert len(rep.refinement) == sphere_spec.refine_rounds + 1
@@ -425,16 +425,40 @@ def test_minmax_upper_sphere(sphere_spec):
 
 def test_minmax_single_point_grid(unit_sphere3, identity3):
     spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                      eps=0.1, grid=np.zeros((1, 3)),
-                      refine_rounds=0)
-    rep = minmax_upper(spec)
+                      grid=np.zeros((1, 3)), refine_rounds=0)
+    rep = minmax_upper(spec, 0.1)
     member = family_first(spec, np.zeros(3))
     assert rep.sup_energy == pytest.approx(
         gl_energy(unit_sphere3, member, 0.1))
 
 
+def test_eps_schedule_lockstep_with_fresh_families():
+    # one family swept at three eps values reuses its members; every
+    # report must be the one a fresh family gives at that eps alone
+    mesh = build_sphere_mesh(2)
+    mesh = mesh.scaled(1.0 / np.sqrt(area(mesh)))
+    phi = hm.identity_sphere_map(mesh)
+    shared = FamilySpec(mesh, phi)
+    for eps in (0.2, 0.1, 0.05):
+        rep = minmax_upper(shared, eps)
+        ref = minmax_upper(FamilySpec(mesh, phi), eps)
+        assert rep.eps == ref.eps == eps
+        assert rep.sup_energy == ref.sup_energy
+        assert rep.argmax.tobytes() == ref.argmax.tobytes()
+        assert rep.refinement == ref.refinement
+        assert rep.sweep_rows == ref.sweep_rows
+        for row in rep.sweep_rows:
+            parts = gl_energy(mesh, shared.member(np.array(row[:3])), eps,
+                              parts=True)
+            assert tuple(parts[k] for k in gl.PARTS) == row[3:]
+    with pytest.raises(FamilyError):
+        minmax_upper(shared, 0.0)
+    with pytest.raises(FamilyError, match="report is for eps"):
+        extract_critical(shared, 0.1, rep)
+
+
 def test_sweep_csv(tmp_path, sphere_spec):
-    rep = minmax_upper(sphere_spec)
+    rep = minmax_upper(sphere_spec, 0.1)
     path = tmp_path / "sweep.csv"
     sweep_to_csv(rep, path)
     lines = path.read_text().strip().splitlines()
@@ -443,7 +467,7 @@ def test_sweep_csv(tmp_path, sphere_spec):
 
 
 def test_report_json(sphere_spec):
-    rep = extract_critical(sphere_spec, tol=1e-4, max_iters=500)
+    rep = extract_critical(sphere_spec, 0.1, tol=1e-4, max_iters=500)
     doc = rep.to_json_dict()
     for key in ("sup_energy", "argmax", "eps", "mollify_time", "family",
                 "seed", "grid_size", "critical"):
@@ -459,7 +483,7 @@ def test_balanced_point_symmetric(sphere_spec):
 def test_balanced_point_shifted(unit_sphere3, identity3):
     shifted = hm.SphereMap(hm.normalize_rows(
         mb.mobius_apply(np.array([0.5, 0.0, 0.0]), identity3.values)))
-    spec = FamilySpec(unit_sphere3, shifted, mollify_time=1e-4, eps=0.1)
+    spec = FamilySpec(unit_sphere3, shifted, mollify_time=1e-4)
     a_star, res = balanced_point(spec)
     assert res < 1e-6 * area(unit_sphere3)
     # the balancing parameter undoes the shift along the same axis
@@ -469,7 +493,7 @@ def test_balanced_point_shifted(unit_sphere3, identity3):
 
 def test_balanced_point_wrong_family(unit_sphere3, identity3):
     spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       eps=0.1, family="second")
+                       family="second")
     with pytest.raises(FamilyError):
         balanced_point(spec2)
 
@@ -479,7 +503,7 @@ def test_balanced_point_second_sphere(unit_sphere3, identity3):
     mu = w / w.sum()
     phi1 = sx.solve_pencil(unit_sphere3, mu, 1).vectors[:, 1]
     spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       eps=0.1, family="second")
+                       family="second")
     (a_star, b_star), res = balanced_point_second(spec2, phi1, mu=mu)
     assert res < 1e-6
     # b lands on the symmetry axis of the chosen first eigenfunction
@@ -498,7 +522,7 @@ def test_balanced_point_second_sphere(unit_sphere3, identity3):
 
 def test_balanced_point_second_dim_error(unit_sphere3, identity3):
     spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       eps=0.1, family="second")
+                       family="second")
     with pytest.raises(FamilyError):
         balanced_point_second(spec2, np.ones(7))
 
@@ -513,7 +537,7 @@ def test_balanced_point_point_mass_has_no_root(sphere_spec, unit_sphere3,
     with pytest.raises(FamilyError, match="^balanced point not found"):
         balanced_point(sphere_spec, mu=mu)
     spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       eps=0.1, family="second")
+                       family="second")
     phi1 = unit_sphere3.vertices[:, 2]
     with pytest.raises(FamilyError, match="^second balanced point not found"):
         balanced_point_second(spec2, phi1, mu=mu)
@@ -530,15 +554,15 @@ def test_eigen_lower_sphere_equality(sphere_spec, unit_sphere3):
 def test_eigen_lower_torus_inequality():
     torus = build_torus_mesh(1j, 24)
     base = hm.torus_clifford_map(torus)
-    spec = FamilySpec(torus, base, mollify_time=1e-4, eps=0.1)
+    spec = FamilySpec(torus, base, mollify_time=1e-4)
     w = volume_measure(torus)
     mu = w / w.sum()
     ratio = eigen_lower_from_family(spec, mu=mu)
     lam1 = sx.solve_pencil(torus, mu, 1).values[1]
     assert lam1 <= ratio * (1 + 1e-9)
-    rep = minmax_upper(spec)
+    rep = minmax_upper(spec, 0.1)
     assert ratio <= 2 * rep.sup_energy / (
-        1 - 2 * spec.eps * np.sqrt(rep.sup_energy)) + 1e-9
+        1 - 2 * 0.1 * np.sqrt(rep.sup_energy)) + 1e-9
 
 
 def test_eigen_lower_steklov_measure(unit_sphere3, identity3):
@@ -546,16 +570,15 @@ def test_eigen_lower_steklov_measure(unit_sphere3, identity3):
     w = np.zeros(unit_sphere3.num_vertices)
     w[sub.orig_vertex_ids] = curve_measure(sub)
     mu = w / w.sum()
-    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=0.1)
+    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
     ratio = eigen_lower_from_family(spec, mu=mu)
     st = sx.steklov_eigs(sub, k=1)
     # sigma_bar = sigma_1 * Length equals the eigenvalue of the unit-mass
     # boundary measure scaled consistently, so it is dominated by the
     # balanced Rayleigh quotient
     sigma_bar = st.values[1] * st.mass
-    rep = minmax_upper(spec)
-    bound = 2 * rep.sup_energy / (1 - 2 * spec.eps
-                                  * np.sqrt(rep.sup_energy))
+    rep = minmax_upper(spec, 0.1)
+    bound = 2 * rep.sup_energy / (1 - 2 * 0.1 * np.sqrt(rep.sup_energy))
     assert sigma_bar <= ratio * (1 + 1e-9)
     assert sigma_bar <= bound + 1e-9
 
@@ -569,8 +592,8 @@ def test_eigen_lower_needs_unit_mass(sphere_spec):
 def test_extract_critical_sphere(sphere3, identity3):
     # on the area-4pi sphere eps=0.1 is deep in the rigid regime, so the
     # descended critical point stays near the identity level
-    spec = FamilySpec(sphere3, identity3, mollify_time=1e-4, eps=0.1)
-    rep = extract_critical(spec, tol=1e-5)
+    spec = FamilySpec(sphere3, identity3, mollify_time=1e-4)
+    rep = extract_critical(spec, 0.1, tol=1e-5)
     crit = rep.critical
     assert crit["E_eps"] <= rep.sup_energy + 1e-12
     assert abs(crit["E_eps"] - 4 * np.pi) < 0.03 * 4 * np.pi
@@ -579,9 +602,9 @@ def test_extract_critical_sphere(sphere3, identity3):
 
 def test_extract_critical_eps_monotone(unit_sphere3, identity3):
     es = []
+    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
     for eps in (0.2, 0.1, 0.05):
-        spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=eps)
-        rep = extract_critical(spec, tol=1e-5)
+        rep = extract_critical(spec, eps, tol=1e-5)
         es.append(rep.critical["E_eps"])
     for a, b in zip(es, es[1:]):
         assert b >= a - 0.01 * abs(a)
@@ -589,14 +612,14 @@ def test_extract_critical_eps_monotone(unit_sphere3, identity3):
 
 def test_sandwich_consistency(unit_sphere3, identity3):
     lam1 = sx.laplace_eigs(unit_sphere3, k=1).values[1]
+    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
     for eps in (0.2, 0.1, 0.05):
-        spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4, eps=eps)
-        ok, lhs, rhs = sandwich_holds(spec, lam1)
+        ok, lhs, rhs = sandwich_holds(spec, eps, lam1)
         assert ok
 
 
 def test_dimensional_monotonicity(sphere_spec):
-    eps = sphere_spec.eps
+    eps = 0.1
     mesh = sphere_spec.mesh
     for a in sphere_spec.grid[:12]:
         base_e = gl_energy(mesh, sphere_spec.member(a), eps)

@@ -220,6 +220,32 @@ def test_non_finite_density_is_mesh_error(sphere3, value):
         laplace_eigs(sphere3, f, k=3)
 
 
+@pytest.fixture
+def no_factorisation(monkeypatch):
+    def refuse(A):
+        raise AssertionError("a non-finite input reached a factorisation")
+
+    monkeypatch.setattr(spectra, "_spd_factor", refuse)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_pencil_weights_are_mesh_error(value, no_factorisation):
+    mesh = build_sphere_mesh(1)
+    b = volume_measure(mesh)
+    b[3] = value
+    with pytest.raises(MeshError, match="finite"):
+        solve_pencil(mesh, b, 2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_start_density_is_mesh_error(value, no_factorisation):
+    mesh = build_sphere_mesh(1)
+    f = np.ones(mesh.num_vertices)
+    f[3] = value
+    with pytest.raises(MeshError, match="finite"):
+        maximize_lambda1_conformal(mesh, f0=f)
+
+
 def test_courant_bound_genus0(sphere3, sphere4):
     for mesh in (sphere3, sphere4):
         spec = laplace_eigs(mesh, k=6)
