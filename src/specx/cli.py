@@ -88,6 +88,10 @@ DEFAULTS = {
 
 _INT_KEYS = {"subdiv", "res", "n", "grid", "seed", "count"}
 
+# the smallest accepted value of each key: at least one eigenvalue past
+# the constant one, and a target sphere S^n that a SphereMap can hold
+_MINIMUM = {"count": 1, "n": 2}
+
 
 class RunConfig:
     """Resolved configuration: defaults < config file < flags."""
@@ -112,6 +116,10 @@ class RunConfig:
             except ValueError as exc:
                 raise UsageError(f"bad {key} {merged[key]!r}: want an "
                                  "integer") from exc
+        for key, low in _MINIMUM.items():
+            if merged[key] < low:
+                raise UsageError(f"bad {key} {merged[key]}: want at least "
+                                 f"{low}")
         merged["out"] = os.environ.get("SPECX_OUT", merged["out"])
         self.command = args.command
         self.recipe = getattr(args, "recipe", None)
@@ -134,9 +142,12 @@ class RunConfig:
     @property
     def eps_list(self):
         try:
-            return [float(x) for x in str(self.eps).split(",") if x]
+            eps = [float(x) for x in str(self.eps).split(",") if x]
         except ValueError as exc:
             raise UsageError(f"bad --eps {self.eps!r}") from exc
+        if not eps:
+            raise UsageError(f"bad --eps {self.eps!r}: empty schedule")
+        return eps
 
     @property
     def holes_list(self):

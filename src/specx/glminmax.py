@@ -33,10 +33,14 @@ class FamilyError(ValueError):
     pass
 
 
+MOLLIFY_TIME = 1e-4  # the heat-step time that mollifies every member
+
 # the parameter-ball search of every family: grid shells, their outer
-# radius, and samples per refinement round (reported in MinMaxReport.grid)
+# radius, refinement rounds and samples per round (reported in
+# MinMaxReport.grid)
 GRID_RADII = 5
 GRID_MAX_RADIUS = 0.9
+REFINE_ROUNDS = 3
 REFINE_SAMPLES = 12
 
 
@@ -65,7 +69,7 @@ def _check_eps(eps):
         raise FamilyError("eps must be positive")
 
 
-# the parts of gl_energy(parts=True), in the column order of a sweep row
+# the values of `_parts_at`, in the column order of a sweep row
 PARTS = ("E_eps", "dirichlet", "potential", "avg_norm")
 
 
@@ -87,12 +91,10 @@ def _parts_at(dirichlet, numerator, avg, eps):
     return dirichlet + potential, dirichlet, potential, avg
 
 
-def gl_energy(mesh, u, eps, parts=False):
-    """Dirichlet part plus lumped potential integral; with parts=True a
-    dict of the PARTS."""
+def gl_energy(mesh, u, eps):
+    """Dirichlet part plus lumped potential integral."""
     _check_eps(eps)
-    out = _parts_at(*_eps_free_parts(mesh, _values(u)), float(eps))
-    return dict(zip(PARTS, out)) if parts else out[0]
+    return _parts_at(*_eps_free_parts(mesh, _values(u)), float(eps))[0]
 
 
 def gl_gradient(mesh, u, eps):
@@ -252,7 +254,8 @@ def mollify(mesh, f, t, _factor=None):
 @dataclass
 class FamilySpec:
     """Explicit admissible family: mollified conformal deformations of a
-    base sphere map, with a deterministic parameter grid.
+    base sphere map, on the deterministic parameter grid `grid` that seed
+    and n_dirs fix. Every member is mollified for time MOLLIFY_TIME.
 
     The family does not depend on eps: the relaxation parameter is an
     argument of `minmax_upper`, `extract_critical` and `sandwich_holds`,
@@ -269,44 +272,25 @@ class FamilySpec:
 
     mesh: TriMesh
     base_map: SphereMap
-    mollify_time: float = 1e-4
     family: str = "first"  # "first" (G_a . phi) | "second" (G_a . T_b . phi)
-    grid: np.ndarray | None = None
     seed: int = 0
     n_dirs: int = 14
-    refine_rounds: int = 3
 
     def __post_init__(self):
-        if self.mollify_time <= 0.0:
-            raise FamilyError("mollify_time must be positive")
         if self.family not in ("first", "second"):
             raise FamilyError(f"unknown family {self.family!r}")
-        if self.grid is None:
-            dim = self.param_dim
-            g = ball_grid(self.ambient_dim, self.n_dirs, GRID_RADII,
-                          GRID_MAX_RADIUS, self.seed)
-            if self.family == "second":
-                rng = np.random.default_rng(self.seed + 1)
-                pairs = [np.concatenate([p, np.zeros(self.ambient_dim)])
-                         for p in g]
-                n_extra = len(g) * 2
-                for _ in range(n_extra):
-                    q = rng.standard_normal(dim)
-                    q *= rng.uniform(0, GRID_MAX_RADIUS) / np.linalg.norm(q)
-                    pairs.append(q)
-                self.grid = np.asarray(pairs)
-            else:
-                self.grid = g
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.ndim != 2 or self.grid.shape[1] != self.param_dim:
-            raise FamilyError(
-                f"grid must be (P, {self.param_dim}) for the {self.family} "
-                f"family in ambient dimension {self.ambient_dim}")
-        interior = np.linalg.norm(
-            self.grid.reshape(len(self.grid), -1, self.ambient_dim),
-            axis=2) <= BALL_EDGE
-        if not interior.all():
-            raise FamilyError("grid points must lie strictly inside the ball")
+        g = ball_grid(self.ambient_dim, self.n_dirs, GRID_RADII,
+                      GRID_MAX_RADIUS, self.seed)
+        if self.family == "second":
+            rng = np.random.default_rng(self.seed + 1)
+            pairs = [np.concatenate([p, np.zeros(self.ambient_dim)])
+                     for p in g]
+            for _ in range(len(g) * 2):
+                q = rng.standard_normal(self.param_dim)
+                q *= rng.uniform(0, GRID_MAX_RADIUS) / np.linalg.norm(q)
+                pairs.append(q)
+            g = np.asarray(pairs)
+        self.grid = np.asarray(g, dtype=float)
 
     @property
     def ambient_dim(self):
@@ -318,7 +302,7 @@ class FamilySpec:
 
     @cached_property
     def _factor(self):
-        return spectra._heat_factor(self.mesh, self.mollify_time)
+        return spectra._heat_factor(self.mesh, MOLLIFY_TIME)
 
     @cached_property
     def _parts(self):
@@ -368,25 +352,7 @@ def _mollified_member(spec, a, b):
     phi = spec.base_map.values
     vals = (mobius.mobius_apply(a, phi) if b is None
             else mobius.upsilon(a, b, phi))
-    return mollify(spec.mesh, vals, spec.mollify_time, _factor=spec._factor)
-
-
-def embedded_member(spec: FamilySpec, a_prime, s):
-    """Member of the one-dimension-up family built from a first-family spec:
-    (sqrt(1-s^2) F_{a'/sqrt(1-s^2)}, s), the explicit construction behind
-    the monotonicity of the min-max energies in the target dimension."""
-    if spec.family != "first":
-        raise FamilyError("embedding construction applies to first families")
-    s = float(s)
-    if abs(s) >= 1.0:
-        const = np.zeros(spec.ambient_dim + 1)
-        const[-1] = np.sign(s)
-        return VectorMap(np.tile(const, (spec.mesh.num_vertices, 1)))
-    root = np.sqrt(1.0 - s * s)
-    base = spec.member(np.asarray(a_prime, dtype=float) / root)
-    vals = np.hstack([root * base.values,
-                      np.full((len(base.values), 1), s)])
-    return VectorMap(vals)
+    return mollify(spec.mesh, vals, MOLLIFY_TIME, _factor=spec._factor)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +364,6 @@ class MinMaxReport:
     sup_energy: float
     argmax: np.ndarray
     eps: float
-    mollify_time: float
     family: str
     seed: int
     grid_size: int
@@ -412,7 +377,7 @@ class MinMaxReport:
             "sup_energy": float(self.sup_energy),
             "argmax": [float(x) for x in np.atleast_1d(self.argmax)],
             "eps": float(self.eps),
-            "mollify_time": float(self.mollify_time),
+            "mollify_time": MOLLIFY_TIME,
             "family": self.family,
             "seed": int(self.seed),
             "grid_size": int(self.grid_size),
@@ -440,8 +405,6 @@ def minmax_upper(spec: FamilySpec, eps):
     of a fresh spec. Members stay unbatched (see FamilySpec).
     """
     _check_eps(eps)
-    if len(spec.grid) == 0:
-        raise FamilyError("empty parameter grid")
     rows = []
 
     def objective(p):
@@ -458,16 +421,15 @@ def minmax_upper(spec: FamilySpec, eps):
 
     best_val, best_p, history = maximize_over_ball(
         objective, spec.param_dim, n_radii=GRID_RADII,
-        max_radius=GRID_MAX_RADIUS, rounds=spec.refine_rounds,
+        max_radius=GRID_MAX_RADIUS, rounds=REFINE_ROUNDS,
         local_samples=REFINE_SAMPLES, seed=spec.seed + 17,
         grid=spec.grid, project=project)
     return MinMaxReport(
-        sup_energy=best_val, argmax=best_p, eps=eps,
-        mollify_time=spec.mollify_time, family=spec.family, seed=spec.seed,
-        grid_size=len(spec.grid),
+        sup_energy=best_val, argmax=best_p, eps=eps, family=spec.family,
+        seed=spec.seed, grid_size=len(spec.grid),
         grid_info={"dirs": spec.n_dirs, "radii": GRID_RADII,
                    "max_radius": GRID_MAX_RADIUS,
-                   "refine_rounds": spec.refine_rounds,
+                   "refine_rounds": REFINE_ROUNDS,
                    "refine_samples": REFINE_SAMPLES},
         refinement=history, sweep_rows=rows)
 
@@ -486,10 +448,18 @@ def sweep_to_csv(report: MinMaxReport, path):
 # ---------------------------------------------------------------------------
 
 def _measure_weights(spec, mu):
-    """Vertex weights of mu (None: the volume measure of spec.mesh)."""
+    """Vertex weights of mu (None: the volume measure of spec.mesh). A mu
+    that is not a finite, nonnegative array of shape (V,) raises
+    FamilyError."""
     if mu is None:
         return volume_measure(spec.mesh)
-    return np.asarray(mu, dtype=float)
+    w = np.asarray(mu, dtype=float)
+    if w.shape != (spec.mesh.num_vertices,):
+        raise FamilyError(f"mu must have shape ({spec.mesh.num_vertices},), "
+                          f"got {w.shape}")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+        raise FamilyError("mu must be finite and nonnegative")
+    return w
 
 
 def _balance(avg, starts, project, tol, what):

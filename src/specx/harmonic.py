@@ -118,8 +118,8 @@ def torus_collapse_map(mesh):
     return SphereMap(normalize_rows(vals))
 
 
-def power_map(mesh, degree=2):
-    """Degree-d branched conformal self-map of the sphere (zated to z^d in a
+def power_map(mesh):
+    """Degree-2 branched conformal self-map of the sphere (z to z^2 in a
     stereographic chart), evaluated with pole-stable half-angle formulas.
 
     Vertices must lie on the unit sphere; the two poles are branch points
@@ -128,17 +128,13 @@ def power_map(mesh, degree=2):
     v = mesh.vertices
     if np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) > 1e-9:
         raise MapError("power map needs vertices on the unit sphere")
-    d = int(degree)
-    if d < 1:
-        raise MapError("degree must be >= 1")
     z = np.clip(v[:, 2], -1.0, 1.0)
     theta = np.arccos(z)
     half = np.tan(0.5 * theta)
-    half_new = half ** d
-    theta_new = 2.0 * np.arctan(half_new)
+    theta_new = 2.0 * np.arctan(half ** 2)
     phi_az = np.arctan2(v[:, 1], v[:, 0])
     s = np.sin(theta_new)
-    out = np.stack([s * np.cos(d * phi_az), s * np.sin(d * phi_az),
+    out = np.stack([s * np.cos(2 * phi_az), s * np.sin(2 * phi_az),
                     np.cos(theta_new)], axis=1)
     return SphereMap(normalize_rows(out))
 
@@ -208,22 +204,19 @@ def tension_residual(mesh, phi):
     return per_vertex, aggregate
 
 
-def harmonic_flow(mesh, phi0, steps=100, dt=None):
+def harmonic_flow(mesh, phi0, steps=100):
     """Explicit projected tension-field flow toward discrete harmonic maps.
 
-    Phi <- normalize(Phi - dt * M^{-1}(K Phi - diag(e) M Phi)). The update
-    is exactly tangential, so the pointwise norm can only grow before the
-    projection and the unit constraint is restored exactly each step.
+    Phi <- normalize(Phi - dt * M^{-1}(K Phi - diag(e) M Phi)) with dt half
+    the stability bound 1 / max(K_ii / A_i). The update is exactly
+    tangential, so the pointwise norm can only grow before the projection
+    and the unit constraint is restored exactly each step.
     """
     vals = _values(phi0).copy()
     K = mesh.stiffness
     va = mesh.vertex_areas
     rate = K.diagonal() / va
-    bound = 1.0 / float(rate.max())
-    if dt is None:
-        dt = 0.5 * bound
-    if dt * float(rate.max()) >= 1.0:
-        raise MapError(f"flow step {dt} violates the stability bound {bound}")
+    dt = 0.5 * (1.0 / rate.max())
     for _ in range(steps):
         kphi = K @ vals
         coupling = np.sum(kphi * vals, axis=1)
@@ -234,15 +227,16 @@ def harmonic_flow(mesh, phi0, steps=100, dt=None):
 
 def check_eigenvalue_two(mesh, phi):
     """Whether 2 is an eigenvalue of the Laplacian for the induced metric
-    0.5*|dPhi|^2 g, with its multiplicity within the relative cluster_tol
-    1e-3 of `spectra` and the gap to the rest of the lowest 9 eigenvalues."""
+    0.5*|dPhi|^2 g, with its multiplicity within the relative
+    `spectra.CLUSTER_TOL` and the gap to the rest of the lowest 9
+    eigenvalues."""
     w = np.maximum(energy_shares(mesh, phi), 0.0)  # mass == energy
     if w.sum() <= 0.0:
         raise MapError("map has zero energy; induced metric is degenerate")
     k = min(8, int(np.sum(w > 0)) - 1)
     spec = spectra.solve_pencil(mesh, w, k)
     mult = spectra.multiplicity(spec, 2.0)
-    tol = spec.cluster_tol * 2.0
+    tol = spectra.CLUSTER_TOL * 2.0
     outside = spec.values[np.abs(spec.values - 2.0) > tol]
     gap = float(np.min(np.abs(outside - 2.0))) if len(outside) else np.inf
     return {"present": mult > 0, "multiplicity": int(mult), "gap": gap,

@@ -33,8 +33,6 @@ NORMALIZATION = "density |dPhi|^2, threshold 1"
 
 RESIDUAL_WARN = 1e-2
 
-CLUSTER_TOL = 1e-3  # half-width of the threshold cluster at eigenvalue 1
-
 MARGIN_FACTOR = 0.05  # energy-index margin, in units of the mean density
 
 
@@ -75,7 +73,7 @@ def _density(mesh, phi):
     return np.maximum(b, 0.0)
 
 
-def spectral_index(mesh, phi: SphereMap, cluster_tol=CLUSTER_TOL):
+def spectral_index(mesh, phi: SphereMap, cluster_tol=spectra.CLUSTER_TOL):
     """(ind_S, nul_S, margins): position and multiplicity of the threshold
     eigenvalue.
 
@@ -236,7 +234,7 @@ def index_report(mesh, phi: SphereMap) -> IndexReport:
     (and warned about) once."""
     residual = _warn_if_not_harmonic(mesh, phi)
     ind_s, nul_s, margins_s = _spectral_index(mesh, _density(mesh, phi),
-                                              CLUSTER_TOL)
+                                              spectra.CLUSTER_TOL)
     ind_e, margins_e = _energy_index(mesh, phi, None)
     return IndexReport(ind_S=ind_s, nul_S=nul_s, ind_E=ind_e,
                        margins=margins_s + margins_e,
@@ -258,7 +256,7 @@ def check_composition_law(mesh, phi: SphereMap, m):
     lhs = _energy_count(mesh, embed_map(phi, m + 1), None)[0]
     ind_e = _energy_count(mesh, phi, None)[0]
     ind_s = spectra.count_below(mesh.stiffness, _density(mesh, phi),
-                                1.0 - CLUSTER_TOL)
+                                1.0 - spectra.CLUSTER_TOL)
     rhs = ind_e + (m - n) * ind_s
     return {"lhs": int(lhs), "rhs": int(rhs), "equal": lhs == rhs,
             "ind_E": int(ind_e), "ind_S": int(ind_s)}

@@ -385,21 +385,16 @@ def validate_density(mesh, f):
     return f
 
 
-def curve_measure(mesh, loop_ids=None):
-    """Length measure of selected boundary loops.
+def curve_measure(mesh):
+    """Length measure of the boundary.
 
     Vertex weights are half-sums of incident boundary edge lengths; total
-    mass equals the length of the selected loops. Each length comes from
-    the face chart of the edge's one half-edge, as in `edge_lengths`.
+    mass equals the boundary length. Each length comes from the face chart
+    of the edge's one half-edge, as in `edge_lengths`.
     """
-    if loop_ids is None:
-        loop_ids = list(range(len(mesh.boundary_loops)))
-    loop_ids = list(loop_ids)
-    if not loop_ids:
-        raise MeshError("empty boundary loop selection")
-    if any(i < 0 or i >= len(mesh.boundary_loops) for i in loop_ids):
-        raise MeshError("loop id out of range (interior loops do not exist)")
-    loops = [mesh.boundary_loops[lid] for lid in loop_ids]
+    loops = mesh.boundary_loops
+    if not loops:
+        raise MeshError("mesh has no boundary to measure")
     i = np.concatenate(loops)
     j = np.concatenate([np.roll(loop, -1) for loop in loops])
     # edge (i, j) is the boundary half-edge j -> i, the one ending at i

@@ -51,6 +51,9 @@ WARM_RTOL = 1e-12  # x-space residual a warm pair must meet, relative to mu_max
 
 WARM_BLOCKS = 8  # block solves a warm start may take before the ARPACK path
 
+CLUSTER_TOL = 1e-3  # relative half-width of an eigenvalue cluster: of
+# `multiplicity`, `harmonic.check_eigenvalue_two` and `index`'s threshold
+
 INERTIA_RTOL = 1e-10  # relative backward error an inertia count's solve may
 # have; the index forms measure 2e-16 to 1e-14
 
@@ -63,7 +66,6 @@ class Spectrum:
     vectors: np.ndarray  # (V, k+1), harmonically extended off supp(B)
     residuals: np.ndarray
     mass: float
-    cluster_tol: float = 1e-3
     warm: bool = False  # the warm block solve ran, not the cold path
 
     def normalized(self):
@@ -121,8 +123,7 @@ def _check_support(mesh, b, expect_disconnected=False):
     return ns
 
 
-def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
-                 expect_disconnected=False, start=None):
+def solve_pencil(mesh, b, k, seed=0, expect_disconnected=False, start=None):
     """First k+1 eigenpairs of K v = lambda diag(b) v.
 
     One shift-invert solve (`_shift_invert`) for every pencil, with
@@ -148,7 +149,7 @@ def solve_pencil(mesh, b, k, cluster_tol=1e-3, seed=0,
     vals, vecs, warm = _shift_invert(K, b, sigma, kk, seed, start)
     resid = _residuals(K, b, vals, vecs)
     return Spectrum(values=vals, vectors=vecs, residuals=resid,
-                    mass=float(b.sum()), cluster_tol=cluster_tol, warm=warm)
+                    mass=float(b.sum()), warm=warm)
 
 
 def _spd_factor(A):
@@ -358,22 +359,21 @@ def _residuals(K, b, vals, vecs):
 # spec operations
 # ---------------------------------------------------------------------------
 
-def laplace_eigs(mesh, density=None, k=5, cluster_tol=1e-3, seed=0):
+def laplace_eigs(mesh, density=None, k=5, seed=0):
     """Eigenpairs of the Laplacian for the conformal metric density*g0;
     density is None or a vertex array, checked by `validate_density`."""
     if k >= mesh.num_vertices:
         raise MeshError("k must be below the vertex count")
     if density is not None:
         validate_density(mesh, density)
-    return solve_pencil(mesh, volume_measure(mesh, density), k, cluster_tol,
-                        seed)
+    return solve_pencil(mesh, volume_measure(mesh, density), k, seed)
 
 
-def steklov_eigs(mesh, k=5, cluster_tol=1e-3, seed=0):
+def steklov_eigs(mesh, k=5, seed=0):
     """Steklov eigenvalues: pencil with the boundary length measure."""
     if mesh.is_closed:
         raise MeshError("Steklov problem needs a nonempty boundary")
-    return solve_pencil(mesh, curve_measure(mesh), k, cluster_tol, seed,
+    return solve_pencil(mesh, curve_measure(mesh), k, seed,
                         expect_disconnected=len(mesh.boundary_loops) > 1)
 
 
@@ -429,8 +429,8 @@ def nondecreasing_trend(values, lambda_ref):
 
 
 def multiplicity(spec: Spectrum, value):
-    """Number of eigenvalues within cluster_tol (relative) of value."""
-    tol = spec.cluster_tol * max(1.0, abs(value))
+    """Number of eigenvalues within CLUSTER_TOL (relative) of value."""
+    tol = CLUSTER_TOL * max(1.0, abs(value))
     return int(np.sum(np.abs(spec.values - value) <= tol))
 
 
@@ -458,7 +458,8 @@ def _heat_factor(mesh, t):
 
     For t > 0 the step is SPD (positive vertex areas plus a semidefinite
     stiffness), the precondition of `_spd_factor`. The maximiser passes
-    t = h^2, and `glminmax.mollify` and `FamilySpec` reject t <= 0.
+    t = h^2, `FamilySpec` glminmax.MOLLIFY_TIME, and `glminmax.mollify`
+    rejects t <= 0.
     """
     return _spd_factor((sp.diags(mesh.vertex_areas)
                         + t * mesh.stiffness).tocsc())

@@ -55,7 +55,7 @@ def unit_sphere3(sphere3):
 
 @pytest.fixture(scope="module")
 def sphere_minmax(unit_sphere3, identity3):
-    spec = gl.FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
+    spec = gl.FamilySpec(unit_sphere3, identity3)
     return spec, gl.minmax_upper(spec, 0.1)
 
 
@@ -136,7 +136,7 @@ def test_criterion_5_eigenvalue_sandwich(unit_sphere3, identity3):
         ]
         for mesh, base in cases:
             lam1 = sx.laplace_eigs(mesh, k=1).values[1]
-            spec = gl.FamilySpec(mesh, base, mollify_time=1e-4)
+            spec = gl.FamilySpec(mesh, base)
             for eps in (0.2, 0.1, 0.05):
                 ok, lhs, rhs = gl.sandwich_holds(spec, eps, lam1)
                 print(f"    sandwich eps={eps}: 2*sup={lhs:.3f} "
@@ -148,8 +148,7 @@ def test_criterion_5_eigenvalue_sandwich(unit_sphere3, identity3):
 def test_criterion_6_second_family(unit_sphere3, identity3, sphere_minmax):
     with criterion(6, "two-parameter family: exact boundary symmetries, "
                       "sup <= twice the conformal volume"):
-        spec2 = gl.FamilySpec(unit_sphere3, identity3,
-                              mollify_time=1e-4, family="second")
+        spec2 = gl.FamilySpec(unit_sphere3, identity3, family="second")
         rng = np.random.default_rng(99)
         bdry = gl.family_second(spec2, np.array([0.0, 0.0, 1.0]),
                                 rng.uniform(-0.5, 0.5, 3))
@@ -175,7 +174,7 @@ def test_criterion_6_second_family(unit_sphere3, identity3, sphere_minmax):
 def test_criterion_7_harmonic_eigenstructure(sphere3, flowed_identity3):
     with criterion(7, "harmonic maps carry eigenvalue two with the right "
                       "multiplicity and normalized eigenvalue"):
-        deg2 = hm.harmonic_flow(sphere3, hm.power_map(sphere3, 2),
+        deg2 = hm.harmonic_flow(sphere3, hm.power_map(sphere3),
                                 steps=800)
         for phi in (flowed_identity3, deg2):
             out = hm.check_eigenvalue_two(sphere3, phi)

@@ -368,3 +368,33 @@ def test_index_flags_a_nonharmonic_map(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     doc = load_json(tmp_path / "sphere", "index.json")
     assert doc["payload"]["tension_residual"] < 0.01
+
+
+@pytest.mark.parametrize("command", ["eigs", "steklov"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_count_below_one_is_usage_error(tmp_path, capsys, command, count):
+    # -k 0 used to write its report before failing on the missing
+    # lambda_1, and -k -1 failed inside the dense eigensolver
+    assert run([command, "--subdiv", "1", "--count", count], tmp_path) == 2
+    assert f"usage error: bad count {count}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["glminmax", "--n", "1"], "bad n 1"),
+    (["vc", "--n", "0"], "bad n 0"),
+    (["index", "--n", "1"], "bad n 1"),
+    (["glminmax", "--eps", ","], "bad --eps ','"),
+])
+def test_small_target_and_empty_eps_are_usage_errors(tmp_path, capsys, args,
+                                                     message):
+    # these ran the n = 2 map (while the report recorded the n given) or
+    # wrote an empty glminmax report, with exit code 0
+    assert run(args + ["--subdiv", "1"], tmp_path) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_nonpositive_eps_is_numerical_failure(tmp_path, capsys):
+    assert run(["glminmax", "--subdiv", "1", "--eps", "0.1,0"], tmp_path) == 1
+    assert "eps must be positive" in capsys.readouterr().err

@@ -13,9 +13,9 @@ from specx import mobius as mb
 from specx import spectra as sx
 from specx.glminmax import (FamilyError, FamilySpec, VectorMap,
                             balanced_point, balanced_point_second,
-                            eigen_lower_from_family, embedded_member,
-                            extract_critical, family_first, family_second,
-                            gl_descend, gl_energy, gl_gradient, gl_inner,
+                            eigen_lower_from_family, extract_critical,
+                            family_first, family_second, gl_descend,
+                            gl_energy, gl_gradient, gl_inner,
                             gl_second_variation, minmax_upper, mollify,
                             sandwich_holds, sweep_to_csv)
 from specx.mesh import (area, build_sphere_mesh, build_torus_mesh,
@@ -29,7 +29,7 @@ def unit_sphere3(sphere3):
 
 @pytest.fixture(scope="module")
 def sphere_spec(unit_sphere3, identity3):
-    return FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
+    return FamilySpec(unit_sphere3, identity3)
 
 
 def test_gl_energy_cases(sphere3, identity3):
@@ -372,30 +372,19 @@ def test_mollify_properties(sphere3, identity3):
 
 def test_family_first_members(sphere_spec, unit_sphere3, identity3):
     a0 = family_first(sphere_spec, np.zeros(3))
-    tiny = FamilySpec(unit_sphere3, identity3, mollify_time=1e-9)
-    near_base = family_first(tiny, np.zeros(3))
+    near_base = mollify(unit_sphere3, identity3, 1e-9)
     assert np.abs(near_base.values - identity3.values).max() < 1e-6
     boundary = family_first(sphere_spec, np.array([0.0, 1.0, 0.0]))
     assert np.allclose(boundary.values, [0.0, 1.0, 0.0])
     assert gl_energy(unit_sphere3, boundary, 0.1) < 1e-12
     a9 = family_first(sphere_spec, np.array([0.9, 0.0, 0.0]))
-    parts = gl_energy(unit_sphere3, a9, 0.1, parts=True)
-    assert parts["E_eps"] <= 4 * np.pi * 1.03
+    assert gl_energy(unit_sphere3, a9, 0.1) <= 4 * np.pi * 1.03
     assert np.linalg.norm(a9.values, axis=1).max() <= 1.0 + 1e-9
 
 
-def test_family_grid_validation(unit_sphere3, identity3):
-    with pytest.raises(FamilyError):
-        FamilySpec(mesh=unit_sphere3, base_map=identity3, mollify_time=1e-4,
-                   grid=np.array([[1.0, 0.0, 0.0]]))
-    with pytest.raises(FamilyError):
-        FamilySpec(unit_sphere3, identity3, mollify_time=0.0)
-
-
 def test_family_second_members(unit_sphere3, identity3):
-    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       family="second")
-    spec1 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
+    spec2 = FamilySpec(unit_sphere3, identity3, family="second")
+    spec1 = FamilySpec(unit_sphere3, identity3)
     rng = np.random.default_rng(6)
     a = np.array([0.3, 0.1, 0.0])
     assert np.allclose(family_second(spec2, a, np.zeros(3)).values,
@@ -418,18 +407,9 @@ def test_minmax_upper_sphere(sphere_spec):
     rep = minmax_upper(sphere_spec, 0.1)
     assert abs(rep.sup_energy - 4 * np.pi) < 0.03 * 4 * np.pi
     assert rep.grid_size == len(sphere_spec.grid)
-    assert len(rep.refinement) == sphere_spec.refine_rounds + 1
+    assert len(rep.refinement) == gl.REFINE_ROUNDS + 1
     # refinement history is monotone
     assert all(b >= a for a, b in zip(rep.refinement, rep.refinement[1:]))
-
-
-def test_minmax_single_point_grid(unit_sphere3, identity3):
-    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                      grid=np.zeros((1, 3)), refine_rounds=0)
-    rep = minmax_upper(spec, 0.1)
-    member = family_first(spec, np.zeros(3))
-    assert rep.sup_energy == pytest.approx(
-        gl_energy(unit_sphere3, member, 0.1))
 
 
 def test_eps_schedule_lockstep_with_fresh_families():
@@ -448,9 +428,10 @@ def test_eps_schedule_lockstep_with_fresh_families():
         assert rep.refinement == ref.refinement
         assert rep.sweep_rows == ref.sweep_rows
         for row in rep.sweep_rows:
-            parts = gl_energy(mesh, shared.member(np.array(row[:3])), eps,
-                              parts=True)
-            assert tuple(parts[k] for k in gl.PARTS) == row[3:]
+            vals = shared.member(np.array(row[:3])).values
+            assert row[3] == gl_energy(mesh, vals, eps)
+            assert row[3:] == gl._parts_at(*gl._eps_free_parts(mesh, vals),
+                                           eps)
     with pytest.raises(FamilyError):
         minmax_upper(shared, 0.0)
     with pytest.raises(FamilyError, match="report is for eps"):
@@ -483,7 +464,7 @@ def test_balanced_point_symmetric(sphere_spec):
 def test_balanced_point_shifted(unit_sphere3, identity3):
     shifted = hm.SphereMap(hm.normalize_rows(
         mb.mobius_apply(np.array([0.5, 0.0, 0.0]), identity3.values)))
-    spec = FamilySpec(unit_sphere3, shifted, mollify_time=1e-4)
+    spec = FamilySpec(unit_sphere3, shifted)
     a_star, res = balanced_point(spec)
     assert res < 1e-6 * area(unit_sphere3)
     # the balancing parameter undoes the shift along the same axis
@@ -492,8 +473,7 @@ def test_balanced_point_shifted(unit_sphere3, identity3):
 
 
 def test_balanced_point_wrong_family(unit_sphere3, identity3):
-    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       family="second")
+    spec2 = FamilySpec(unit_sphere3, identity3, family="second")
     with pytest.raises(FamilyError):
         balanced_point(spec2)
 
@@ -502,8 +482,7 @@ def test_balanced_point_second_sphere(unit_sphere3, identity3):
     w = volume_measure(unit_sphere3)
     mu = w / w.sum()
     phi1 = sx.solve_pencil(unit_sphere3, mu, 1).vectors[:, 1]
-    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       family="second")
+    spec2 = FamilySpec(unit_sphere3, identity3, family="second")
     (a_star, b_star), res = balanced_point_second(spec2, phi1, mu=mu)
     assert res < 1e-6
     # b lands on the symmetry axis of the chosen first eigenfunction
@@ -521,8 +500,7 @@ def test_balanced_point_second_sphere(unit_sphere3, identity3):
 
 
 def test_balanced_point_second_dim_error(unit_sphere3, identity3):
-    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       family="second")
+    spec2 = FamilySpec(unit_sphere3, identity3, family="second")
     with pytest.raises(FamilyError):
         balanced_point_second(spec2, np.ones(7))
 
@@ -536,8 +514,7 @@ def test_balanced_point_point_mass_has_no_root(sphere_spec, unit_sphere3,
     mu[0] = 1.0
     with pytest.raises(FamilyError, match="^balanced point not found"):
         balanced_point(sphere_spec, mu=mu)
-    spec2 = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4,
-                       family="second")
+    spec2 = FamilySpec(unit_sphere3, identity3, family="second")
     phi1 = unit_sphere3.vertices[:, 2]
     with pytest.raises(FamilyError, match="^second balanced point not found"):
         balanced_point_second(spec2, phi1, mu=mu)
@@ -554,7 +531,7 @@ def test_eigen_lower_sphere_equality(sphere_spec, unit_sphere3):
 def test_eigen_lower_torus_inequality():
     torus = build_torus_mesh(1j, 24)
     base = hm.torus_clifford_map(torus)
-    spec = FamilySpec(torus, base, mollify_time=1e-4)
+    spec = FamilySpec(torus, base)
     w = volume_measure(torus)
     mu = w / w.sum()
     ratio = eigen_lower_from_family(spec, mu=mu)
@@ -570,7 +547,7 @@ def test_eigen_lower_steklov_measure(unit_sphere3, identity3):
     w = np.zeros(unit_sphere3.num_vertices)
     w[sub.orig_vertex_ids] = curve_measure(sub)
     mu = w / w.sum()
-    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
+    spec = FamilySpec(unit_sphere3, identity3)
     ratio = eigen_lower_from_family(spec, mu=mu)
     st = sx.steklov_eigs(sub, k=1)
     # sigma_bar = sigma_1 * Length equals the eigenvalue of the unit-mass
@@ -592,7 +569,7 @@ def test_eigen_lower_needs_unit_mass(sphere_spec):
 def test_extract_critical_sphere(sphere3, identity3):
     # on the area-4pi sphere eps=0.1 is deep in the rigid regime, so the
     # descended critical point stays near the identity level
-    spec = FamilySpec(sphere3, identity3, mollify_time=1e-4)
+    spec = FamilySpec(sphere3, identity3)
     rep = extract_critical(spec, 0.1, tol=1e-5)
     crit = rep.critical
     assert crit["E_eps"] <= rep.sup_energy + 1e-12
@@ -602,7 +579,7 @@ def test_extract_critical_sphere(sphere3, identity3):
 
 def test_extract_critical_eps_monotone(unit_sphere3, identity3):
     es = []
-    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
+    spec = FamilySpec(unit_sphere3, identity3)
     for eps in (0.2, 0.1, 0.05):
         rep = extract_critical(spec, eps, tol=1e-5)
         es.append(rep.critical["E_eps"])
@@ -612,20 +589,10 @@ def test_extract_critical_eps_monotone(unit_sphere3, identity3):
 
 def test_sandwich_consistency(unit_sphere3, identity3):
     lam1 = sx.laplace_eigs(unit_sphere3, k=1).values[1]
-    spec = FamilySpec(unit_sphere3, identity3, mollify_time=1e-4)
+    spec = FamilySpec(unit_sphere3, identity3)
     for eps in (0.2, 0.1, 0.05):
         ok, lhs, rhs = sandwich_holds(spec, eps, lam1)
         assert ok
-
-
-def test_dimensional_monotonicity(sphere_spec):
-    eps = 0.1
-    mesh = sphere_spec.mesh
-    for a in sphere_spec.grid[:12]:
-        base_e = gl_energy(mesh, sphere_spec.member(a), eps)
-        for s in (0.0, 0.4, 0.8):
-            emb = embedded_member(sphere_spec, a * np.sqrt(1 - s * s), s)
-            assert gl_energy(mesh, emb, eps) <= base_e + 1e-9
 
 
 def test_vector_map_validation():
@@ -653,3 +620,31 @@ def test_specx_import_leaves_scipy_optimize_unloaded():
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                              [src, os.environ.get("PYTHONPATH", "")])))
     assert out.stdout.strip() == "False"
+
+
+def _bad_measures(mesh):
+    w = volume_measure(mesh)
+    mu = w / w.sum()
+    nan, inf, negative = mu.copy(), mu.copy(), mu.copy()
+    nan[3] = np.nan
+    inf[3] = np.inf
+    negative[3] = -0.5
+    return {"nan": nan, "inf": inf, "short": mu[:5], "negative": negative}
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "short", "negative"])
+def test_balanced_points_reject_bad_measures(kind):
+    # a nan weight made LAPACK fail to converge, a short one raised a raw
+    # numpy error, and a negative one gave a "balanced point" back
+    mesh = build_sphere_mesh(1)
+    phi = hm.identity_sphere_map(mesh)
+    mu = _bad_measures(mesh)[kind]
+    spec = FamilySpec(mesh, phi)
+    spec2 = FamilySpec(mesh, phi, family="second")
+    message = "^mu must"
+    with pytest.raises(FamilyError, match=message):
+        balanced_point(spec, mu=mu)
+    with pytest.raises(FamilyError, match=message):
+        balanced_point_second(spec2, mesh.vertices[:, 2], mu=mu)
+    with pytest.raises(FamilyError, match=message):
+        eigen_lower_from_family(spec, mu=mu)

@@ -14,7 +14,7 @@ from specx.spectra import SolverError, solve_pencil
 
 @pytest.fixture(scope="module")
 def flowed_deg2(sphere3):
-    return hm.harmonic_flow(sphere3, power_map(sphere3, 2), steps=800)
+    return hm.harmonic_flow(sphere3, power_map(sphere3), steps=800)
 
 
 def test_identity_indices(sphere3, flowed_identity3):

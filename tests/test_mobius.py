@@ -153,7 +153,7 @@ def test_conformal_volume_identity(sphere3, identity3):
 
 
 def test_conformal_volume_degree2(sphere3):
-    deg2 = hm.power_map(sphere3, 2)
+    deg2 = hm.power_map(sphere3)
     out = mb.conformal_volume(sphere3, deg2)
     assert abs(out["V_c_estimate"] - 8 * np.pi) < 0.02 * 8 * np.pi
 
@@ -169,7 +169,7 @@ def test_conformal_volume_scale_invariance(sphere3, identity3):
 
 def test_energy_multiplicity_degree(sphere4):
     # energy of G_a composed with a degree-d map stays 4 pi d
-    deg2 = hm.power_map(sphere4, 2)
+    deg2 = hm.power_map(sphere4)
     for a in ([0.4, 0.1, 0.0], [0.0, -0.6, 0.2]):
         y = mb.mobius_apply(np.asarray(a), deg2.values)
         e = hm.energy(sphere4, y)

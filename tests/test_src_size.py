@@ -155,3 +155,73 @@ def test_functions_only_tests_reach(tmp_path, src_size):
 def test_usage(src_size, capsys):
     assert src_size.main(["a", "b"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+# Every `tests-only` and `unset` entry of the report on this repository,
+# with its mark and the reason it is kept. An option that only tests set
+# needs a caller or a constant; one that joins this list needs a reason.
+ALLOWED = {
+    "glminmax: gl_second_variation.w": (
+        "tests-only", "ROADMAP item 3: the bilinear oracle for the sparse GL "
+        "Hessian's products"),
+    "glminmax: gl_descend.step0": (
+        "tests-only", "test_descend_stall_break drives the line-search "
+        "stall guard with an oversized first step"),
+    "glminmax: FamilySpec.family": (
+        "tests-only", "criterion 6: the second family is its subject"),
+    "glminmax: balanced_point_second.mu": (
+        "tests-only", "ROADMAP item 2: the certificate on a given measure"),
+    "glminmax: eigen_lower_from_family.mu": (
+        "tests-only", "ROADMAP item 2: the certificate on a given measure"),
+    "glminmax: def gl_second_variation": (
+        "tests-only", "criterion 3; ROADMAP item 3's oracle"),
+    "glminmax: def _measure_weights": (
+        "tests-only", "ROADMAP item 2: the balanced points' measure"),
+    "glminmax: def _balance": (
+        "tests-only", "ROADMAP item 2: the balanced points' Newton solve"),
+    "glminmax: def balanced_point": ("tests-only", "ROADMAP item 2"),
+    "glminmax: def balanced_point_second": ("tests-only", "ROADMAP item 2"),
+    "glminmax: def eigen_lower_from_family": (
+        "tests-only", "ROADMAP item 2"),
+    "harmonic: def torus_clifford_map": (
+        "tests-only", "criterion 5; ROADMAP item 1's b = 1 base map"),
+    "harmonic: def power_map": (
+        "tests-only", "criteria 7 and 8: the degree-2 map"),
+    "harmonic: def energy_density": (
+        "tests-only", "ROADMAP items 1 and 8: the induced density that "
+        "item 1's maximiser runs start from"),
+    "harmonic: def check_eigenvalue_two": ("tests-only", "criterion 7"),
+    "harmonic: def _face_charts": (
+        "tests-only", "ROADMAP items 1 and 5, through hopf_differential"),
+    "harmonic: def hopf_differential": (
+        "tests-only", "ROADMAP items 1 and 5: the conformality check"),
+    "index: spectral_index.cluster_tol": (
+        "tests-only", "criterion 8: the tol-halving test"),
+    "index: energy_hessian.frames": (
+        "unset", "pinned by the benchmark (ROADMAP item 8)"),
+    "index: energy_index.frames": (
+        "tests-only", "criterion 8: the frame-rotation test"),
+    "index: def spectral_index": ("tests-only", "criterion 8"),
+    "index: def energy_index": ("tests-only", "criterion 8"),
+    "mesh: TriMesh.__init__.validate": (
+        "tests-only", "the face-subset oracle test builds meshes the "
+        "validators would refuse"),
+    "mesh: def save_mesh": (
+        "tests-only", "writes the OFF files that --mesh-file reads "
+        "(ROADMAP item 8)"),
+    "mobius: def linear_reflection": ("tests-only", "criterion 6"),
+    "spectra: def multiplicity": ("tests-only", "criteria 1 and 7"),
+}
+
+
+def test_only_allowed_entries_are_tests_only_or_unset(src_size):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    found, module = {}, None
+    for line in src_size.report(root)[:-1]:  # the last line is the total
+        if not line.startswith(" "):
+            module = line.split(".py:")[0]
+            continue
+        entry, _, mark = line.strip().rpartition("  ")
+        if mark in ("tests-only", "unset"):
+            found[f"{module}: {entry.split(' = ')[0]}"] = mark
+    assert found == {key: mark for key, (mark, _) in ALLOWED.items()}
