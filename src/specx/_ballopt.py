@@ -1,8 +1,10 @@
 """Deterministic grid-plus-refinement maximization over a parameter ball.
 
-Shared by the conformal-volume estimator and the min-max sweeps: evaluate on
-a coarse radial grid, then run rounds of local sampling around the incumbent
-with the sampling radius halving per round.
+Shared by the conformal-volume estimator and the min-max sweeps: each
+builds its grid with `ball_grid` (or its own, as the second family does)
+and hands it to `maximize_over_ball`, which evaluates the grid and then
+runs rounds of local sampling around the incumbent, the sampling radius
+halving per round.
 """
 
 import numpy as np
@@ -11,7 +13,9 @@ BALL_EDGE = 0.999  # parameters beyond this are treated as boundary samples
 
 
 def ball_directions(dim, n_dirs, rng):
-    """n_dirs roughly equidistributed unit vectors (seeded)."""
+    """n_dirs roughly equidistributed unit vectors (seeded): the 2 dim
+    signed axes first, then random ones; fewer than 2 dim keep the leading
+    axes."""
     dirs = [np.eye(dim)[k] for k in range(dim)]
     dirs += [-d for d in list(dirs)]
     while len(dirs) < n_dirs:
@@ -20,8 +24,9 @@ def ball_directions(dim, n_dirs, rng):
     return np.asarray(dirs[:max(n_dirs, 1)])
 
 
-def ball_grid(dim, n_dirs=16, n_radii=6, max_radius=0.95, seed=0):
-    """Deterministic grid in the open ball: the center plus shells."""
+def ball_grid(dim, n_dirs, n_radii, max_radius, seed):
+    """Deterministic grid in the open ball: the center plus n_radii shells
+    of n_dirs points, evenly spaced out to max_radius."""
     rng = np.random.default_rng(seed)
     dirs = ball_directions(dim, n_dirs, rng)
     radii = np.linspace(0.0, max_radius, n_radii + 1)[1:]
@@ -38,19 +43,17 @@ def clip_to_ball(p, limit=BALL_EDGE):
     return p
 
 
-def maximize_over_ball(objective, dim, n_dirs=16, n_radii=6, max_radius=0.95,
-                       rounds=3, local_samples=16, seed=0, grid=None,
+def maximize_over_ball(objective, grid, radius, rounds, local_samples, seed,
                        project=clip_to_ball):
     """Grid sup with shrinking-neighborhood refinement around the argmax.
 
-    Refinement samples are mapped back into the parameter domain by
-    `project` (the clip to the ball by default). Returns (best_value,
-    best_point, history) where history records the incumbent value per
-    round (coarse grid first).
+    Each of `rounds` rounds draws `local_samples` Gaussian samples of
+    scale `radius` (halved after every round) around the incumbent and
+    maps them back into the parameter domain by `project` (the clip to the
+    ball by default). Returns (best_value, best_point, history) where
+    history records the incumbent value per round (coarse grid first).
     """
     rng = np.random.default_rng(seed)
-    if grid is None:
-        grid = ball_grid(dim, n_dirs, n_radii, max_radius, seed)
     best_val = -np.inf
     best_p = np.asarray(grid[0], dtype=float)
     for p in grid:
@@ -58,7 +61,7 @@ def maximize_over_ball(objective, dim, n_dirs=16, n_radii=6, max_radius=0.95,
         if v > best_val:
             best_val, best_p = v, np.asarray(p, dtype=float)
     history = [best_val]
-    radius = max_radius / max(n_radii, 1)
+    dim = len(best_p)
     for _ in range(rounds):
         for _ in range(local_samples):
             cand = project(best_p + radius * rng.standard_normal(dim))

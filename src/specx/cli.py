@@ -89,8 +89,11 @@ DEFAULTS = {
 _INT_KEYS = {"subdiv", "res", "n", "grid", "seed", "count"}
 
 # the smallest accepted value of each key: at least one eigenvalue past
-# the constant one, and a target sphere S^n that a SphereMap can hold
-_MINIMUM = {"count": 1, "n": 2}
+# the constant one, a target sphere S^n that a SphereMap can hold, a seed
+# that numpy accepts and one direction per grid shell; and of the mesh
+# flags of each surface: an icosahedron and a 3 x 3 torus grid
+_MINIMUM = {"count": 1, "n": 2, "seed": 0, "grid": 1}
+_SURFACE_MINIMUM = {"sphere": {"subdiv": 0}, "torus": {"res": 3}}
 
 
 class RunConfig:
@@ -116,7 +119,8 @@ class RunConfig:
             except ValueError as exc:
                 raise UsageError(f"bad {key} {merged[key]!r}: want an "
                                  "integer") from exc
-        for key, low in _MINIMUM.items():
+        minimum = dict(_MINIMUM, **_SURFACE_MINIMUM.get(merged["surface"], {}))
+        for key, low in minimum.items():
             if merged[key] < low:
                 raise UsageError(f"bad {key} {merged[key]}: want at least "
                                  f"{low}")
@@ -137,6 +141,8 @@ class RunConfig:
             re, im = (float(x) for x in str(self.tau).split(","))
         except ValueError as exc:
             raise UsageError(f"bad --tau {self.tau!r}: want re,im") from exc
+        if not im > 0.0:
+            raise UsageError(f"bad --tau {self.tau!r}: want Im tau > 0")
         return complex(re, im)
 
     @property
@@ -286,16 +292,14 @@ def cmd_glminmax(cfg):
     spec = glminmax.FamilySpec(unit, base, seed=cfg.seed, n_dirs=cfg.grid)
     for eps in cfg.eps_list:
         rep = glminmax.extract_critical(
-            spec, eps, glminmax.minmax_upper(spec, eps), tol=1e-6,
-            max_iters=2000, start=warm)
+            spec, glminmax.minmax_upper(spec, eps), start=warm)
         crit = rep.critical
         warm = crit["u"]
         if not crit["converged"]:
             print(f"specx: glminmax eps={eps}: descent not converged after "
                   f"{crit['iterations']} iterations (gradient norm "
                   f"{crit['gradient_norm']:.3e})", file=sys.stderr)
-        ok, lhs, rhs = glminmax.sandwich_holds(spec, eps, lam1,
-                                               rep.sup_energy)
+        ok, lhs, rhs = glminmax.sandwich_holds(rep, lam1)
         doc = rep.to_json_dict()
         doc["sandwich"] = {"holds": bool(ok), "lhs": lhs, "rhs": rhs,
                            "lambda1": lam1}

@@ -43,21 +43,9 @@ GRID_MAX_RADIUS = 0.9
 REFINE_ROUNDS = 3
 REFINE_SAMPLES = 12
 
-
-@dataclass
-class VectorMap:
-    """Per-vertex vectors in R^(n+1) with unconstrained norm."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise FamilyError("vector map has non-finite entries")
-
-    @property
-    def ambient_dim(self):
-        return self.values.shape[1]
+# the descent of extract_critical: gradient-norm tolerance and step cap
+DESCENT_TOL = 1e-6
+DESCENT_MAX_ITERS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +53,8 @@ class VectorMap:
 # ---------------------------------------------------------------------------
 
 def _check_eps(eps):
-    if eps <= 0.0:
-        raise FamilyError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise FamilyError(f"eps must be positive and finite, got {eps}")
 
 
 # the values of `_parts_at`, in the column order of a sweep row
@@ -107,7 +95,7 @@ def gl_gradient(mesh, u, eps):
     vals = _values(u)
     g, _, _ = _gradient_terms(mesh.vertex_areas, vals, mesh.stiffness @ vals,
                               eps)
-    return VectorMap(g)
+    return g
 
 
 def _gradient_terms(va, vals, ku, eps):
@@ -224,7 +212,7 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
         exact = False
     if not converged:
         gnorm = gl_norm(mesh, gl_gradient(mesh, vals, eps))
-    return {"u": VectorMap(vals), "gradient_norm": gnorm,
+    return {"u": vals, "gradient_norm": gnorm,
             "E_eps": gl_energy(mesh, vals, eps), "iterations": it,
             "converged": converged, "backtracks": backtracks}
 
@@ -233,18 +221,14 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
 # mollification
 # ---------------------------------------------------------------------------
 
-def mollify(mesh, f, t, _factor=None):
-    """One implicit lumped heat step (I + t M^{-1} K)^{-1} per coordinate.
+def mollify(mesh, f, lu):
+    """One implicit lumped heat step (I + t M^{-1} K)^{-1} per coordinate,
+    with lu = spectra._heat_factor(mesh, t) for a time t > 0.
 
     Contracts the Dirichlet energy, fixes constants exactly, and converges
     to the identity as t -> 0.
     """
-    if t <= 0.0:
-        raise FamilyError("mollification time must be positive")
-    vals = _values(f)
-    lu = _factor if _factor is not None else spectra._heat_factor(mesh, t)
-    out = lu.solve(mesh.vertex_areas[:, None] * vals)
-    return VectorMap(out)
+    return lu.solve(mesh.vertex_areas[:, None] * _values(f))
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +242,11 @@ class FamilySpec:
     and n_dirs fix. Every member is mollified for time MOLLIFY_TIME.
 
     The family does not depend on eps: the relaxation parameter is an
-    argument of `minmax_upper`, `extract_critical` and `sandwich_holds`,
-    so one spec serves a whole eps schedule. It caches its heat factor and
-    each member's eps-free energy parts (`_member_parts`), so a schedule
-    builds each member once.
+    argument of `minmax_upper`, whose report `extract_critical` and
+    `sandwich_holds` take, so one spec serves a whole eps schedule. It
+    caches its heat factor and each member's eps-free energy parts
+    (`_member_parts`), so a schedule builds each member once. Members are
+    (V, d) arrays.
 
     Members are built one parameter at a time, never batched: the
     icosphere is centrally symmetric, so E(a) = E(-a) up to rounding, and
@@ -313,8 +298,7 @@ class FamilySpec:
         p = np.asarray(p, dtype=float)
         key = p.tobytes()
         if key not in self._parts:
-            self._parts[key] = _eps_free_parts(self.mesh,
-                                               self.member(p).values)
+            self._parts[key] = _eps_free_parts(self.mesh, self.member(p))
         return self._parts[key]
 
     def split(self, p):
@@ -325,6 +309,7 @@ class FamilySpec:
         return p, None
 
     def member(self, p):
+        """The (V, d) values of the member at parameter p."""
         a, b = self.split(p)
         if b is None:
             return family_first(self, a)
@@ -348,11 +333,11 @@ def _mollified_member(spec, a, b):
     a = np.asarray(a, dtype=float)
     if np.linalg.norm(a) >= BALL_EDGE:
         const = a / np.linalg.norm(a)
-        return VectorMap(np.tile(const, (spec.mesh.num_vertices, 1)))
+        return np.tile(const, (spec.mesh.num_vertices, 1))
     phi = spec.base_map.values
     vals = (mobius.mobius_apply(a, phi) if b is None
             else mobius.upsilon(a, b, phi))
-    return mollify(spec.mesh, vals, MOLLIFY_TIME, _factor=spec._factor)
+    return mollify(spec.mesh, vals, spec._factor)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +405,8 @@ def minmax_upper(spec: FamilySpec, eps):
         return clip_to_ball(p)
 
     best_val, best_p, history = maximize_over_ball(
-        objective, spec.param_dim, n_radii=GRID_RADII,
-        max_radius=GRID_MAX_RADIUS, rounds=REFINE_ROUNDS,
-        local_samples=REFINE_SAMPLES, seed=spec.seed + 17,
-        grid=spec.grid, project=project)
+        objective, spec.grid, GRID_MAX_RADIUS / GRID_RADII, REFINE_ROUNDS,
+        REFINE_SAMPLES, spec.seed + 17, project=project)
     return MinMaxReport(
         sup_energy=best_val, argmax=best_p, eps=eps, family=spec.family,
         seed=spec.seed, grid_size=len(spec.grid),
@@ -515,7 +498,7 @@ def balanced_point(spec: FamilySpec, mu=None):
     while len(starts) < 8:
         v = rng.standard_normal(d)
         starts.append(v * rng.uniform(0, 0.7) / np.linalg.norm(v))
-    return _balance(lambda a: w @ spec.member(a).values, starts,
+    return _balance(lambda a: w @ spec.member(a), starts,
                     clip_to_ball, 1e-6 * w.sum(), "balanced point")
 
 
@@ -542,7 +525,7 @@ def balanced_point_second(spec: FamilySpec, phi1, mu=None):
 
     def avg(p):
         p = project(p)
-        vals = family_second(spec, p[:d], p[d:]).values
+        vals = family_second(spec, p[:d], p[d:])
         return np.concatenate([w @ vals, (w * phi1) @ vals])
 
     rng = np.random.default_rng(spec.seed + 211)
@@ -568,8 +551,7 @@ def eigen_lower_from_family(spec: FamilySpec, mu=None):
     if abs(mass - 1.0) > 1e-9:
         raise FamilyError("eigen_lower_from_family expects a unit-mass mu")
     balanced, _ = balanced_point(spec, mu=mu)
-    member = spec.member(balanced)
-    vals = member.values
+    vals = spec.member(balanced)
     dirichlet2 = float(np.sum(vals * (spec.mesh.stiffness @ vals)))
     l2mu = float(np.sum(w * np.sum(vals * vals, axis=1)))
     if l2mu <= 0.0:
@@ -582,37 +564,32 @@ def eigen_lower_from_family(spec: FamilySpec, mu=None):
     return ratio
 
 
-def sandwich_holds(spec: FamilySpec, eps, lam1, sup_energy=None):
-    """Check 2 sup >= (1 - 2 eps sup^(1/2)) lambda_1 (unit-area metric)."""
-    if sup_energy is None:
-        sup_energy = minmax_upper(spec, eps).sup_energy
-    lhs = 2.0 * sup_energy
-    rhs = (1.0 - 2.0 * eps * np.sqrt(max(sup_energy, 0.0))) * lam1
+def sandwich_holds(report: MinMaxReport, lam1):
+    """Check 2 sup >= (1 - 2 eps sup^(1/2)) lambda_1 (unit-area metric) at
+    the sup and eps of a `minmax_upper` report."""
+    sup, eps = report.sup_energy, report.eps
+    lhs = 2.0 * sup
+    rhs = (1.0 - 2.0 * eps * np.sqrt(max(sup, 0.0))) * lam1
     return lhs >= rhs, lhs, rhs
 
 
-def extract_critical(spec: FamilySpec, eps,
-                     report: MinMaxReport | None = None, tol=1e-5,
-                     max_iters=4000, start=None):
-    """Descend from the sampled argmax, or from `start` (a warm start such
-    as the critical map of a larger eps), to an approximate critical point
-    of E_eps.
+def extract_critical(spec: FamilySpec, report: MinMaxReport, start=None):
+    """Descend at report.eps from the report's argmax member, or from
+    `start` (a warm start such as the critical map of a larger eps), to an
+    approximate critical point of E_eps.
 
-    Fills report.critical with the final energy, gradient norm, and the
-    tension residual of the normalized map; from the argmax,
-    E_eps(u*) <= sup_energy by monotone descent. A given report must be
-    minmax_upper's at the same eps.
+    The report must be minmax_upper's on spec. The descent runs to
+    DESCENT_TOL or DESCENT_MAX_ITERS steps. Fills report.critical with the
+    final map u (a (V, d) array), its energy and gradient norm, the tension
+    residual of the normalized map, the convergence flag and the step
+    count; from the argmax, E_eps(u) <= sup_energy by monotone descent.
     """
-    if report is None:
-        report = minmax_upper(spec, eps)
-    elif report.eps != eps:
-        raise FamilyError(f"report is for eps={report.eps}, not {eps}")
     if start is None:
         start = spec.member(report.argmax)
-    out = gl_descend(spec.mesh, start, eps, tol=tol, max_iters=max_iters)
+    out = gl_descend(spec.mesh, start, report.eps, tol=DESCENT_TOL,
+                     max_iters=DESCENT_MAX_ITERS)
     u = out["u"]
-    normalized_map = SphereMap(normalize_rows(u.values))
-    _, agg = tension_residual(spec.mesh, normalized_map)
+    _, agg = tension_residual(spec.mesh, SphereMap(normalize_rows(u)))
     report.critical = {
         "u": u, "E_eps": out["E_eps"],
         "gradient_norm": out["gradient_norm"],

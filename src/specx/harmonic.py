@@ -151,8 +151,7 @@ def energy(mesh, phi):
 
 
 def _values(phi):
-    """The (V, d) array of a map object (anything with `.values`, as
-    SphereMap and glminmax.VectorMap) or of an array."""
+    """The (V, d) array of a SphereMap or of an array."""
     return np.asarray(getattr(phi, "values", phi), dtype=float)
 
 

@@ -13,11 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._ballopt import maximize_over_ball
+from ._ballopt import ball_grid, maximize_over_ball
 from .harmonic import SphereMap, energy
 
 
 BOUNDARY_SNAP = 1.0 - 1e-12
+
+# the conformal-volume search: grid shells, their outer radius,
+# refinement rounds and samples per round
+VC_RADII = 6
+VC_MAX_RADIUS = 0.95
+VC_ROUNDS = 3
+VC_SAMPLES = 16
 
 
 def _in_ball(p, what):
@@ -82,17 +89,19 @@ def linear_reflection(b, x):
 def conformal_volume(mesh, phi: SphereMap, n_dirs=16, seed=0):
     """Estimate sup_a Area(G_a . phi) = sup_a E(G_a . phi) from below.
 
-    Multistart search over the parameter ball, `maximize_over_ball` with
-    its default grid and refinement (same strategy as the min-max sweeps);
-    the boundary |a| -> 1 is excluded beyond 0.999 where the family
-    degenerates to constants.
+    Multistart search over the parameter ball, `maximize_over_ball` on the
+    `ball_grid` of n_dirs directions and the VC_* shells and refinement
+    (same strategy as the min-max sweeps); the boundary |a| -> 1 is
+    excluded beyond 0.999 where the family degenerates to constants.
     """
     dim = phi.ambient_dim
 
     def objective(a):
         return energy(mesh, mobius_apply(a, phi.values))
 
-    best_val, best_a, history = maximize_over_ball(objective, dim,
-                                                   n_dirs=n_dirs, seed=seed)
+    grid = ball_grid(dim, n_dirs, VC_RADII, VC_MAX_RADIUS, seed)
+    best_val, best_a, history = maximize_over_ball(
+        objective, grid, VC_MAX_RADIUS / VC_RADII, VC_ROUNDS, VC_SAMPLES,
+        seed)
     return {"V_c_estimate": best_val, "argmax": best_a,
             "refinement": history}

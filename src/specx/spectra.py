@@ -457,9 +457,9 @@ def _heat_factor(mesh, t):
     """Sparse LU of the lumped heat step diag(vertex areas) + t K.
 
     For t > 0 the step is SPD (positive vertex areas plus a semidefinite
-    stiffness), the precondition of `_spd_factor`. The maximiser passes
-    t = h^2, `FamilySpec` glminmax.MOLLIFY_TIME, and `glminmax.mollify`
-    rejects t <= 0.
+    stiffness), the precondition of `_spd_factor`. Its callers pass a
+    positive t: the maximiser h^2 and `FamilySpec` glminmax.MOLLIFY_TIME,
+    whose factor `glminmax.mollify` applies.
     """
     return _spd_factor((sp.diags(mesh.vertex_areas)
                         + t * mesh.stiffness).tocsc())

@@ -256,9 +256,9 @@ def test_glminmax_sandwich_failure(tmp_path, monkeypatch, capsys):
     # the report up to the failing eps is still written
     real = glminmax.sandwich_holds
 
-    def fails_below_02(spec, eps, lam1, sup_energy):
-        ok, lhs, rhs = real(spec, eps, lam1, sup_energy)
-        return ok and eps >= 0.2, lhs, rhs
+    def fails_below_02(report, lam1):
+        ok, lhs, rhs = real(report, lam1)
+        return ok and report.eps >= 0.2, lhs, rhs
 
     monkeypatch.setattr(glminmax, "sandwich_holds", fails_below_02)
     assert run(["glminmax", "--surface", "sphere", "--subdiv", "1",
@@ -398,3 +398,62 @@ def test_small_target_and_empty_eps_are_usage_errors(tmp_path, capsys, args,
 def test_nonpositive_eps_is_numerical_failure(tmp_path, capsys):
     assert run(["glminmax", "--subdiv", "1", "--eps", "0.1,0"], tmp_path) == 1
     assert "eps must be positive" in capsys.readouterr().err
+
+
+_TORUS = ["--surface", "torus"]
+
+
+@pytest.mark.parametrize("args, message", [
+    # numpy refused a negative seed with a traceback (exit 1) wherever a
+    # random draw ran, and the dense eigs branch, which draws none, took it
+    (["maximize", "--subdiv", "2", "--seed", "-1"], "bad seed -1"),
+    (["vc", "--subdiv", "1", "--seed", "-1"], "bad seed -1"),
+    (["glminmax", "--subdiv", "1", "--seed", "-1"], "bad seed -1"),
+    (["sweep", "steklov-holes", "--res", "16", "--seed", "-1"] + _TORUS,
+     "bad seed -1"),
+    (["eigs", "--subdiv", "3", "--seed", "-1"], "bad seed -1"),
+    (["eigs", "--subdiv", "1", "--seed", "-1"],
+     "bad seed -1: want at least 0"),
+    # these searched a 6-point grid and recorded "dirs": 0 or -3
+    (["glminmax", "--subdiv", "1", "--grid", "0"],
+     "bad grid 0: want at least 1"),
+    (["glminmax", "--subdiv", "1", "--grid", "-3"], "bad grid -3"),
+    (["vc", "--subdiv", "1", "--grid", "0"], "bad grid 0"),
+    (["vc", "--subdiv", "1", "--grid", "-3"], "bad grid -3"),
+    # the mesh builders refused these as numerical failures (exit 1)
+    (["eigs", "--subdiv", "-1"], "bad subdiv -1: want at least 0"),
+    (["eigs", "--res", "2"] + _TORUS, "bad res 2: want at least 3"),
+    (["eigs", "--tau", "0,-1"] + _TORUS, "bad --tau '0,-1': want Im tau > 0"),
+    (["eigs", "--tau", "1,0"] + _TORUS, "bad --tau '1,0'"),
+])
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, args,
+                                             message):
+    assert run(args, tmp_path) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_negative_seed_in_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -2\n")
+    out = tmp_path / "out"
+    assert run(["eigs", "--subdiv", "1", "--config", str(cfg)], out) == 2
+    assert "usage error: bad seed -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mesh_flags_of_another_surface_are_ignored(tmp_path):
+    # only the flags of the surface in use are checked
+    assert run(["eigs", "--surface", "sphere", "--subdiv", "1", "--res", "2",
+                "--tau", "0,-1", "-k", "2"], tmp_path / "sphere") == 0
+    assert run(["eigs", "--surface", "torus", "--res", "8", "--subdiv", "-1",
+                "-k", "2"], tmp_path / "torus") == 0
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "0.1,inf"])
+def test_non_finite_eps_is_numerical_failure(tmp_path, capsys, eps):
+    # inf ran to exit 0 and wrote "eps": Infinity, which is not JSON, with
+    # a vacuous sandwich; nan failed only on a mismatch between eps values
+    assert run(["glminmax", "--subdiv", "1", "--eps", eps], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: eps must be positive and finite" in err

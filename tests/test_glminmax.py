@@ -11,11 +11,10 @@ from specx import glminmax as gl
 from specx import harmonic as hm
 from specx import mobius as mb
 from specx import spectra as sx
-from specx.glminmax import (FamilyError, FamilySpec, VectorMap,
-                            balanced_point, balanced_point_second,
-                            eigen_lower_from_family, extract_critical,
-                            family_first, family_second, gl_descend,
-                            gl_energy, gl_gradient, gl_inner,
+from specx.glminmax import (FamilyError, FamilySpec, balanced_point,
+                            balanced_point_second, eigen_lower_from_family,
+                            extract_critical, family_first, family_second,
+                            gl_descend, gl_energy, gl_gradient, gl_inner,
                             gl_second_variation, minmax_upper, mollify,
                             sandwich_holds, sweep_to_csv)
 from specx.mesh import (area, build_sphere_mesh, build_torus_mesh,
@@ -98,9 +97,9 @@ def test_gradient_unit_constant_and_radial(sphere3):
     n = sphere3.num_vertices
     const = np.tile([0.0, 1.0, 0.0], (n, 1))
     g = gl_gradient(sphere3, const, 0.1)
-    assert np.abs(g.values).max() < 1e-10
+    assert np.abs(g).max() < 1e-10
     inflated = 1.1 * const
-    g2 = gl_gradient(sphere3, inflated, 0.1).values
+    g2 = gl_gradient(sphere3, inflated, 0.1)
     # gradient is parallel to u and pushes |u| back toward 1
     cos = np.sum(g2 * inflated, axis=1) / (
         np.linalg.norm(g2, axis=1) * np.linalg.norm(inflated, axis=1))
@@ -132,7 +131,7 @@ def test_descend_cases(sphere3, identity3):
     rng = np.random.default_rng(4)  # records the symmetry-breaking seed
     near_zero = 1e-3 * rng.standard_normal((n, 3))
     out3 = gl_descend(sphere3, near_zero, 0.2, tol=1e-6, max_iters=5000)
-    norms = np.linalg.norm(out3["u"].values, axis=1)
+    norms = np.linalg.norm(out3["u"], axis=1)
     assert out3["E_eps"] < 1e-3
     assert np.abs(norms - 1.0).max() < 1e-2
 
@@ -151,7 +150,7 @@ def _difference_armijo_descend(mesh, u0, eps, tol=1e-6, max_iters=2000,
     it = 0
     gnorm = np.inf
     for it in range(1, max_iters + 1):
-        g = gl_gradient(mesh, vals, eps).values
+        g = gl_gradient(mesh, vals, eps)
         gnorm = gl.gl_norm(mesh, g)
         if gnorm < tol:
             converged = True
@@ -168,7 +167,7 @@ def _difference_armijo_descend(mesh, u0, eps, tol=1e-6, max_iters=2000,
             break
         vals = cand
         e = e_new
-    return {"u": VectorMap(vals), "gradient_norm": gnorm, "E_eps": e,
+    return {"u": vals, "gradient_norm": gnorm, "E_eps": e,
             "iterations": it, "converged": converged}
 
 
@@ -182,7 +181,7 @@ def test_line_quartic_matches_energy_difference():
         eps = rng.uniform(0.05, 0.5)
         u = rng.uniform(0.2, 1.5) * rng.standard_normal(
             (mesh.num_vertices, 3))
-        g = gl_gradient(mesh, u, eps).values
+        g = gl_gradient(mesh, u, eps)
         g2 = gl.gl_norm(mesh, g) ** 2
         # the linear coefficient of the expansion is -|g|^2
         d = 1.0 - np.sum(u * u, axis=1)
@@ -251,7 +250,7 @@ def test_descend_stall_break():
     out = gl_descend(mesh, u0, eps, step0=step0)
     assert not out["converged"]
     assert (out["iterations"], out["backtracks"]) == (1, 40)
-    assert np.array_equal(out["u"].values, u0)
+    assert np.array_equal(out["u"], u0)
 
 
 def _einsum_line_quartic(mesh, u, g, eps):
@@ -284,7 +283,7 @@ def _two_product_descend(mesh, u0, eps, tol=1e-6, max_iters=2000,
     backtracks = 0
     gnorm = np.inf
     for it in range(1, max_iters + 1):
-        g = gl_gradient(mesh, vals, eps).values
+        g = gl_gradient(mesh, vals, eps)
         gnorm = gl.gl_norm(mesh, g)
         if gnorm < tol:
             converged = True
@@ -300,7 +299,7 @@ def _two_product_descend(mesh, u0, eps, tol=1e-6, max_iters=2000,
         else:
             break  # line search stalled at numerical floor
         vals = vals - step * g
-    return {"u": VectorMap(vals), "gradient_norm": gnorm,
+    return {"u": vals, "gradient_norm": gnorm,
             "E_eps": gl_energy(mesh, vals, eps), "iterations": it,
             "converged": converged, "backtracks": backtracks}
 
@@ -332,7 +331,7 @@ def test_descend_lockstep_with_two_product_oracle(unit_sphere3, identity3,
         # the carried K u differs from an exact product by rounding, and
         # the descent from the saddle amplifies rounding: a one-ulp change
         # of the start alone moves the oracle's maps by up to 1e-10
-        u, v = out["u"].values, ref["u"].values
+        u, v = out["u"], ref["u"]
         assert np.linalg.norm(u - v) <= 1e-8 * np.linalg.norm(v)
 
 
@@ -354,32 +353,34 @@ def test_descend_rejects_non_finite_start(sphere3, identity3):
         gl_descend(sphere3, u0, 0.1)
 
 
+def _mollify_at(mesh, f, t):
+    return mollify(mesh, f, sx._heat_factor(mesh, t))
+
+
 def test_mollify_properties(sphere3, identity3):
     vals = identity3.values
-    out = mollify(sphere3, vals, 1e-8)
-    assert np.abs(out.values - vals).max() < 1e-6
-    const = VectorMap(np.tile([0.2, -0.4, 1.0], (sphere3.num_vertices, 1)))
-    fixed = mollify(sphere3, const, 5.0)
-    assert np.abs(fixed.values - const.values).max() < 1e-12
+    out = _mollify_at(sphere3, vals, 1e-8)
+    assert np.abs(out - vals).max() < 1e-6
+    const = np.tile([0.2, -0.4, 1.0], (sphere3.num_vertices, 1))
+    fixed = _mollify_at(sphere3, const, 5.0)
+    assert np.abs(fixed - const).max() < 1e-12
     rng = np.random.default_rng(5)
     rough = rng.standard_normal(vals.shape)
     K = sphere3.stiffness
-    smoothed = mollify(sphere3, rough, 1e-2).values
+    smoothed = _mollify_at(sphere3, rough, 1e-2)
     assert np.sum(smoothed * (K @ smoothed)) < np.sum(rough * (K @ rough))
-    with pytest.raises(FamilyError):
-        mollify(sphere3, vals, 0.0)
 
 
 def test_family_first_members(sphere_spec, unit_sphere3, identity3):
     a0 = family_first(sphere_spec, np.zeros(3))
-    near_base = mollify(unit_sphere3, identity3, 1e-9)
-    assert np.abs(near_base.values - identity3.values).max() < 1e-6
+    near_base = _mollify_at(unit_sphere3, identity3, 1e-9)
+    assert np.abs(near_base - identity3.values).max() < 1e-6
     boundary = family_first(sphere_spec, np.array([0.0, 1.0, 0.0]))
-    assert np.allclose(boundary.values, [0.0, 1.0, 0.0])
+    assert np.allclose(boundary, [0.0, 1.0, 0.0])
     assert gl_energy(unit_sphere3, boundary, 0.1) < 1e-12
     a9 = family_first(sphere_spec, np.array([0.9, 0.0, 0.0]))
     assert gl_energy(unit_sphere3, a9, 0.1) <= 4 * np.pi * 1.03
-    assert np.linalg.norm(a9.values, axis=1).max() <= 1.0 + 1e-9
+    assert np.linalg.norm(a9, axis=1).max() <= 1.0 + 1e-9
 
 
 def test_family_second_members(unit_sphere3, identity3):
@@ -387,19 +388,19 @@ def test_family_second_members(unit_sphere3, identity3):
     spec1 = FamilySpec(unit_sphere3, identity3)
     rng = np.random.default_rng(6)
     a = np.array([0.3, 0.1, 0.0])
-    assert np.allclose(family_second(spec2, a, np.zeros(3)).values,
-                       family_first(spec1, a).values)
+    assert np.allclose(family_second(spec2, a, np.zeros(3)),
+                       family_first(spec1, a))
     boundary = family_second(spec2, np.array([0.0, 1.0, 0.0]),
                              rng.uniform(-0.5, 0.5, 3))
-    assert np.allclose(boundary.values, [0.0, 1.0, 0.0])
+    assert np.allclose(boundary, [0.0, 1.0, 0.0])
     for _ in range(3):
         b = rng.standard_normal(3)
         b /= np.linalg.norm(b)
         a = rng.standard_normal(3)
         a *= rng.uniform(0, 0.9) / np.linalg.norm(a)
-        lhs = family_second(spec2, a, b).values
+        lhs = family_second(spec2, a, b)
         rhs = mb.linear_reflection(
-            b, family_second(spec2, mb.linear_reflection(b, a), -b).values)
+            b, family_second(spec2, mb.linear_reflection(b, a), -b))
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -428,14 +429,12 @@ def test_eps_schedule_lockstep_with_fresh_families():
         assert rep.refinement == ref.refinement
         assert rep.sweep_rows == ref.sweep_rows
         for row in rep.sweep_rows:
-            vals = shared.member(np.array(row[:3])).values
+            vals = shared.member(np.array(row[:3]))
             assert row[3] == gl_energy(mesh, vals, eps)
             assert row[3:] == gl._parts_at(*gl._eps_free_parts(mesh, vals),
                                            eps)
     with pytest.raises(FamilyError):
         minmax_upper(shared, 0.0)
-    with pytest.raises(FamilyError, match="report is for eps"):
-        extract_critical(shared, 0.1, rep)
 
 
 def test_sweep_csv(tmp_path, sphere_spec):
@@ -448,7 +447,7 @@ def test_sweep_csv(tmp_path, sphere_spec):
 
 
 def test_report_json(sphere_spec):
-    rep = extract_critical(sphere_spec, 0.1, tol=1e-4, max_iters=500)
+    rep = extract_critical(sphere_spec, minmax_upper(sphere_spec, 0.1))
     doc = rep.to_json_dict()
     for key in ("sup_energy", "argmax", "eps", "mollify_time", "family",
                 "seed", "grid_size", "critical"):
@@ -570,7 +569,7 @@ def test_extract_critical_sphere(sphere3, identity3):
     # on the area-4pi sphere eps=0.1 is deep in the rigid regime, so the
     # descended critical point stays near the identity level
     spec = FamilySpec(sphere3, identity3)
-    rep = extract_critical(spec, 0.1, tol=1e-5)
+    rep = extract_critical(spec, minmax_upper(spec, 0.1))
     crit = rep.critical
     assert crit["E_eps"] <= rep.sup_energy + 1e-12
     assert abs(crit["E_eps"] - 4 * np.pi) < 0.03 * 4 * np.pi
@@ -581,7 +580,7 @@ def test_extract_critical_eps_monotone(unit_sphere3, identity3):
     es = []
     spec = FamilySpec(unit_sphere3, identity3)
     for eps in (0.2, 0.1, 0.05):
-        rep = extract_critical(spec, eps, tol=1e-5)
+        rep = extract_critical(spec, minmax_upper(spec, eps))
         es.append(rep.critical["E_eps"])
     for a, b in zip(es, es[1:]):
         assert b >= a - 0.01 * abs(a)
@@ -591,13 +590,8 @@ def test_sandwich_consistency(unit_sphere3, identity3):
     lam1 = sx.laplace_eigs(unit_sphere3, k=1).values[1]
     spec = FamilySpec(unit_sphere3, identity3)
     for eps in (0.2, 0.1, 0.05):
-        ok, lhs, rhs = sandwich_holds(spec, eps, lam1)
+        ok, lhs, rhs = sandwich_holds(minmax_upper(spec, eps), lam1)
         assert ok
-
-
-def test_vector_map_validation():
-    with pytest.raises(FamilyError):
-        VectorMap(np.array([[np.nan, 0.0, 0.0]]))
 
 
 def test_specx_import_leaves_scipy_optimize_unloaded():
@@ -648,3 +642,15 @@ def test_balanced_points_reject_bad_measures(kind):
         balanced_point_second(spec2, mesh.vertices[:, 2], mu=mu)
     with pytest.raises(FamilyError, match=message):
         eigen_lower_from_family(spec, mu=mu)
+
+
+@pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0, -0.1])
+def test_eps_must_be_finite_and_positive(sphere_spec, identity3, eps):
+    mesh = sphere_spec.mesh
+    message = "^eps must be positive and finite"
+    with pytest.raises(FamilyError, match=message):
+        gl_energy(mesh, identity3, eps)
+    with pytest.raises(FamilyError, match=message):
+        gl_descend(mesh, identity3, eps)
+    with pytest.raises(FamilyError, match=message):
+        minmax_upper(sphere_spec, eps)
