@@ -1,5 +1,6 @@
-"""Command-line driver: experiment recipes, JSON/CSV persistence, and an
-append-only results ledger.
+"""Command-line driver: argument handling and config, one library recipe
+call per command, and one write path for every run (JSON report, CSV
+tables, and an append-only results ledger).
 
 Subcommands: eigs, maximize, glminmax, vc, steklov, index, sweep. A plain
 key=value config file can seed any run; flags override it. SPECX_OUT
@@ -14,7 +15,6 @@ import datetime
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -141,6 +141,8 @@ class RunConfig:
             re, im = (float(x) for x in str(self.tau).split(","))
         except ValueError as exc:
             raise UsageError(f"bad --tau {self.tau!r}: want re,im") from exc
+        if not (np.isfinite(re) and np.isfinite(im)):
+            raise UsageError(f"bad --tau {self.tau!r}: want finite parts")
         if not im > 0.0:
             raise UsageError(f"bad --tau {self.tau!r}: want Im tau > 0")
         return complex(re, im)
@@ -170,6 +172,15 @@ class RunConfig:
             raise UsageError(f"bad --holes {self.holes!r}: want counts >= 1 "
                              "as n, n,m,... or first..last") from exc
         return holes
+
+    @property
+    def hole_count(self):
+        counts = self.holes_list
+        if len(counts) > 1:
+            raise UsageError(f"steklov punches one hole count, got --holes "
+                             f"{self.holes!r}; give one count, or run "
+                             "'sweep steklov-holes' for several")
+        return counts[0]
 
     def to_json_dict(self):
         doc = {k: self.values[k] for k in sorted(self.values)}
@@ -203,32 +214,20 @@ def _load_density(cfg, mesh):
     return meshmod.validate_density(mesh, vals)
 
 
-def _base_map(cfg, mesh):
-    dim = cfg.n + 1
-    if cfg.surface == "torus":
-        base = harmonic.torus_collapse_map(mesh)
-    else:
-        base = harmonic.identity_sphere_map(mesh)
-    return harmonic.embed_map(base, dim) if dim > 3 else base
-
-
-def _write_json(cfg, name, payload):
+def _finish(cfg, payload, ledger, tables, flags):
+    """The one write path of a run, for what its recipe returns: the
+    tables (CSV file name -> rows), the ledger ((quantity, value) rows of
+    `results.csv`, the results ledger) and the payload (of the JSON
+    report), all in cfg.out; then each flag (stage, message) on stderr.
+    Returns the exit code: 1 if a flag records a numerical failure, else
+    0."""
     os.makedirs(cfg.out, exist_ok=True)
-    doc = {
-        "config": cfg.to_json_dict(),
-        "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "payload": payload,
-    }
-    path = os.path.join(cfg.out, name)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return path
-
-
-def _append_ledger(cfg, row):
-    os.makedirs(cfg.out, exist_ok=True)
+    # glminmax's sweep tables have always ended their lines with \n, the
+    # other CSV files with the csv module's \r\n
+    end = "\n" if cfg.command == "glminmax" else "\r\n"
+    for name, rows in tables.items():
+        with open(os.path.join(cfg.out, name), "w", newline="") as fh:
+            csv.writer(fh, lineterminator=end).writerows(rows)
     path = os.path.join(cfg.out, "results.csv")
     exists = os.path.exists(path)
     with open(path, "a", newline="") as fh:
@@ -236,169 +235,40 @@ def _append_ledger(cfg, row):
         if not exists:
             writer.writerow(["command", "surface", "seed", "quantity",
                              "value"])
-        writer.writerow(row)
-    return path
+        writer.writerows([cfg.command, cfg.surface, cfg.seed, quantity, value]
+                         for quantity, value in ledger)
+    doc = {
+        "config": cfg.to_json_dict(),
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "payload": payload,
+    }
+    with open(os.path.join(cfg.out, f"{cfg.command}.json"), "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    for stage, message in flags:
+        print(f"specx: {stage}: {message}", file=sys.stderr)
+    return int(any(stage == glminmax.FAILED for stage, _ in flags))
 
 
-def _flag_unconverged(what, rep):
-    """One stderr line for a maximiser report that did not converge."""
-    if not rep.converged:
-        print(f"specx: {what}: ascent not converged after {rep.iterations} "
-              f"iterations (stationarity gap {rep.stationarity_gap:.3e})",
-              file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_eigs(cfg):
-    mesh = _build_mesh(cfg)
-    density = _load_density(cfg, mesh)
-    if mesh.is_closed:
-        spec = spectra.laplace_eigs(mesh, density, k=cfg.count,
-                                    seed=cfg.seed)
-        kind = "laplace"
-    else:
-        spec = spectra.steklov_eigs(mesh, k=cfg.count, seed=cfg.seed)
-        kind = "steklov"
-    payload = spec.to_json_dict()
-    payload["kind"] = kind
-    _write_json(cfg, "eigs.json", payload)
-    _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed,
-                         f"{kind}_lambda1", repr(float(spec.values[1]))])
-    return 0
-
-
-def cmd_maximize(cfg):
-    mesh = _build_mesh(cfg)
-    density = _load_density(cfg, mesh)
-    rep = spectra.maximize_lambda1_conformal(mesh, seed=cfg.seed, f0=density)
-    _flag_unconverged("maximize", rep)
-    _write_json(cfg, "maximize.json", rep.to_json_dict())
-    _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "lambda_bar_1",
-                         repr(float(rep.lambda_bar))])
-    return 0
-
-
-def cmd_glminmax(cfg):
-    mesh = _build_mesh(cfg)
-    scale = 1.0 / np.sqrt(meshmod.area(mesh))
-    unit = mesh.scaled(scale)
-    base = _base_map(cfg, mesh)
-    lam1 = float(spectra.laplace_eigs(unit, k=1, seed=cfg.seed).values[1])
-    results = []
-    warm = None  # track the critical branch across the eps schedule
-    spec = glminmax.FamilySpec(unit, base, seed=cfg.seed, n_dirs=cfg.grid)
-    for eps in cfg.eps_list:
-        rep = glminmax.extract_critical(
-            spec, glminmax.minmax_upper(spec, eps), start=warm)
-        crit = rep.critical
-        warm = crit["u"]
-        if not crit["converged"]:
-            print(f"specx: glminmax eps={eps}: descent not converged after "
-                  f"{crit['iterations']} iterations (gradient norm "
-                  f"{crit['gradient_norm']:.3e})", file=sys.stderr)
-        ok, lhs, rhs = glminmax.sandwich_holds(rep, lam1)
-        doc = rep.to_json_dict()
-        doc["sandwich"] = {"holds": bool(ok), "lhs": lhs, "rhs": rhs,
-                           "lambda1": lam1}
-        results.append(doc)
-        os.makedirs(cfg.out, exist_ok=True)
-        glminmax.sweep_to_csv(rep, os.path.join(
-            cfg.out, f"glminmax_sweep_eps{eps}.csv"))
-        _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed,
-                             f"sup_energy_eps{eps}",
-                             repr(float(rep.sup_energy))])
-        if not ok:
-            _write_json(cfg, "glminmax.json", results)
-            raise spectra.SolverError("eigenvalue sandwich violated")
-    _write_json(cfg, "glminmax.json", results)
-    return 0
-
-
-def cmd_vc(cfg):
-    mesh = _build_mesh(cfg)
-    base = _base_map(cfg, mesh)
-    out = mobius.conformal_volume(mesh, base, n_dirs=cfg.grid, seed=cfg.seed)
-    payload = {"V_c_estimate": float(out["V_c_estimate"]),
-               "argmax": [float(x) for x in out["argmax"]],
-               "refinement": [float(x) for x in out["refinement"]]}
-    _write_json(cfg, "vc.json", payload)
-    _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "V_c",
-                         repr(payload["V_c_estimate"])])
-    return 0
-
-
-def cmd_steklov(cfg):
-    mesh = _build_mesh(cfg)
-    if mesh.is_closed:
-        counts = cfg.holes_list
-        if len(counts) > 1:
-            raise UsageError(f"steklov punches one hole count, got --holes "
-                             f"{cfg.holes!r}; give one count, or run "
-                             "'sweep steklov-holes' for several")
-        holes = counts[0]
-        mesh = meshmod.puncture(mesh,
-                                meshmod.hole_centers(mesh, holes, cfg.seed),
-                                meshmod.hole_radius(mesh, holes, 0.5))
-    spec = spectra.steklov_eigs(mesh, k=cfg.count, seed=cfg.seed)
-    payload = spec.to_json_dict()
-    payload["boundary_length"] = spec.mass  # the boundary measure's mass
-    _write_json(cfg, "steklov.json", payload)
-    _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "sigma_bar_1",
-                         repr(float(spec.values[1] * spec.mass))])
-    return 0
-
-
-def cmd_index(cfg):
-    mesh = _build_mesh(cfg)
-    base = _base_map(cfg, mesh)
-    base = harmonic.harmonic_flow(mesh, base, steps=400)
-    with warnings.catch_warnings():  # the line below replaces the warning
-        warnings.simplefilter("ignore", UserWarning)
-        rep = index.index_report(mesh, base)
-    if rep.tension_residual > index.RESIDUAL_WARN:
-        print(f"specx: index: map has tension residual "
-              f"{rep.tension_residual:.3g} (above {index.RESIDUAL_WARN}); "
-              "index counts assume an approximately harmonic map",
-              file=sys.stderr)
-    _write_json(cfg, "index.json", rep.to_json_dict())
-    _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed, "ind_S",
-                         str(rep.ind_S)])
-    return 0
-
-
-def cmd_sweep(cfg):
-    counts = cfg.holes_list  # argparse admits only the steklov-holes recipe
-    mesh = _build_mesh(cfg)
-    ref = spectra.maximize_lambda1_conformal(mesh, seed=cfg.seed)
-    _flag_unconverged("sweep lambda_bar_ref", ref)
-    lam_ref = ref.lambda_bar
-    rows = spectra.steklov_hole_sweep(mesh, counts, seed=cfg.seed)
-    for holes, sigma_bar, _, _ in rows:
-        _append_ledger(cfg, [cfg.command, cfg.surface, cfg.seed,
-                             f"sigma_bar_1_holes{holes}", repr(sigma_bar)])
-    trend = spectra.nondecreasing_trend([row[1] for row in rows], lam_ref)
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, "steklov_holes.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["holes", "sigma_bar_1", "lambda_bar_1_ref",
-                         "nondecreasing_trend"])
-        writer.writerows([holes, repr(sig), repr(lam_ref), trend]
-                         for holes, sig, _, _ in rows)
-    payload = {"rows": [[int(h), float(s)] for h, s, _, _ in rows],
-               "nondecreasing_trend": bool(trend),
-               "lambda_bar_ref": float(lam_ref)}
-    _write_json(cfg, "sweep.json", payload)
-    return 0
-
-
+# each command's recipe call, on the run's config and mesh
 _COMMANDS = {
-    "eigs": cmd_eigs, "maximize": cmd_maximize, "glminmax": cmd_glminmax,
-    "vc": cmd_vc, "steklov": cmd_steklov, "index": cmd_index,
-    "sweep": cmd_sweep,
+    "eigs": lambda cfg, mesh: spectra.eigs_recipe(
+        mesh, _load_density(cfg, mesh), cfg.count, cfg.seed),
+    "maximize": lambda cfg, mesh: spectra.maximize_recipe(
+        mesh, _load_density(cfg, mesh), cfg.seed),
+    "glminmax": lambda cfg, mesh: glminmax.glminmax_recipe(
+        mesh, harmonic.base_map(mesh, cfg.surface, cfg.n), cfg.eps_list,
+        cfg.seed, cfg.grid),
+    "vc": lambda cfg, mesh: mobius.vc_recipe(
+        mesh, harmonic.base_map(mesh, cfg.surface, cfg.n), cfg.grid,
+        cfg.seed),
+    "steklov": lambda cfg, mesh: spectra.steklov_recipe(
+        mesh, cfg.hole_count, cfg.count, cfg.seed),
+    "index": lambda cfg, mesh: index.index_recipe(
+        mesh, harmonic.base_map(mesh, cfg.surface, cfg.n)),
+    "sweep": lambda cfg, mesh: spectra.sweep_recipe(
+        mesh, cfg.holes_list, cfg.seed),
 }
 
 
@@ -410,13 +280,12 @@ def main(argv=None):
         return exc.code
     try:
         cfg = RunConfig(args)
-        return _COMMANDS[args.command](cfg)
+        return _finish(cfg, *_COMMANDS[args.command](cfg, _build_mesh(cfg)))
     except (UsageError, FileNotFoundError) as exc:
         print(f"specx: usage error: {exc}", file=sys.stderr)
         return 2
-    except (meshmod.MeshError, spectra.SolverError, glminmax.FamilyError,
-            harmonic.MapError, np.linalg.LinAlgError) as exc:
-        print(f"specx: numerical failure: {exc}", file=sys.stderr)
+    except glminmax.FAILURES as exc:
+        print(f"specx: {glminmax.FAILED}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,6 @@
 """Relaxed sphere-valued energy, explicit admissible families, sampled
-min-max energies, balanced points, and critical-point extraction.
+min-max energies, balanced points, critical-point extraction, and the
+`glminmax` recipe of the CLI.
 
 The relaxed functional on vector-valued maps is
 
@@ -25,12 +26,20 @@ import numpy as np
 from . import _kernels, mobius, spectra
 from ._kernels import _row_dot
 from ._ballopt import BALL_EDGE, ball_grid, clip_to_ball, maximize_over_ball
-from .harmonic import SphereMap, _values, normalize_rows, tension_residual
-from .mesh import TriMesh, volume_measure
+from .harmonic import (MapError, SphereMap, _values, normalize_rows,
+                       tension_residual)
+from .mesh import MeshError, TriMesh, area, volume_measure
 
 
 class FamilyError(ValueError):
     pass
+
+
+# the errors of a numerical failure (exit code 1 of the CLI), and the stage
+# of the flag that records one ending a `glminmax_recipe` run part way
+FAILURES = (FamilyError, MapError, MeshError, spectra.SolverError,
+            np.linalg.LinAlgError)
+FAILED = "numerical failure"
 
 
 MOLLIFY_TIME = 1e-4  # the heat-step time that mollifies every member
@@ -168,7 +177,8 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
     as K u - s K g. The carried product drifts by rounding, so when its
     gradient norm first drops below tol, K u is recomputed and the test
     repeated on the exact product. The returned gradient norm and energy
-    are those of the returned map. A non-finite gradient raises
+    are those of the returned map, and `converged` is whether that norm is
+    below tol, however the descent stopped. A non-finite gradient raises
     FamilyError.
     """
     _check_eps(eps)
@@ -179,22 +189,20 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
     if step0 is None:
         step0 = 0.9 / (rate + 2.0 / eps ** 2)
     ku = K @ vals
-    exact = True
-    converged = False
+    measured = False  # whether gnorm is of an exact K u at the current map
     it = 0
     backtracks = 0
     for it in range(1, max_iters + 1):
         g, n2, q = _gradient_terms(va, vals, ku, eps)
         gnorm = float(np.sqrt(va @ q))
-        if gnorm < tol and not exact:  # confirm on an exact product
+        if gnorm < tol and not measured:  # confirm on an exact product
             ku = K @ vals
-            exact = True
+            measured = True
             g, n2, q = _gradient_terms(va, vals, ku, eps)
             gnorm = float(np.sqrt(va @ q))
         if not np.isfinite(gnorm):
             raise FamilyError("vector map has non-finite entries")
         if gnorm < tol:
-            converged = True
             break
         (c2, c3, c4), kg = _line_quartic(K, va, g, _row_dot(vals, g), q, n2,
                                          eps)
@@ -209,12 +217,12 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
             break  # line search stalled at numerical floor
         vals -= step * g
         ku -= step * kg
-        exact = False
-    if not converged:
+        measured = False
+    if not measured:
         gnorm = gl_norm(mesh, gl_gradient(mesh, vals, eps))
     return {"u": vals, "gradient_norm": gnorm,
             "E_eps": gl_energy(mesh, vals, eps), "iterations": it,
-            "converged": converged, "backtracks": backtracks}
+            "converged": gnorm < tol, "backtracks": backtracks}
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +425,12 @@ def minmax_upper(spec: FamilySpec, eps):
         refinement=history, sweep_rows=rows)
 
 
-def sweep_to_csv(report: MinMaxReport, path):
+def sweep_table(report: MinMaxReport):
+    """The report's sweep as table rows: the header p0, p1, ... and PARTS,
+    then one row of floats per evaluated member."""
     dim = len(np.atleast_1d(report.argmax))
-    header = ",".join([f"p{i}" for i in range(dim)] + list(PARTS))
-    with open(str(path), "w") as fh:
-        fh.write(header + "\n")
-        for row in report.sweep_rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    return ([[f"p{i}" for i in range(dim)] + list(PARTS)]
+            + [[float(x) for x in row] for row in report.sweep_rows])
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +604,52 @@ def extract_critical(spec: FamilySpec, report: MinMaxReport, start=None):
         "iterations": out["iterations"],
     }
     return report
+
+
+# ---------------------------------------------------------------------------
+# the glminmax recipe
+# ---------------------------------------------------------------------------
+
+def glminmax_recipe(mesh, base_map: SphereMap, eps_list, seed, n_dirs):
+    """The `specx glminmax` run: the first family of base_map on mesh
+    rescaled to unit area, swept at each eps of the schedule in turn.
+
+    Each eps descends from the critical map of the one before (the first
+    from its argmax) and checks the sandwich against lambda_1 of the
+    unit-area mesh. Returns (payload, ledger, tables, flags): each eps's
+    report with its sandwich, sup E_eps per eps, each eps's sweep table,
+    and one flag per unconverged descent. The whole schedule is checked
+    before any member is built. A failure after the first report, a
+    violated sandwich among them, ends the run with the reports that
+    finished and the flag (FAILED, message).
+    """
+    for eps in eps_list:
+        _check_eps(eps)
+    unit = mesh.scaled(1.0 / np.sqrt(area(mesh)))
+    lam1 = float(spectra.laplace_eigs(unit, k=1, seed=seed).values[1])
+    spec = FamilySpec(unit, base_map, seed=seed, n_dirs=n_dirs)
+    results, ledger, tables, flags = [], [], {}, []
+    warm = None  # track the critical branch across the eps schedule
+    try:
+        for eps in eps_list:
+            rep = extract_critical(spec, minmax_upper(spec, eps), start=warm)
+            crit = rep.critical
+            warm = crit["u"]
+            if not crit["converged"]:
+                flags.append((f"glminmax eps={eps}", "descent not converged "
+                              f"after {crit['iterations']} iterations "
+                              f"(gradient norm {crit['gradient_norm']:.3e})"))
+            ok, lhs, rhs = sandwich_holds(rep, lam1)
+            doc = rep.to_json_dict()
+            doc["sandwich"] = {"holds": bool(ok), "lhs": lhs, "rhs": rhs,
+                               "lambda1": lam1}
+            results.append(doc)
+            tables[f"glminmax_sweep_eps{eps}.csv"] = sweep_table(rep)
+            ledger.append((f"sup_energy_eps{eps}", float(rep.sup_energy)))
+            if not ok:
+                raise spectra.SolverError("eigenvalue sandwich violated")
+    except FAILURES as exc:
+        if not results:
+            raise
+        flags.append((FAILED, str(exc)))
+    return results, ledger, tables, flags

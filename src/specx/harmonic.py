@@ -40,17 +40,6 @@ class SphereMap:
     def ambient_dim(self):
         return self.values.shape[1]
 
-    def to_json_dict(self):
-        return {"ambient_dim": int(self.ambient_dim),
-                "values": [[float(x) for x in row] for row in self.values]}
-
-    @classmethod
-    def from_json_dict(cls, doc):
-        vals = np.asarray(doc["values"], dtype=float)
-        if vals.shape[1] != int(doc["ambient_dim"]):
-            raise MapError("ambient_dim does not match values")
-        return cls(vals)
-
 
 def normalize_rows(values):
     norms = np.linalg.norm(values, axis=1, keepdims=True)
@@ -74,6 +63,15 @@ def embed_map(phi: SphereMap, ambient_dim):
         return SphereMap(phi.values.copy())
     pad = np.zeros((len(phi.values), ambient_dim - phi.ambient_dim))
     return SphereMap(np.hstack([phi.values, pad]))
+
+
+def base_map(mesh, surface, n):
+    """The base map of the `vc`, `glminmax` and `index` recipes, into S^n:
+    the collapse map on a torus, the identity elsewhere, each embedded in
+    R^(n+1) when n > 2."""
+    base = (torus_collapse_map(mesh) if surface == "torus"
+            else identity_sphere_map(mesh))
+    return embed_map(base, n + 1) if n > 2 else base
 
 
 def torus_clifford_map(mesh):

@@ -1,5 +1,6 @@
-"""Spectral and energy index/nullity of discrete harmonic maps, and the
-index composition law under totally geodesic embeddings.
+"""Spectral and energy index/nullity of discrete harmonic maps, the index
+composition law under totally geodesic embeddings, and the `index` recipe
+of the CLI.
 
 Both quadratic forms are assembled against the lumped energy-density mass
 B = diag((K Phi . Phi)_i), i.e. the |dPhi|^2 measure; in that normalization
@@ -25,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import spectra
-from .harmonic import SphereMap, embed_map, energy_shares, tension_residual
+from .harmonic import (SphereMap, embed_map, energy_shares, harmonic_flow,
+                       tension_residual)
 from .mesh import MeshError
 
 
@@ -239,6 +241,23 @@ def index_report(mesh, phi: SphereMap) -> IndexReport:
     return IndexReport(ind_S=ind_s, nul_S=nul_s, ind_E=ind_e,
                        margins=margins_s + margins_e,
                        tension_residual=residual)
+
+
+def index_recipe(mesh, phi: SphereMap):
+    """The `specx index` run: phi flowed 400 steps toward a harmonic map,
+    then `index_report` of the flowed map. Returns (payload, ledger,
+    tables, flags), with a flag in place of the report's warning when the
+    tension residual exceeds RESIDUAL_WARN."""
+    phi = harmonic_flow(mesh, phi, steps=400)
+    with warnings.catch_warnings():  # the flag below replaces the warning
+        warnings.simplefilter("ignore", UserWarning)
+        rep = index_report(mesh, phi)
+    flags = []
+    if rep.tension_residual > RESIDUAL_WARN:
+        flags.append(("index", f"map has tension residual "
+                      f"{rep.tension_residual:.3g} (above {RESIDUAL_WARN}); "
+                      "index counts assume an approximately harmonic map"))
+    return rep.to_json_dict(), [("ind_S", int(rep.ind_S))], {}, flags
 
 
 def check_composition_law(mesh, phi: SphereMap, m):

@@ -1,5 +1,5 @@
-"""Closed-form conformal transformations of the sphere and conformal-volume
-estimation.
+"""Closed-form conformal transformations of the sphere, conformal-volume
+estimation, and the `vc` recipe of the CLI.
 
 G_a is the ball-indexed conformal automorphism; T_b the cap reflection that
 is the identity on the cap {<x,b> <= |b|-|b|^2} and the conformal
@@ -105,3 +105,13 @@ def conformal_volume(mesh, phi: SphereMap, n_dirs=16, seed=0):
         seed)
     return {"V_c_estimate": best_val, "argmax": best_a,
             "refinement": history}
+
+
+def vc_recipe(mesh, phi: SphereMap, n_dirs, seed):
+    """The `specx vc` run: `conformal_volume` as (payload, ledger, tables,
+    flags)."""
+    out = conformal_volume(mesh, phi, n_dirs=n_dirs, seed=seed)
+    payload = {"V_c_estimate": float(out["V_c_estimate"]),
+               "argmax": [float(x) for x in out["argmax"]],
+               "refinement": [float(x) for x in out["refinement"]]}
+    return payload, [("V_c", payload["V_c_estimate"])], {}, []

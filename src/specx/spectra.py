@@ -1,5 +1,6 @@
 """Generalized eigenvalue computations, conformal maximization of the
-first normalized eigenvalue, and the Steklov perforation sweep.
+first normalized eigenvalue, the Steklov perforation sweep, and the
+`eigs`, `maximize`, `steklov` and `sweep` recipes of the CLI.
 
 All solves are of pencil type K v = lambda B v with the cotangent stiffness
 K and a diagonal nonnegative right-hand form B, and all go through one
@@ -537,3 +538,70 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
         stationarity_gap=gap, converged=gap < 10 * GAP_TOL, weak_gap=weak,
         measure_rank=int(np.sum(f * va > 0)), warm_solves=warm_solves,
         cold_solves=it - warm_solves)
+
+
+# ---------------------------------------------------------------------------
+# the spectral recipes; each returns (payload, ledger, tables, flags)
+# ---------------------------------------------------------------------------
+
+def _ascent_flags(stage, rep: MaximizerReport):
+    """A flag for a maximiser report that did not converge."""
+    if rep.converged:
+        return []
+    return [(stage, f"ascent not converged after {rep.iterations} "
+             f"iterations (stationarity gap {rep.stationarity_gap:.3e})")]
+
+
+def eigs_recipe(mesh, density, count, seed):
+    """The `specx eigs` run: the Laplace spectrum of a closed mesh (with
+    the density, if not None), else the Steklov spectrum."""
+    if mesh.is_closed:
+        spec = laplace_eigs(mesh, density, k=count, seed=seed)
+        kind = "laplace"
+    else:
+        spec = steklov_eigs(mesh, k=count, seed=seed)
+        kind = "steklov"
+    payload = spec.to_json_dict()
+    payload["kind"] = kind
+    return payload, [(f"{kind}_lambda1", float(spec.values[1]))], {}, []
+
+
+def maximize_recipe(mesh, density, seed):
+    """The `specx maximize` run: the conformal ascent from the density (the
+    flat one for None)."""
+    rep = maximize_lambda1_conformal(mesh, seed=seed, f0=density)
+    return (rep.to_json_dict(), [("lambda_bar_1", float(rep.lambda_bar))],
+            {}, _ascent_flags("maximize", rep))
+
+
+def steklov_recipe(mesh, holes, count, seed):
+    """The `specx steklov` run: the Steklov spectrum of mesh, which, if
+    closed, first gets `holes` holes at `hole_centers` of `hole_radius`
+    fraction 0.5."""
+    if mesh.is_closed:
+        mesh = puncture(mesh, hole_centers(mesh, holes, seed),
+                        hole_radius(mesh, holes, 0.5))
+    spec = steklov_eigs(mesh, k=count, seed=seed)
+    payload = spec.to_json_dict()
+    payload["boundary_length"] = spec.mass  # the boundary measure's mass
+    return (payload, [("sigma_bar_1", float(spec.values[1] * spec.mass))],
+            {}, [])
+
+
+def sweep_recipe(mesh, counts, seed):
+    """The `specx sweep steklov-holes` run: `steklov_hole_sweep` over the
+    hole counts, and its trend against the maximised lambda_bar_1 of the
+    closed mesh."""
+    ref = maximize_lambda1_conformal(mesh, seed=seed)
+    lam_ref = ref.lambda_bar
+    rows = steklov_hole_sweep(mesh, counts, seed=seed)
+    trend = nondecreasing_trend([row[1] for row in rows], lam_ref)
+    table = [["holes", "sigma_bar_1", "lambda_bar_1_ref",
+              "nondecreasing_trend"]]
+    table += [[holes, sig, lam_ref, trend] for holes, sig, _, _ in rows]
+    payload = {"rows": [[int(h), float(s)] for h, s, _, _ in rows],
+               "nondecreasing_trend": bool(trend),
+               "lambda_bar_ref": float(lam_ref)}
+    ledger = [(f"sigma_bar_1_holes{holes}", sig) for holes, sig, _, _ in rows]
+    return (payload, ledger, {"steklov_holes.csv": table},
+            _ascent_flags("sweep lambda_bar_ref", ref))

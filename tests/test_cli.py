@@ -425,6 +425,11 @@ _TORUS = ["--surface", "torus"]
     (["eigs", "--res", "2"] + _TORUS, "bad res 2: want at least 3"),
     (["eigs", "--tau", "0,-1"] + _TORUS, "bad --tau '0,-1': want Im tau > 0"),
     (["eigs", "--tau", "1,0"] + _TORUS, "bad --tau '1,0'"),
+    # a non-finite part failed in the eigensolver (exit 1)
+    (["eigs", "--tau", "nan,1"] + _TORUS,
+     "bad --tau 'nan,1': want finite parts"),
+    (["eigs", "--tau", "inf,1"] + _TORUS, "bad --tau 'inf,1'"),
+    (["eigs", "--tau", "0,inf"] + _TORUS, "bad --tau '0,inf'"),
 ])
 def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, args,
                                              message):
@@ -457,3 +462,36 @@ def test_non_finite_eps_is_numerical_failure(tmp_path, capsys, eps):
     assert run(["glminmax", "--subdiv", "1", "--eps", eps], tmp_path) == 1
     err = capsys.readouterr().err
     assert "numerical failure: eps must be positive and finite" in err
+
+
+@pytest.mark.parametrize("eps", ["0.1,inf", "0.1,0"])
+def test_bad_eps_after_the_first_writes_no_file(tmp_path, capsys, eps):
+    # the eps = 0.1 stage ran and wrote its CSV and ledger row, and the
+    # run then failed without its glminmax.json
+    assert run(["glminmax", "--subdiv", "1", "--eps", eps], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: eps must be positive and finite" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_glminmax_failure_after_first_eps_keeps_report(tmp_path, monkeypatch,
+                                                       capsys):
+    # a failure in a later eps's descent writes the report of the eps
+    # values that finished, as a violated sandwich does
+    real = glminmax.extract_critical
+
+    def fails_below_02(spec, report, start=None):
+        if report.eps < 0.2:
+            raise glminmax.FamilyError("vector map has non-finite entries")
+        return real(spec, report, start=start)
+
+    monkeypatch.setattr(glminmax, "extract_critical", fails_below_02)
+    assert run(["glminmax", "--subdiv", "1", "--eps", "0.2,0.1,0.05"],
+               tmp_path) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == ("specx: numerical failure: vector map has non-finite "
+                       "entries")
+    docs = load_json(tmp_path, "glminmax.json")["payload"]
+    assert [d["eps"] for d in docs] == [0.2]
+    assert sorted(os.listdir(tmp_path)) == [
+        "glminmax.json", "glminmax_sweep_eps0.2.csv", "results.csv"]

@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -11,12 +13,13 @@ from specx import glminmax as gl
 from specx import harmonic as hm
 from specx import mobius as mb
 from specx import spectra as sx
+from specx.cli import main
 from specx.glminmax import (FamilyError, FamilySpec, balanced_point,
                             balanced_point_second, eigen_lower_from_family,
                             extract_critical, family_first, family_second,
                             gl_descend, gl_energy, gl_gradient, gl_inner,
                             gl_second_variation, minmax_upper, mollify,
-                            sandwich_holds, sweep_to_csv)
+                            sandwich_holds, sweep_table)
 from specx.mesh import (area, build_sphere_mesh, build_torus_mesh,
                         curve_measure, puncture, volume_measure)
 
@@ -346,6 +349,18 @@ def test_descend_reports_gradient_of_returned_map(unit_sphere3,
             gl.gl_norm(unit_sphere3, g), rel=1e-12)
 
 
+def test_descend_converged_at_the_cap(unit_sphere3, recipe_eps02):
+    # capped one step before it would stop, the descent returns the same
+    # map, whose gradient is below tol: converged, although the cap ended it
+    _, warm = recipe_eps02
+    full = gl_descend(unit_sphere3, warm["u"], 0.1)
+    capped = gl_descend(unit_sphere3, warm["u"], 0.1,
+                        max_iters=full["iterations"] - 1)
+    assert np.array_equal(capped["u"], full["u"])
+    assert capped["gradient_norm"] < 1e-6
+    assert capped["converged"] and full["converged"]
+
+
 def test_descend_rejects_non_finite_start(sphere3, identity3):
     u0 = identity3.values.copy()
     u0[5, 1] = np.nan
@@ -437,13 +452,13 @@ def test_eps_schedule_lockstep_with_fresh_families():
         minmax_upper(shared, 0.0)
 
 
-def test_sweep_csv(tmp_path, sphere_spec):
+def test_sweep_csv(sphere_spec):
     rep = minmax_upper(sphere_spec, 0.1)
-    path = tmp_path / "sweep.csv"
-    sweep_to_csv(rep, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "p0,p1,p2,E_eps,dirichlet,potential,avg_norm"
-    assert len(lines) == 1 + len(rep.sweep_rows)
+    rows = sweep_table(rep)
+    assert rows[0] == ["p0", "p1", "p2", "E_eps", "dirichlet", "potential",
+                       "avg_norm"]
+    assert rows[1:] == [list(row) for row in rep.sweep_rows]
+    assert all(type(x) is float for row in rows[1:] for x in row)
 
 
 def test_report_json(sphere_spec):
@@ -654,3 +669,19 @@ def test_eps_must_be_finite_and_positive(sphere_spec, identity3, eps):
         gl_descend(mesh, identity3, eps)
     with pytest.raises(FamilyError, match=message):
         minmax_upper(sphere_spec, eps)
+
+
+def test_glminmax_recipe_returns_what_main_writes(tmp_path):
+    mesh = build_sphere_mesh(2)
+    payload, ledger, tables, flags = gl.glminmax_recipe(
+        mesh, hm.identity_sphere_map(mesh), [0.1], 0, 14)
+    assert main(["glminmax", "--surface", "sphere", "--subdiv", "2", "--eps",
+                 "0.1", "--n", "2", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "glminmax.json") as fh:
+        assert json.load(fh)["payload"] == json.loads(json.dumps(payload))
+    assert ledger == [("sup_energy_eps0.1", payload[0]["sup_energy"])]
+    with open(tmp_path / "glminmax_sweep_eps0.1.csv") as fh:
+        assert [[float(x) for x in row] for row in
+                list(csv.reader(fh))[1:]] == tables[
+                    "glminmax_sweep_eps0.1.csv"][1:]
+    assert payload[0]["sandwich"]["holds"] and flags == []

@@ -201,9 +201,3 @@ def test_torus_maps():
     assert np.abs(hopf_differential(torus, cl)).max() < 1e-10
     col = torus_collapse_map(torus)
     assert energy(torus, col) > 4 * np.pi  # covers the sphere once
-
-
-def test_sphere_map_json_roundtrip(sphere3, identity3):
-    doc = identity3.to_json_dict()
-    back = SphereMap.from_json_dict(doc)
-    assert np.allclose(back.values, identity3.values)

@@ -320,3 +320,19 @@ def test_non_unit_map_is_mesh_error(sphere3, flowed_identity3):
         ix.energy_hessian(sphere3, phi)
     with pytest.raises(MeshError, match="unit-norm"):
         ix.energy_index(sphere3, phi)
+
+
+def test_index_recipe_flags_the_flowed_torus_collapse_map():
+    # the recipe flows the map 400 steps and flags, in place of the
+    # report's warning, the residual that stays far above RESIDUAL_WARN
+    mesh = build_torus_mesh(1j, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload, ledger, tables, flags = ix.index_recipe(
+            mesh, hm.torus_collapse_map(mesh))
+    residual = payload["tension_residual"]
+    assert residual > ix.RESIDUAL_WARN
+    assert flags == [("index", f"map has tension residual {residual:.3g} "
+                      f"(above {ix.RESIDUAL_WARN}); index counts assume an "
+                      "approximately harmonic map")]
+    assert ledger == [("ind_S", payload["ind_S"])] and tables == {}

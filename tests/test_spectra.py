@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from specx import mesh as meshmod
 from specx import spectra
+from specx.cli import main
 from specx.harmonic import energy_density, torus_collapse_map
 from specx.mesh import (MeshError, build_sphere_mesh, build_torus_mesh,
                         curve_measure, hole_centers, puncture, volume_measure)
@@ -770,3 +772,19 @@ def test_warm_start_near_the_lanczos_rank_floor(torus32, eps):
     np.testing.assert_allclose(spec.values, cold.values, rtol=1e-10,
                                atol=1e-10 * cold.values[1])
     assert spec.residuals.max() <= 1e-8
+
+
+def test_sweep_recipe_returns_what_main_writes(tmp_path):
+    mesh = build_torus_mesh(1j, 16)
+    payload, ledger, tables, flags = spectra.sweep_recipe(mesh, [1, 2], 0)
+    assert main(["sweep", "steklov-holes", "--surface", "torus", "--res",
+                 "16", "--holes", "1..2", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.json") as fh:
+        doc = json.load(fh)["payload"]
+    assert payload["rows"] == doc["rows"]
+    assert payload["nondecreasing_trend"] is doc["nondecreasing_trend"]
+    assert payload["lambda_bar_ref"] == doc["lambda_bar_ref"]
+    assert ledger == [(f"sigma_bar_1_holes{h}", s) for h, s in doc["rows"]]
+    table = tables["steklov_holes.csv"]
+    assert [row[:2] for row in table[1:]] == doc["rows"]
+    assert flags == []
