@@ -49,7 +49,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--surface", choices=["sphere", "torus", "file"],
+        sp.add_argument("--surface", choices=list(_SURFACE_MINIMUM),
                         default=None)
         sp.add_argument("--subdiv", type=int, default=None)
         sp.add_argument("--tau", type=str, default=None,
@@ -91,9 +91,10 @@ _INT_KEYS = {"subdiv", "res", "n", "grid", "seed", "count"}
 # the smallest accepted value of each key: at least one eigenvalue past
 # the constant one, a target sphere S^n that a SphereMap can hold, a seed
 # that numpy accepts and one direction per grid shell; and of the mesh
-# flags of each surface: an icosahedron and a 3 x 3 torus grid
+# flags of each surface: an icosahedron and a 3 x 3 torus grid. Its keys
+# are the surfaces that --surface and a config file accept.
 _MINIMUM = {"count": 1, "n": 2, "seed": 0, "grid": 1}
-_SURFACE_MINIMUM = {"sphere": {"subdiv": 0}, "torus": {"res": 3}}
+_SURFACE_MINIMUM = {"sphere": {"subdiv": 0}, "torus": {"res": 3}, "file": {}}
 
 
 class RunConfig:
@@ -119,7 +120,10 @@ class RunConfig:
             except ValueError as exc:
                 raise UsageError(f"bad {key} {merged[key]!r}: want an "
                                  "integer") from exc
-        minimum = dict(_MINIMUM, **_SURFACE_MINIMUM.get(merged["surface"], {}))
+        if merged["surface"] not in _SURFACE_MINIMUM:
+            raise UsageError(f"bad surface {merged['surface']!r}: want one "
+                             f"of {', '.join(_SURFACE_MINIMUM)}")
+        minimum = dict(_MINIMUM, **_SURFACE_MINIMUM[merged["surface"]])
         for key, low in minimum.items():
             if merged[key] < low:
                 raise UsageError(f"bad {key} {merged[key]}: want at least "
@@ -258,15 +262,14 @@ _COMMANDS = {
     "maximize": lambda cfg, mesh: spectra.maximize_recipe(
         mesh, _load_density(cfg, mesh), cfg.seed),
     "glminmax": lambda cfg, mesh: glminmax.glminmax_recipe(
-        mesh, harmonic.base_map(mesh, cfg.surface, cfg.n), cfg.eps_list,
+        mesh, harmonic.base_map(mesh, cfg.n), cfg.eps_list,
         cfg.seed, cfg.grid),
     "vc": lambda cfg, mesh: mobius.vc_recipe(
-        mesh, harmonic.base_map(mesh, cfg.surface, cfg.n), cfg.grid,
-        cfg.seed),
+        mesh, harmonic.base_map(mesh, cfg.n), cfg.grid, cfg.seed),
     "steklov": lambda cfg, mesh: spectra.steklov_recipe(
         mesh, cfg.hole_count, cfg.count, cfg.seed),
     "index": lambda cfg, mesh: index.index_recipe(
-        mesh, harmonic.base_map(mesh, cfg.surface, cfg.n)),
+        mesh, harmonic.base_map(mesh, cfg.n)),
     "sweep": lambda cfg, mesh: spectra.sweep_recipe(
         mesh, cfg.holes_list, cfg.seed),
 }

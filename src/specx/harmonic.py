@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
+from .mesh import torus_chart
 
 
 class MapError(ValueError):
@@ -48,10 +49,24 @@ def normalize_rows(values):
     return values / norms
 
 
+def _sphere_directions(mesh, what):
+    """The unit directions of the vertices from the origin; MapError unless
+    the vertices lie on one sphere centred there, their radii spreading by
+    at most 1e-9 relative."""
+    r = np.linalg.norm(mesh.vertices, axis=1)
+    spread = float(np.ptp(r) / r.max())
+    if not spread <= 1e-9:
+        raise MapError(f"{what} needs vertices on one sphere centred at the "
+                       f"origin; their radii spread by {spread:.3g} relative")
+    return normalize_rows(mesh.vertices)
+
+
 def identity_sphere_map(mesh):
-    """Vertex positions as a map to the 2-sphere in R^3 (`embed_map` pads it
-    into a larger sphere). Vertices must lie on the unit sphere."""
-    return SphereMap(normalize_rows(mesh.vertices))
+    """Vertex directions as a map to the 2-sphere in R^3 (`embed_map` pads
+    it into a larger sphere): radial projection, which is conformal only
+    when the vertices lie on one sphere centred at the origin, so any
+    other mesh is refused (MapError)."""
+    return SphereMap(_sphere_directions(mesh, "identity map"))
 
 
 def embed_map(phi: SphereMap, ambient_dim):
@@ -65,13 +80,21 @@ def embed_map(phi: SphereMap, ambient_dim):
     return SphereMap(np.hstack([phi.values, pad]))
 
 
-def base_map(mesh, surface, n):
+def base_map(mesh, n):
     """The base map of the `vc`, `glminmax` and `index` recipes, into S^n:
-    the collapse map on a torus, the identity elsewhere, each embedded in
-    R^(n+1) when n > 2."""
-    base = (torus_collapse_map(mesh) if surface == "torus"
-            else identity_sphere_map(mesh))
+    the collapse map on a mesh with a flat chart (`mesh.torus_chart`), the
+    identity elsewhere, each embedded in R^(n+1) when n > 2."""
+    base = (identity_sphere_map(mesh) if torus_chart(mesh) is None
+            else torus_collapse_map(mesh))
     return embed_map(base, n + 1) if n > 2 else base
+
+
+def _lattice(mesh):
+    """`mesh.torus_chart` of a torus map's mesh, which must have one."""
+    chart = torus_chart(mesh)
+    if chart is None:
+        raise MapError("torus map needs a mesh with a flat chart")
+    return chart
 
 
 def torus_clifford_map(mesh):
@@ -81,12 +104,7 @@ def torus_clifford_map(mesh):
     Exactly conformal for the square class (tau = i); for other moduli it
     is still a valid sphere-valued map but no longer conformal.
     """
-    if not mesh.chart_meta:
-        raise MapError("torus map needs a mesh with a flat chart")
-    tau = complex(mesh.chart_meta["tau_re"], mesh.chart_meta["tau_im"])
-    basis = np.array([[1.0, tau.real], [0.0, tau.imag]])
-    coords = mesh.vertices[:, :2] @ np.linalg.inv(basis).T
-    ang = 2.0 * np.pi * coords
+    ang = 2.0 * np.pi * _lattice(mesh)[1]
     vals = np.stack([np.cos(ang[:, 0]), np.sin(ang[:, 0]),
                      np.cos(ang[:, 1]), np.sin(ang[:, 1])], axis=1)
     return SphereMap(vals / np.sqrt(2.0))
@@ -99,16 +117,13 @@ def torus_collapse_map(mesh):
     (colatitude proportional to the chart radius); the complement collapses
     to the north pole, so the map descends to the torus.
     """
-    if not mesh.chart_meta:
-        raise MapError("torus map needs a mesh with a flat chart")
-    tau = complex(mesh.chart_meta["tau_re"], mesh.chart_meta["tau_im"])
+    tau, coords = _lattice(mesh)
     basis = np.array([[1.0, tau.real], [0.0, tau.imag]])
-    coords = mesh.vertices[:, :2] @ np.linalg.inv(basis).T  # lattice coords
     center = coords - 0.5
     r = np.linalg.norm(center @ basis.T, axis=1)
     r_max = 0.5 * min(1.0, abs(tau))  # inscribed radius in the chart metric
-    rho = np.minimum(r / r_max, 1.0)
-    theta = np.pi * rho  # 0 at the cell center, pi on the collapsed region
+    # 0 at the cell center, pi on the collapsed region
+    theta = np.pi * np.minimum(r / r_max, 1.0)
     alpha = np.arctan2(center[:, 1], center[:, 0])
     vals = np.stack([np.sin(theta) * np.cos(alpha),
                      np.sin(theta) * np.sin(alpha),
@@ -120,14 +135,11 @@ def power_map(mesh):
     """Degree-2 branched conformal self-map of the sphere (z to z^2 in a
     stereographic chart), evaluated with pole-stable half-angle formulas.
 
-    Vertices must lie on the unit sphere; the two poles are branch points
-    and map to themselves.
+    Vertices must lie on one sphere centred at the origin; the two poles
+    are branch points and map to themselves.
     """
-    v = mesh.vertices
-    if np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) > 1e-9:
-        raise MapError("power map needs vertices on the unit sphere")
-    z = np.clip(v[:, 2], -1.0, 1.0)
-    theta = np.arccos(z)
+    v = _sphere_directions(mesh, "power map")
+    theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
     half = np.tan(0.5 * theta)
     theta_new = 2.0 * np.arctan(half ** 2)
     phi_az = np.arctan2(v[:, 1], v[:, 0])

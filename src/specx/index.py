@@ -64,7 +64,6 @@ def _warn_if_not_harmonic(mesh, phi):
         warnings.warn(
             f"map has tension residual {agg:.3g}; index counts assume an "
             "approximately harmonic map", stacklevel=3)
-    return agg
 
 
 def _density(mesh, phi):
@@ -232,9 +231,9 @@ def _energy_index(mesh, phi, frames):
 
 
 def index_report(mesh, phi: SphereMap) -> IndexReport:
-    """Both indices of phi and its tension residual, which is computed
-    (and warned about) once."""
-    residual = _warn_if_not_harmonic(mesh, phi)
+    """Both indices of phi and its tension residual, which the report
+    carries in place of a warning."""
+    residual = tension_residual(mesh, phi)[1]
     ind_s, nul_s, margins_s = _spectral_index(mesh, _density(mesh, phi),
                                               spectra.CLUSTER_TOL)
     ind_e, margins_e = _energy_index(mesh, phi, None)
@@ -246,12 +245,9 @@ def index_report(mesh, phi: SphereMap) -> IndexReport:
 def index_recipe(mesh, phi: SphereMap):
     """The `specx index` run: phi flowed 400 steps toward a harmonic map,
     then `index_report` of the flowed map. Returns (payload, ledger,
-    tables, flags), with a flag in place of the report's warning when the
-    tension residual exceeds RESIDUAL_WARN."""
-    phi = harmonic_flow(mesh, phi, steps=400)
-    with warnings.catch_warnings():  # the flag below replaces the warning
-        warnings.simplefilter("ignore", UserWarning)
-        rep = index_report(mesh, phi)
+    tables, flags), with a flag when the tension residual exceeds
+    RESIDUAL_WARN."""
+    rep = index_report(mesh, harmonic_flow(mesh, phi, steps=400))
     flags = []
     if rep.tension_residual > RESIDUAL_WARN:
         flags.append(("index", f"map has tension residual "

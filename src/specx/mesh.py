@@ -356,6 +356,22 @@ def build_torus_mesh(modulus, resolution):
                                "res": res})
 
 
+def torus_chart(mesh):
+    """(tau, coords) of a mesh with a flat chart, None for any other mesh.
+
+    coords holds each vertex's lattice coordinates in [0, 1)^2, read from
+    its index in the res x res grid of `build_torus_mesh`
+    (`orig_vertex_ids`, which `scaled` and `puncture` carry), so they do
+    not depend on the mesh's scale or on the vertices it has lost.
+    """
+    meta = mesh.chart_meta
+    if not meta:
+        return None
+    j, i = np.divmod(mesh.orig_vertex_ids, meta["res"])
+    return (complex(meta["tau_re"], meta["tau_im"]),
+            np.stack([i, j], axis=1) / meta["res"])
+
+
 # ---------------------------------------------------------------------------
 # spec operations
 # ---------------------------------------------------------------------------
@@ -571,14 +587,9 @@ def load_mesh(path):
     path = str(path)
     sidecar = path + ".chart"
     if os.path.exists(sidecar):
-        meta = {}
-        with open(sidecar) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or "=" not in line:
-                    continue
-                key, val = line.split("=", 1)
-                meta[key.strip()] = val.strip()
+        with open(sidecar) as fh:  # key=value lines; others are skipped
+            meta = dict(map(str.strip, line.split("=", 1))
+                        for line in fh if "=" in line)
         try:
             tau = complex(float(meta["tau_re"]), float(meta["tau_im"]))
             res = int(meta["res"])

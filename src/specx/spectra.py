@@ -478,9 +478,11 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
     eigenframe of the near-degenerate lambda_1 cluster (relative width 0.1,
     from 7 eigenpairs), renormalized to unit area, with one lumped
     heat-flow smoothing step of time h^2 per iteration. The ascent stops
-    once the stationarity gap ||f - u|| falls below GAP_TOL. The returned
-    lambda_bar is lambda_1 of the returned discrete density (unit area);
-    nothing here shows that it reaches the conformal supremum.
+    once the stationarity gap ||f - u|| falls below GAP_TOL. It returns
+    the iterate of largest lambda_bar with that iterate's gap, so never
+    less than its start. The returned lambda_bar is lambda_1 of the
+    returned discrete density (unit area); nothing here shows that it
+    reaches the conformal supremum.
 
     From the second iteration on, each pencil is warm-started from the
     previous eigenvectors (`solve_pencil`'s `start`). A warm start that
@@ -514,7 +516,6 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
         if start is not None:
             wait = 1 if spec.warm else 2 * wait
             retry = it + wait
-        lam1 = float(spec.values[1])
         frame = spec.vectors[:, eigenvalue_cluster(spec, 1, 0.1)]
         u = np.sum(frame * frame, axis=1)
         u_area = float(np.sum(u * va))
@@ -523,8 +524,8 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
         u /= u_area
         gap = float(np.sqrt(np.sum(va * (f - u) ** 2)))
         weak = float(abs(np.sum(va * (f - u))))
-        lambda_bar = lam1  # area(f) == 1
-        if lambda_bar > best[0] or gap < best[2]:
+        lambda_bar = float(spec.values[1])  # area(f) == 1
+        if lambda_bar > best[0]:
             best = (lambda_bar, f.copy(), gap, weak)
         if gap < GAP_TOL:
             break

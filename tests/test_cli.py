@@ -10,7 +10,8 @@ import pytest
 
 from specx import glminmax, spectra
 from specx.cli import RunConfig, _build_parser, main
-from specx.mesh import build_sphere_mesh, load_mesh, puncture, save_mesh
+from specx.mesh import (TriMesh, build_sphere_mesh, build_torus_mesh,
+                        load_mesh, puncture, save_mesh)
 from specx.spectra import steklov_eigs
 
 
@@ -495,3 +496,63 @@ def test_glminmax_failure_after_first_eps_keeps_report(tmp_path, monkeypatch,
     assert [d["eps"] for d in docs] == [0.2]
     assert sorted(os.listdir(tmp_path)) == [
         "glminmax.json", "glminmax_sweep_eps0.2.csv", "results.csv"]
+
+
+@pytest.mark.parametrize("command", [["vc"], ["index"],
+                                     ["glminmax", "--eps", "0.2"]],
+                         ids=["vc", "index", "glminmax"])
+def test_saved_flat_torus_runs_like_the_built_one(tmp_path, command):
+    # the base map followed --surface, so the torus read back from its OFF
+    # file and chart sidecar got the radial projection of its chart, which
+    # failed with "cannot normalize a zero vector"
+    mesh_path = tmp_path / "t.off"
+    save_mesh(build_torus_mesh(1j, 12), mesh_path)
+    assert run(command + ["--surface", "file", "--mesh-file",
+                          str(mesh_path)], tmp_path / "file") == 0
+    assert run(command + ["--surface", "torus", "--res", "12"],
+               tmp_path / "torus") == 0
+    name = f"{command[0]}.json"
+    assert json.dumps(load_json(tmp_path / "file", name)["payload"]) == \
+        json.dumps(load_json(tmp_path / "torus", name)["payload"])
+
+
+def _torus_of_revolution():
+    grid = build_torus_mesh(1j, 16)
+    u, v = 2.0 * np.pi * grid.vertices[:, :2].T
+    ring = 2.0 + np.cos(v)
+    return TriMesh(np.stack([ring * np.cos(u), ring * np.sin(u), np.sin(v)],
+                            axis=1), grid.triangles, genus_hint=1)
+
+
+def _shifted_ellipsoid():
+    sphere = build_sphere_mesh(2)
+    return TriMesh(sphere.vertices * [3.0, 1.0, 0.5] + [2.5, 0.0, 0.0],
+                   sphere.triangles, genus_hint=0)
+
+
+@pytest.mark.parametrize("build", [_torus_of_revolution, _shifted_ellipsoid])
+def test_vc_refuses_a_mesh_off_a_centred_sphere(tmp_path, capsys, build):
+    # vc ran on the radial projection of any file mesh: V_c = 20.81 for the
+    # torus's degree-0 map, 24.45 for the ellipsoid's nonconformal one
+    mesh_path = tmp_path / "m.off"
+    save_mesh(build(), mesh_path)
+    out = tmp_path / "out"
+    assert run(["vc", "--surface", "file", "--mesh-file", str(mesh_path)],
+               out) == 1
+    assert ("numerical failure: identity map needs vertices on one sphere "
+            "centred at the origin") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_surface_in_config_file_is_usage_error(tmp_path, capsys):
+    # surface=cube ran eigs on the mesh file, and wrote cube into
+    # results.csv and the JSON config
+    mesh_path = tmp_path / "s1.off"
+    save_mesh(build_sphere_mesh(1), mesh_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"surface=cube\nmesh_file={mesh_path}\n")
+    out = tmp_path / "out"
+    assert run(["eigs", "--config", str(cfg)], out) == 2
+    assert ("usage error: bad surface 'cube': want one of sphere, torus, "
+            "file") in capsys.readouterr().err
+    assert not out.exists()

@@ -8,8 +8,8 @@ from specx.harmonic import (MapError, SphereMap, energy, energy_density,
                             identity_sphere_map, normalize_rows, power_map,
                             tension_residual, torus_clifford_map,
                             torus_collapse_map)
-from specx.mesh import (MeshError, area, build_sphere_mesh, build_torus_mesh,
-                        validate_density)
+from specx.mesh import (MeshError, TriMesh, area, build_sphere_mesh,
+                        build_torus_mesh, puncture, validate_density)
 
 
 def random_sphere_map(mesh, dim=3, seed=0):
@@ -201,3 +201,44 @@ def test_torus_maps():
     assert np.abs(hopf_differential(torus, cl)).max() < 1e-10
     col = torus_collapse_map(torus)
     assert energy(torus, col) > 4 * np.pi  # covers the sphere once
+
+
+def test_torus_maps_on_a_scaled_torus():
+    # both maps read the lattice coordinates off the vertex positions, so
+    # on a rescaled torus they did not close up across the seam (energy
+    # 55.0 and 39.5 against 24.5 and 19.5)
+    torus = build_torus_mesh(2j, 24)
+    scaled = torus.scaled(1.0 / np.sqrt(2.0))
+    for f in (torus_clifford_map, torus_collapse_map):
+        assert np.array_equal(f(scaled).values, f(torus).values)
+
+
+def test_torus_maps_on_a_punctured_torus():
+    torus = build_torus_mesh(2j, 24)
+    holed = puncture(torus, [0], 0.2)
+    for f in (torus_clifford_map, torus_collapse_map):
+        assert np.array_equal(f(holed).values,
+                              f(torus).values[holed.orig_vertex_ids])
+
+
+def test_base_map_follows_the_mesh(sphere3):
+    torus = build_torus_mesh(1j, 12)
+    assert np.array_equal(hm.base_map(torus, 2).values,
+                          torus_collapse_map(torus).values)
+    assert np.array_equal(hm.base_map(sphere3, 3).values,
+                          hm.embed_map(identity_sphere_map(sphere3), 4).values)
+
+
+def test_radial_maps_need_a_sphere_centred_at_the_origin(sphere3):
+    # radial projection is conformal only there; the identity map ran on
+    # any mesh
+    shifted = TriMesh(sphere3.vertices + [0.1, 0.0, 0.0], sphere3.triangles)
+    for f in (identity_sphere_map, power_map):
+        with pytest.raises(MapError, match="centred at the origin; their "
+                           "radii spread by 0.182 relative"):
+            f(shifted)
+    small = sphere3.scaled(0.25)
+    assert np.allclose(identity_sphere_map(small).values,
+                       identity_sphere_map(sphere3).values, atol=1e-15)
+    assert np.allclose(power_map(small).values, power_map(sphere3).values,
+                       atol=1e-12)

@@ -165,15 +165,17 @@ def test_index_report_json(sphere3, flowed_identity3, monkeypatch):
 def test_index_report_residual_once_torus(monkeypatch):
     # the flowed collapse map of a torus is far from harmonic (no
     # degree-one harmonic map T^2 -> S^2 exists); the report carries its
-    # residual and warns once, and direct callers still get the warning
+    # residual, computed once, in place of a warning, and the direct
+    # callers, which return no residual, still warn
     mesh = build_torus_mesh(1j, 16)
     phi = hm.harmonic_flow(mesh, hm.torus_collapse_map(mesh), steps=400)
     _, agg = hm.tension_residual(mesh, phi)
     assert agg > ix.RESIDUAL_WARN
     calls = _count_calls(monkeypatch, "tension_residual")
-    with pytest.warns(UserWarning, match="tension residual") as record:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = ix.index_report(mesh, phi)
-    assert len(calls) == len(record) == 1
+    assert len(calls) == 1
     assert rep.to_json_dict()["tension_residual"] == agg
     with pytest.warns(UserWarning, match="tension residual"):
         assert ix.spectral_index(mesh, phi)[:2] == (rep.ind_S, rep.nul_S)
@@ -323,8 +325,8 @@ def test_non_unit_map_is_mesh_error(sphere3, flowed_identity3):
 
 
 def test_index_recipe_flags_the_flowed_torus_collapse_map():
-    # the recipe flows the map 400 steps and flags, in place of the
-    # report's warning, the residual that stays far above RESIDUAL_WARN
+    # the recipe flows the map 400 steps and flags, without a warning,
+    # the residual that stays far above RESIDUAL_WARN
     mesh = build_torus_mesh(1j, 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

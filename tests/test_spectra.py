@@ -191,6 +191,25 @@ def test_maximizer_fixed_point(torus32):
     assert abs(again.lambda_bar - rep.lambda_bar) < 1e-6 * rep.lambda_bar
 
 
+@pytest.mark.parametrize("subdiv, stretch, iters", [
+    (3, (1.0, 1.0, 1.0), 50),  # the conformal-max workload
+    (2, (3.0, 1.0, 0.5), 30),
+], ids=["sphere3", "ellipsoid"])
+def test_maximizer_never_returns_less_than_its_start(subdiv, stretch, iters):
+    # an iterate of lower lambda_bar but smaller gap replaced a better
+    # one: 25.012884 at the start fell to 25.012881 on sphere3, and
+    # 0.3417 * 8 pi to 0.2350 * 8 pi on the 3:1:0.5 ellipsoid
+    sphere = build_sphere_mesh(subdiv)
+    mesh = meshmod.TriMesh(sphere.vertices * stretch, sphere.triangles,
+                           genus_hint=0)
+    start = maximize_lambda1_conformal(mesh, iters=1)
+    rep = maximize_lambda1_conformal(mesh, iters=iters)
+    assert rep.lambda_bar >= start.lambda_bar
+    if rep.lambda_bar == start.lambda_bar:  # the start's own report
+        assert rep.stationarity_gap == start.stationarity_gap
+        assert rep.converged == start.converged
+
+
 def test_maximizer_requires_closed(disk):
     with pytest.raises(MeshError):
         maximize_lambda1_conformal(disk, iters=2)
