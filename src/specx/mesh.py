@@ -197,10 +197,11 @@ class TriMesh:
         """(cotangents (F,3), areas (F,)) computed from the face charts."""
         if "geometry" not in self._cache:
             cots, areas = _kernels.tri_geometry(self.corners)
-            if np.any(areas <= 0.0):
-                bad = int(np.argmin(areas))
+            ok = (areas > 0.0) & (areas < np.inf)  # NaN fails both
+            if not np.all(ok):
+                bad = int(np.argmin(ok))
                 raise DegenerateTriangleError(
-                    f"triangle {bad} has zero area")
+                    f"triangle {bad} has zero or non-finite area")
             self._cache["geometry"] = (cots, areas)
         return self._cache["geometry"]
 
@@ -635,6 +636,9 @@ def _parse_off(path):
                          dtype=np.int64).reshape(nf, 4)
     except ValueError as exc:
         raise MeshError(f"OFF parse error: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=-1))
+    if len(bad):
+        raise MeshError(f"OFF vertex {bad[0]} has a non-finite coordinate")
     if np.any(faces[:, 0] != 3):
         raise MeshError("only triangle faces are supported")
     faces = faces[:, 1:]

@@ -103,6 +103,30 @@ def test_numerical_failure_exit(tmp_path):
                tmp_path) == 1
 
 
+@pytest.mark.parametrize("command",
+                         ["eigs", "maximize", "steklov", "vc", "index"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_off_vertex_is_numerical_failure(tmp_path, capsys,
+                                                    command, value):
+    # accepted before: maximize died in SuperLU with a traceback, steklov
+    # reported a nan radius, and eigs, vc and index failed later with
+    # unrelated messages
+    mesh_path = tmp_path / "s1.off"
+    save_mesh(build_sphere_mesh(1), mesh_path)
+    lines = mesh_path.read_text().splitlines()
+    assert lines[:2] == ["OFF", "42 80 0"]
+    lines[2] = " ".join([value] + lines[2].split()[1:])  # vertex 0
+    mesh_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--surface", "file", "--mesh-file", str(mesh_path)],
+               out) == 1
+    assert capsys.readouterr().err == (
+        "specx: numerical failure: OFF vertex 0 has a non-finite "
+        "coordinate\n")
+    assert not out.exists()
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("surface=sphere\nsubdiv=2\ncount=3\n")

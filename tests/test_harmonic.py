@@ -25,6 +25,21 @@ def test_sphere_map_validation(sphere3):
         SphereMap(sphere3.vertices[:, :2])  # ambient dim below 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_are_refused(sphere3, identity3, bad):
+    # NaN fails every comparison, so a NaN row passed the unit-norm and
+    # zero-norm checks, and the flow returned a non-finite map
+    vals = identity3.values.copy()
+    vals[7, 1] = bad
+    with pytest.raises(MapError, match="unit vectors"):
+        SphereMap(vals)
+    with pytest.raises(MapError, match="row 7 to the sphere: it is zero "
+                       "or not finite"):
+        normalize_rows(vals)
+    with pytest.raises(MapError, match="zero or not finite"):
+        harmonic_flow(sphere3, vals, steps=3)
+
+
 def test_energy_constant_and_identity(sphere4):
     const = SphereMap(np.tile([0.0, 0.0, 1.0], (sphere4.num_vertices, 1)))
     assert energy(sphere4, const) < 1e-20
@@ -135,6 +150,42 @@ def test_flow_monotone_and_unit(sphere3, identity3):
         assert e <= e_prev + 1e-10
         e_prev = e
         assert np.abs(np.linalg.norm(cur.values, axis=1) - 1.0).max() < 1e-12
+
+
+def _np_sum_flow(mesh, phi0, steps):
+    """The earlier harmonic_flow loop, kept as an oracle: np.sum for the
+    coupling and np.linalg.norm for the projection, a fresh array for
+    each term."""
+    vals = hm._values(phi0).copy()
+    K = mesh.stiffness
+    va = mesh.vertex_areas
+    dt = 0.5 * (1.0 / (K.diagonal() / va).max())
+    for _ in range(steps):
+        kphi = K @ vals
+        coupling = np.sum(kphi * vals, axis=1)
+        r = (kphi - coupling[:, None] * vals) / va[:, None]
+        vals = vals - dt * r
+        vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
+    return vals
+
+
+@pytest.mark.parametrize("case", ["identity-3", "identity-4", "power",
+                                  "random-5", "collapse-3", "collapse-4"])
+def test_flow_matches_np_sum_loop_bit_for_bit(sphere3, identity3, case):
+    # the flow from the non-harmonic collapse map and from a random map
+    # amplifies any change of rounding, so equality pins the summation
+    # order of every step
+    torus = build_torus_mesh(1j, 16)
+    mesh, phi = {
+        "identity-3": (sphere3, identity3),
+        "identity-4": (sphere3, hm.embed_map(identity3, 4)),
+        "power": (sphere3, power_map(sphere3)),
+        "random-5": (sphere3, random_sphere_map(sphere3, dim=5, seed=2)),
+        "collapse-3": (torus, torus_collapse_map(torus)),
+        "collapse-4": (torus, hm.embed_map(torus_collapse_map(torus), 4)),
+    }[case]
+    assert np.array_equal(harmonic_flow(mesh, phi, steps=400).values,
+                          _np_sum_flow(mesh, phi, 400))
 
 
 def test_check_eigenvalue_two_identity(sphere4):

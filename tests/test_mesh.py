@@ -639,6 +639,19 @@ def test_puncture_removes_a_degenerate_face_of_an_unmeasured_parent():
     assert np.all(sub.face_geometry[1] > 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_corners_fail_the_area_check(bad):
+    # a NaN area fails every comparison, so the check let it through
+    torus = build_torus_mesh(1j, 6)
+    corners = torus.corners.copy()
+    corners[5, 1, 0] = bad
+    mesh = TriMesh(torus.vertices, torus.triangles, genus_hint=1,
+                   corners=corners)
+    with pytest.raises(DegenerateTriangleError,
+                       match="triangle 5 has zero or non-finite area"):
+        _ = mesh.face_geometry
+
+
 def _outcome(fn):
     try:
         return fn()
