@@ -2,9 +2,11 @@
 call per command, and one write path for every run (JSON report, CSV
 tables, and an append-only results ledger).
 
-Subcommands: eigs, maximize, glminmax, vc, steklov, index, sweep. A plain
-key=value config file can seed any run; flags override it. SPECX_OUT
-overrides --out. Exit codes: 0 ok, 1 numerical failure, 2 usage error.
+Subcommands: eigs, maximize, glminmax, vc, steklov, index, sweep. Each
+takes the run keys (`_RUN_KEYS`) and the keys its recipe reads
+(`_COMMANDS`), as flags or from a plain key=value config file, which flags
+override; any other key is a usage error. SPECX_OUT overrides --out. Exit
+codes: 0 ok, 1 numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -40,6 +42,36 @@ def _parse_config_file(path):
     return out
 
 
+# each key of a run, from a flag or a config file: its default, its least
+# value and its help text. A key with a least value is an integer. The least
+# values are one eigenvalue past the constant one, a target sphere S^n that
+# a SphereMap can hold, a seed that numpy accepts, one direction per grid
+# shell, an icosahedron and a 3 x 3 torus grid.
+_KEYS = {
+    "surface": ("sphere", None, "sphere, torus or file"),
+    "subdiv": (3, 0, "icosphere subdivisions (sphere)"),
+    "tau": ("0,1", None, "torus modulus as re,im (torus)"),
+    "res": (32, 3, "grid points per side (torus)"),
+    "mesh_file": (None, None, "OFF mesh file (file)"),
+    "seed": (0, 0, "random seed"),
+    "out": ("specx_out", None, "output directory"),
+    "density": (None, None, "per-vertex density file (one value per line)"),
+    "eps": ("0.2,0.1,0.05", None, "comma-separated epsilon schedule"),
+    "n": (2, 2, "target sphere dimension"),
+    "grid": (14, 1, "directions per grid shell"),
+    "holes": ("1..8", None, "hole count or range first..last"),
+    "count": (5, 1, "number of nontrivial eigenvalues"),
+}
+
+# the keys that every command takes: the mesh keys, and the seed and output
+# directory that every run records
+_RUN_KEYS = ("surface", "subdiv", "tau", "res", "mesh_file", "seed", "out")
+
+# the integer mesh key of each surface; only the one of the surface in use
+# is checked, since a config file may hold both surfaces' keys
+_SURFACES = {"sphere": "subdiv", "torus": "res", "file": None}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="specx",
@@ -47,97 +79,54 @@ def _build_parser():
                     "min-max energies on triangle meshes")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--surface", choices=list(_SURFACE_MINIMUM),
-                        default=None)
-        sp.add_argument("--subdiv", type=int, default=None)
-        sp.add_argument("--tau", type=str, default=None,
-                        help="torus modulus as re,im")
-        sp.add_argument("--res", type=int, default=None)
-        sp.add_argument("--mesh-file", type=str, default=None)
-        sp.add_argument("--density", type=str, default=None,
-                        help="per-vertex density file (one value per line)")
-        sp.add_argument("--eps", type=str, default=None,
-                        help="comma-separated epsilon schedule")
-        sp.add_argument("--n", type=int, default=None,
-                        help="target sphere dimension")
-        sp.add_argument("--grid", type=int, default=None,
-                        help="directions per grid shell")
-        sp.add_argument("--holes", type=str, default=None,
-                        help="hole count or range first..last")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("-k", "--count", type=int, default=None,
-                        help="number of nontrivial eigenvalues")
-
-    for name in ("eigs", "maximize", "glminmax", "vc", "steklov", "index"):
-        add_common(sub.add_parser(name))
-    sp = sub.add_parser("sweep")
-    sp.add_argument("recipe", choices=["steklov-holes"])
-    add_common(sp)
+    for command, (keys, _, _) in _COMMANDS.items():
+        sp = sub.add_parser(command)
+        if command == "sweep":
+            sp.add_argument("recipe", choices=["steklov-holes"])
+        for key in _RUN_KEYS + keys:
+            flag = "--" + key.replace("_", "-")
+            sp.add_argument(*(("-k", flag) if key == "count" else (flag,)),
+                            help=_KEYS[key][2])
+        sp.add_argument("--config", help="key=value file; flags override it")
     return p
 
 
-DEFAULTS = {
-    "surface": "sphere", "subdiv": 3, "tau": "0,1", "res": 32,
-    "mesh_file": None, "density": None, "eps": "0.2,0.1,0.05", "n": 2,
-    "grid": 14, "holes": "1..8", "seed": 0, "out": "specx_out", "count": 5,
-}
-
-_INT_KEYS = {"subdiv", "res", "n", "grid", "seed", "count"}
-
-# the smallest accepted value of each key: at least one eigenvalue past
-# the constant one, a target sphere S^n that a SphereMap can hold, a seed
-# that numpy accepts and one direction per grid shell; and of the mesh
-# flags of each surface: an icosahedron and a 3 x 3 torus grid. Its keys
-# are the surfaces that --surface and a config file accept.
-_MINIMUM = {"count": 1, "n": 2, "seed": 0, "grid": 1}
-_SURFACE_MINIMUM = {"sphere": {"subdiv": 0}, "torus": {"res": 3}, "file": {}}
-
-
 class RunConfig:
-    """Resolved configuration: defaults < config file < flags."""
+    """Resolved configuration, one attribute per key of `_KEYS`: defaults <
+    config file < flags. Only the run keys and the command's own keys may
+    be set; the others keep their defaults."""
 
     def __init__(self, args):
-        merged = dict(DEFAULTS)
-        if args.command == "steklov":
-            merged["holes"] = "1"  # the 1..8 default is the sweep's range
-        if args.config:
-            file_cfg = _parse_config_file(args.config)
-            unknown = set(file_cfg) - set(DEFAULTS)
-            if unknown:
-                raise UsageError(f"unknown config keys: {sorted(unknown)}")
-            merged.update(file_cfg)
-        for key in DEFAULTS:
-            val = getattr(args, key, None)
-            if val is not None:
-                merged[key] = val
-        for key in _INT_KEYS:
+        keys, defaults, _ = _COMMANDS[args.command]
+        keys = _RUN_KEYS + keys
+        file_cfg = _parse_config_file(args.config) if args.config else {}
+        unknown = set(file_cfg) - set(keys)
+        if unknown:
+            raise UsageError(f"unknown config keys for {args.command}: "
+                             f"{sorted(unknown)}")
+        merged = {key: row[0] for key, row in _KEYS.items()}
+        merged.update(defaults, **file_cfg)
+        merged.update((key, getattr(args, key)) for key in keys
+                      if getattr(args, key) is not None)
+        if merged["surface"] not in _SURFACES:
+            raise UsageError(f"bad surface {merged['surface']!r}: want one "
+                             f"of {', '.join(_SURFACES)}")
+        ignored = set(_SURFACES.values()) - {_SURFACES[merged["surface"]]}
+        for key, (_, low, _) in _KEYS.items():
+            if low is None:
+                continue
             try:
                 merged[key] = int(merged[key])
             except ValueError as exc:
                 raise UsageError(f"bad {key} {merged[key]!r}: want an "
                                  "integer") from exc
-        if merged["surface"] not in _SURFACE_MINIMUM:
-            raise UsageError(f"bad surface {merged['surface']!r}: want one "
-                             f"of {', '.join(_SURFACE_MINIMUM)}")
-        minimum = dict(_MINIMUM, **_SURFACE_MINIMUM[merged["surface"]])
-        for key, low in minimum.items():
-            if merged[key] < low:
+            if key not in ignored and merged[key] < low:
                 raise UsageError(f"bad {key} {merged[key]}: want at least "
                                  f"{low}")
         merged["out"] = os.environ.get("SPECX_OUT", merged["out"])
+        vars(self).update(merged)
         self.command = args.command
         self.recipe = getattr(args, "recipe", None)
-        self.values = merged
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError as exc:
-            raise AttributeError(key) from exc
 
     @property
     def tau_complex(self):
@@ -187,7 +176,7 @@ class RunConfig:
         return counts[0]
 
     def to_json_dict(self):
-        doc = {k: self.values[k] for k in sorted(self.values)}
+        doc = {key: getattr(self, key) for key in sorted(_KEYS)}
         doc["command"] = self.command
         if self.recipe:
             doc["recipe"] = self.recipe
@@ -255,23 +244,38 @@ def _finish(cfg, payload, ledger, tables, flags):
     return int(any(stage == glminmax.FAILED for stage, _ in flags))
 
 
-# each command's recipe call, on the run's config and mesh
+def _base_map(cfg, mesh):
+    """`harmonic.base_map` of a genus-0 mesh or of one with a flat chart;
+    any other mesh has no base map, so its run is a usage error."""
+    if mesh.genus_hint != 0 and meshmod.torus_chart(mesh) is None:
+        raise UsageError(f"{cfg.command} needs a genus-0 mesh or a flat "
+                         "torus with its chart sidecar; this mesh has genus "
+                         f"{mesh.genus_hint}")
+    return harmonic.base_map(mesh, cfg.n)
+
+
+# each command: the keys its recipe reads beside the run keys, the defaults
+# it sets apart from _KEYS's, and its recipe call on the run's config and
+# mesh
 _COMMANDS = {
-    "eigs": lambda cfg, mesh: spectra.eigs_recipe(
-        mesh, _load_density(cfg, mesh), cfg.count, cfg.seed),
-    "maximize": lambda cfg, mesh: spectra.maximize_recipe(
-        mesh, _load_density(cfg, mesh), cfg.seed),
-    "glminmax": lambda cfg, mesh: glminmax.glminmax_recipe(
-        mesh, harmonic.base_map(mesh, cfg.n), cfg.eps_list,
-        cfg.seed, cfg.grid),
-    "vc": lambda cfg, mesh: mobius.vc_recipe(
-        mesh, harmonic.base_map(mesh, cfg.n), cfg.grid, cfg.seed),
-    "steklov": lambda cfg, mesh: spectra.steklov_recipe(
-        mesh, cfg.hole_count, cfg.count, cfg.seed),
-    "index": lambda cfg, mesh: index.index_recipe(
-        mesh, harmonic.base_map(mesh, cfg.n)),
-    "sweep": lambda cfg, mesh: spectra.sweep_recipe(
-        mesh, cfg.holes_list, cfg.seed),
+    "eigs": (("density", "count"), {}, lambda cfg, mesh: spectra.eigs_recipe(
+        mesh, _load_density(cfg, mesh), cfg.count, cfg.seed)),
+    "maximize": (("density",), {}, lambda cfg, mesh: spectra.maximize_recipe(
+        mesh, _load_density(cfg, mesh), cfg.seed)),
+    "glminmax": (("eps", "n", "grid"), {},
+                 lambda cfg, mesh: glminmax.glminmax_recipe(
+                     mesh, _base_map(cfg, mesh), cfg.eps_list, cfg.seed,
+                     cfg.grid)),
+    "vc": (("n", "grid"), {}, lambda cfg, mesh: mobius.vc_recipe(
+        mesh, _base_map(cfg, mesh), cfg.grid, cfg.seed)),
+    # one hole; the 1..8 default is the sweep's range
+    "steklov": (("holes", "count"), {"holes": "1"},
+                lambda cfg, mesh: spectra.steklov_recipe(
+                    mesh, cfg.hole_count, cfg.count, cfg.seed)),
+    "index": (("n",), {}, lambda cfg, mesh: index.index_recipe(
+        mesh, _base_map(cfg, mesh))),
+    "sweep": (("holes",), {}, lambda cfg, mesh: spectra.sweep_recipe(
+        mesh, cfg.holes_list, cfg.seed)),
 }
 
 
@@ -283,7 +287,8 @@ def main(argv=None):
         return exc.code
     try:
         cfg = RunConfig(args)
-        return _finish(cfg, *_COMMANDS[args.command](cfg, _build_mesh(cfg)))
+        recipe = _COMMANDS[args.command][2]
+        return _finish(cfg, *recipe(cfg, _build_mesh(cfg)))
     except (UsageError, FileNotFoundError) as exc:
         print(f"specx: usage error: {exc}", file=sys.stderr)
         return 2

@@ -554,17 +554,42 @@ def _shifted_ellipsoid():
                    sphere.triangles, genus_hint=0)
 
 
-@pytest.mark.parametrize("build", [_torus_of_revolution, _shifted_ellipsoid])
-def test_vc_refuses_a_mesh_off_a_centred_sphere(tmp_path, capsys, build):
+@pytest.mark.parametrize("build, code, message", [
+    # a genus-1 mesh without a flat chart has no base map: a usage error,
+    # where the identity map's sphere check made it exit 1
+    pytest.param(_torus_of_revolution, 2,
+                 "usage error: vc needs a genus-0 mesh or a flat torus with "
+                 "its chart sidecar; this mesh has genus 1",
+                 id="_torus_of_revolution"),
+    pytest.param(_shifted_ellipsoid, 1,
+                 "numerical failure: identity map needs vertices on one "
+                 "sphere centred at the origin", id="_shifted_ellipsoid"),
+])
+def test_vc_refuses_a_mesh_off_a_centred_sphere(tmp_path, capsys, build,
+                                                code, message):
     # vc ran on the radial projection of any file mesh: V_c = 20.81 for the
     # torus's degree-0 map, 24.45 for the ellipsoid's nonconformal one
     mesh_path = tmp_path / "m.off"
     save_mesh(build(), mesh_path)
     out = tmp_path / "out"
     assert run(["vc", "--surface", "file", "--mesh-file", str(mesh_path)],
-               out) == 1
-    assert ("numerical failure: identity map needs vertices on one sphere "
-            "centred at the origin") in capsys.readouterr().err
+               out) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["glminmax", "index"])
+def test_a_torus_without_its_chart_has_no_base_map(tmp_path, capsys,
+                                                   command):
+    # both failed with exit 1 on the identity map's sphere check
+    mesh_path = tmp_path / "m.off"
+    save_mesh(_torus_of_revolution(), mesh_path)
+    out = tmp_path / "out"
+    assert run([command, "--surface", "file", "--mesh-file", str(mesh_path)],
+               out) == 2
+    assert capsys.readouterr().err == (
+        f"specx: usage error: {command} needs a genus-0 mesh or a flat torus "
+        "with its chart sidecar; this mesh has genus 1\n")
     assert not out.exists()
 
 
@@ -580,3 +605,62 @@ def test_unknown_surface_in_config_file_is_usage_error(tmp_path, capsys):
     assert ("usage error: bad surface 'cube': want one of sphere, torus, "
             "file") in capsys.readouterr().err
     assert not out.exists()
+
+
+# the keys each command takes beside the run keys, which all take
+_RUN_KEYS = {"surface", "subdiv", "tau", "res", "mesh_file", "seed", "out"}
+_OWN_KEYS = {"eigs": {"density", "count"}, "maximize": {"density"},
+             "glminmax": {"eps", "n", "grid"}, "vc": {"n", "grid"},
+             "steklov": {"holes", "count"}, "index": {"n"},
+             "sweep": {"holes"}}
+_ALL_KEYS = _RUN_KEYS | set().union(*_OWN_KEYS.values())
+
+
+@pytest.mark.parametrize("command", sorted(_OWN_KEYS))
+def test_each_command_takes_only_the_keys_it_reads(tmp_path, capsys,
+                                                   command):
+    # every command took all 14 flags and config keys and ignored, unread,
+    # the ones its recipe does not read
+    argv = [command] + (["steklov-holes"] if command == "sweep" else [])
+    cfg = tmp_path / "run.cfg"
+    for key in sorted(_ALL_KEYS):
+        flag = "--" + key.replace("_", "-")
+        if key in _RUN_KEYS | _OWN_KEYS[command]:
+            assert getattr(_build_parser().parse_args(argv + [flag, "1"]),
+                           key) == "1"
+            continue
+        assert run(argv + [flag, "1"], tmp_path) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        cfg.write_text(f"{key}=1\n")
+        assert run(argv + ["--config", str(cfg)], tmp_path) == 2
+        assert (f"usage error: unknown config keys for {command}: "
+                f"['{key}']") in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_unread_flags_are_usage_errors(tmp_path, capsys):
+    # this ran to exit 0, with missing.txt and abc in its JSON config
+    assert run(["steklov", "--subdiv", "1", "--density", "missing.txt",
+                "--eps", "abc", "--grid", "3"], tmp_path) == 2
+    assert "unrecognized arguments: --density missing.txt --eps abc " \
+        "--grid 3" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_unread_config_key_is_usage_error(tmp_path, capsys):
+    # index reads no eps; the key ran to exit 0 and went into its config
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps=0.1\n")
+    out = tmp_path / "out"
+    assert run(["index", "--subdiv", "1", "--config", str(cfg)], out) == 2
+    assert "usage error: unknown config keys for index: ['eps']" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_index_takes_the_seed_it_records(tmp_path):
+    # index draws nothing at random, but results.csv records the seed
+    assert run(["index", "--subdiv", "1", "--seed", "3"], tmp_path) == 0
+    with open(tmp_path / "results.csv") as fh:
+        assert list(csv.reader(fh))[1][:3] == ["index", "sphere", "3"]
+    assert load_json(tmp_path, "index.json")["config"]["seed"] == 3

@@ -7,14 +7,15 @@ Each tree is a directory holding the package under `src/`, such as a
 checkout or a `git archive` of the repository. Every run in RUNS is made
 once per tree, as `python -m specx.cli ARGS --out out` in a fresh
 interpreter, with PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1 and
-SPECX_OUT unset, in its own empty working directory. Then it compares the
-exit code, stdout and stderr, and every file the run wrote: the JSON
-reports without their `timestamp` and `config.out`, every other file
-byte for byte. It prints one line per run, `same` or `DIFFERS` with what
-differs, and exits 1 if any run differs, else 0. RUNS covers every
-recipe, and `index` on spheres of subdivision 2 and 3 and on res-16 tori
-at a square and a skewed tau, each at `--n` 2 and 3. Standard library
-only.
+SPECX_OUT unset, in its own working directory, which holds only the
+files of INPUTS. Then it compares the exit code, stdout and stderr, and
+every file in that directory after the run: the JSON reports without
+their `timestamp` and `config.out`, every other file byte for byte. It
+prints one line per run, `same` or `DIFFERS` with what differs, and exits
+1 if any run differs, else 0. RUNS covers every recipe, sets each key of
+each command at least once, and runs `index` on spheres of subdivision 2
+and 3 and on res-16 tori at a square and a skewed tau, each at `--n` 2
+and 3. Standard library only.
 """
 
 import json
@@ -23,17 +24,33 @@ import subprocess
 import sys
 import tempfile
 
+# the files in each run's working directory before it starts: a
+# nonconstant density on the 42 vertices of a subdivision-1 sphere
+INPUTS = {"density.txt": "".join(f"{1 + i % 5 / 10}\n" for i in range(42))}
+
 # (name, CLI arguments), each a run of at most a few seconds
 RUNS = [
     ("eigs sphere2", ["eigs", "--surface", "sphere", "--subdiv", "2"]),
+    ("eigs torus16 tau0.3,1.1 k3", ["eigs", "--surface", "torus", "--res",
+                                    "16", "--tau", "0.3,1.1", "-k", "3"]),
+    ("eigs sphere1 density", ["eigs", "--subdiv", "1", "--density",
+                              "density.txt", "-k", "3"]),
     ("maximize sphere2", ["maximize", "--surface", "sphere", "--subdiv",
                           "2"]),
+    ("maximize sphere1 density", ["maximize", "--subdiv", "1", "--density",
+                                  "density.txt"]),
     ("steklov sphere2", ["steklov", "--surface", "sphere", "--subdiv", "2"]),
+    ("steklov sphere2 holes2 k2", ["steklov", "--subdiv", "2", "--holes", "2",
+                                   "-k", "2"]),
     ("sweep torus16", ["sweep", "steklov-holes", "--surface", "torus",
                        "--res", "16", "--holes", "1..2"]),
     ("vc sphere2", ["vc", "--surface", "sphere", "--subdiv", "2"]),
+    ("vc sphere2 n3 grid6 seed3", ["vc", "--subdiv", "2", "--n", "3",
+                                   "--grid", "6", "--seed", "3"]),
     ("glminmax sphere2", ["glminmax", "--surface", "sphere", "--subdiv", "2",
                           "--eps", "0.2,0.1"]),
+    ("glminmax sphere1 n3 grid6", ["glminmax", "--subdiv", "1", "--eps",
+                                   "0.2", "--n", "3", "--grid", "6"]),
 ] + [
     (f"index sphere{subdiv} n{n}",
      ["index", "--surface", "sphere", "--subdiv", str(subdiv), "--n", str(n)])
@@ -66,6 +83,9 @@ def outcome(tree, args):
                OPENBLAS_NUM_THREADS="1")
     env.pop("SPECX_OUT", None)
     with tempfile.TemporaryDirectory() as work:
+        for name, text in INPUTS.items():
+            with open(os.path.join(work, name), "w") as fh:
+                fh.write(text)
         proc = subprocess.run(
             [sys.executable, "-m", "specx.cli"] + args + ["--out", "out"],
             cwd=work, env=env, capture_output=True)
