@@ -279,10 +279,23 @@ _COMMANDS = {
 }
 
 
+def _joined_tau(argv):
+    """argv with each `--tau X` given as `--tau=X`: argparse takes a value
+    such as -0.5,1 (a modulus with a negative real part) for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--tau":
+            out[-1] = "--tau=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_tau(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code
     try:

@@ -52,7 +52,9 @@ GRID_MAX_RADIUS = 0.9
 REFINE_ROUNDS = 3
 REFINE_SAMPLES = 12
 
-# the descent of extract_critical: gradient-norm tolerance and step cap
+# the descent of extract_critical: gradient-norm tolerance and step cap.
+# A map whose spread is at most DESCENT_TOL counts as constant: collapsed
+# maps spread about 1e-7, genuine ones on sphere3 at least 0.18
 DESCENT_TOL = 1e-6
 DESCENT_MAX_ITERS = 2000
 
@@ -588,8 +590,10 @@ def extract_critical(spec: FamilySpec, report: MinMaxReport, start=None):
     The report must be minmax_upper's on spec. The descent runs to
     DESCENT_TOL or DESCENT_MAX_ITERS steps. Fills report.critical with the
     final map u (a (V, d) array), its energy and gradient norm, the tension
-    residual of the normalized map, the convergence flag and the step
-    count; from the argmax, E_eps(u) <= sup_energy by monotone descent.
+    residual of the normalized map, the convergence flag, the step count
+    and the spread max_i |u_i - u_bar| about the area-weighted mean u_bar
+    (zero for a constant map); from the argmax, E_eps(u) <= sup_energy by
+    monotone descent.
     """
     if start is None:
         start = spec.member(report.argmax)
@@ -597,11 +601,14 @@ def extract_critical(spec: FamilySpec, report: MinMaxReport, start=None):
                      max_iters=DESCENT_MAX_ITERS)
     u = out["u"]
     _, agg = tension_residual(spec.mesh, SphereMap(normalize_rows(u)))
+    va = spec.mesh.vertex_areas
+    dev = u - va @ u / va.sum()
     report.critical = {
         "u": u, "E_eps": out["E_eps"],
         "gradient_norm": out["gradient_norm"],
         "tension_residual": agg, "converged": out["converged"],
         "iterations": out["iterations"],
+        "spread": float(np.sqrt(_row_dot(dev, dev).max())),
     }
     return report
 
@@ -618,8 +625,9 @@ def glminmax_recipe(mesh, base_map: SphereMap, eps_list, seed, n_dirs):
     from its argmax) and checks the sandwich against lambda_1 of the
     unit-area mesh. Returns (payload, ledger, tables, flags): each eps's
     report with its sandwich, sup E_eps per eps, each eps's sweep table,
-    and one flag per unconverged descent. The whole schedule is checked
-    before any member is built. A failure after the first report, a
+    and one flag per unconverged descent and per descent that collapsed to
+    a constant map (spread at most DESCENT_TOL). The whole schedule is
+    checked before any member is built. A failure after the first report, a
     violated sandwich among them, ends the run with the reports that
     finished and the flag (FAILED, message).
     """
@@ -635,10 +643,15 @@ def glminmax_recipe(mesh, base_map: SphereMap, eps_list, seed, n_dirs):
             rep = extract_critical(spec, minmax_upper(spec, eps), start=warm)
             crit = rep.critical
             warm = crit["u"]
+            stage = f"glminmax eps={eps}"
             if not crit["converged"]:
-                flags.append((f"glminmax eps={eps}", "descent not converged "
-                              f"after {crit['iterations']} iterations "
-                              f"(gradient norm {crit['gradient_norm']:.3e})"))
+                flags.append((stage, "descent not converged after "
+                              f"{crit['iterations']} iterations (gradient "
+                              f"norm {crit['gradient_norm']:.3e})"))
+            if crit["spread"] <= DESCENT_TOL:
+                flags.append((stage, "descent collapsed to a constant map "
+                              f"(spread {crit['spread']:.3e}), a trivial "
+                              "critical point, not a min-max one"))
             ok, lhs, rhs = sandwich_holds(rep, lam1)
             doc = rep.to_json_dict()
             doc["sandwich"] = {"holds": bool(ok), "lhs": lhs, "rhs": rhs,

@@ -15,8 +15,10 @@ discrete-harmonic off supp(B), as from the Schur complement onto supp(B).
 Every sparse matrix factored for a solve here is symmetric positive
 definite: K - sigma B with sigma below the spectrum, and the lumped heat
 step diag(A) + t K. So all factorisations go through `_spd_factor`, which
-orders on the pattern of A + A^T and pivots on the diagonal; on these
-meshes that about halves the LU fill of SuperLU's unsymmetric defaults.
+orders on the pattern of A + A^T, pivots on the diagonal and relaxes no
+supernodes; on these meshes SuperLU's default supernode relaxation pads
+the factor with explicit zeros, up to 8 times the fill on sphere5 (see
+`_spd_factor` for the measured table).
 The same factorisation of an indefinite A - t M gives, by Sylvester's law
 of inertia, the number of eigenvalues below t (`count_below`), which is
 how `index` counts.
@@ -156,7 +158,28 @@ def solve_pencil(mesh, b, k, seed=0, expect_disconnected=False, start=None):
 def _spd_factor(A):
     """Sparse LU of a symmetric A, in SuperLU's symmetric mode: a
     minimum-degree ordering of the pattern of A + A^T, applied to rows and
-    columns alike, and pivots taken on the diagonal.
+    columns alike, pivots taken on the diagonal, and no relaxed supernodes
+    (relax=1, panel_size=1).
+
+    SuperLU's default relax=10 and panel_size=20 (Demmel, Eisenstat,
+    Gilbert, Li and Liu 1999) merge small columns into supernodes padded
+    with explicit zeros; on these meshes the padding can be most of the
+    factor. Default -> this setting, one BLAS thread, medians of 15
+    factorisations and 200 solves (K - sB is the pencil of `solve_pencil`,
+    Morse m the energy form of `index`; entries are `lu.nnz`):
+
+        matrix          n       LU entries      factor ms     one solve us
+        sphere3 K - sB  642     30.7k -> 30.7k  1.23 -> 1.05  34 -> 36
+        sphere3 Morse5  3,210   245k -> 207k    10.1 -> 6.9   252 -> 218
+        sphere4 K - sB  2,562   654k -> 171k    50 -> 5.6     725 -> 190
+        sphere4 Morse3  7,686   1.41M -> 0.84M  90 -> 30      1240 -> 861
+        torus96 K - sB  9,216   686k -> 560k    29 -> 17      586 -> 493
+        sphere5 K - sB  10,242  7.50M -> 0.94M  1350 -> 43    10887 -> 891
+
+    The 43 pencils of the torus48 1..9 hole sweep (n 1,728 to 2,295),
+    summed: 3.32M -> 3.00M entries, 173 -> 124 ms of factoring, and 388 ->
+    309 ms with 49 solves of each. relax=1 with panel 4 or 20, relax=2..4,
+    and the COLAMD and MMD_ATA orders were all slower on those pencils.
 
     For an SPD A the diagonal pivots are all positive and the factorisation
     is stable without row interchanges; the solvers pass only such
@@ -165,6 +188,7 @@ def _spd_factor(A):
     forms, for their inertia, and checks the factorisation itself.
     """
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     relax=1, panel_size=1,
                      options={"SymmetricMode": True})
 
 
@@ -502,7 +526,7 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
     f = np.maximum(f, 0.0)
     f /= area(mesh, f)
     va = mesh.vertex_areas
-    smooth = _heat_factor(mesh, mesh.mean_edge_length ** 2)
+    smooth = None  # the heat step, built at the first update
     best = (-np.inf, f.copy(), np.inf, np.inf)
     it = 0
     spec = None
@@ -530,6 +554,8 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
         if gap < GAP_TOL:
             break
         f = 0.5 * f + 0.5 * u
+        if smooth is None:
+            smooth = _heat_factor(mesh, mesh.mean_edge_length ** 2)
         f = smooth.solve(va * f)
         f = np.maximum(f, 0.0)
         f /= area(mesh, f)

@@ -42,6 +42,19 @@ def test_eigs_torus(tmp_path):
     assert abs(lam1 - 4 * np.pi ** 2) < 0.02 * 4 * np.pi ** 2
 
 
+def test_tau_with_a_negative_real_part(tmp_path):
+    # argparse would take -0.5,1 for an option; the run is the one of the
+    # --tau=-0.5,1 form
+    for form, argv in [("space", ["--tau", "-0.5,1"]),
+                       ("equals", ["--tau=-0.5,1"])]:
+        assert run(["eigs", "--surface", "torus", "--res", "8", "-k", "1"]
+                   + argv, tmp_path / form) == 0
+    docs = [load_json(tmp_path / form, "eigs.json")
+            for form in ("space", "equals")]
+    assert docs[0]["config"]["tau"] == "-0.5,1"
+    assert docs[0]["payload"] == docs[1]["payload"]
+
+
 def test_eigs_from_file(tmp_path, sphere3):
     mesh_path = tmp_path / "m.off"
     save_mesh(sphere3, mesh_path)
@@ -274,6 +287,21 @@ def test_glminmax_flags_unconverged_descent(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert "eps=0.2" in lines[0] and "not converged" in lines[0]
+
+
+def test_glminmax_flags_a_collapsed_map(tmp_path, capsys):
+    # on sphere2 both descents end on a constant unit map (E_eps ~ 1e-14),
+    # the global minimum of E_eps; the flag names it, the run still exits 0
+    assert run(["glminmax", "--surface", "sphere", "--subdiv", "2",
+                "--eps", "0.2,0.1"], tmp_path) == 0
+    for entry in load_json(tmp_path, "glminmax.json")["payload"]:
+        assert entry["critical"]["E_eps"] < 1e-10
+        assert "spread" not in entry["critical"]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 2
+    for line, eps in zip(lines, ("0.2", "0.1")):
+        assert line.startswith(f"specx: glminmax eps={eps}: descent "
+                               "collapsed to a constant map (spread ")
 
 
 def test_glminmax_sandwich_failure(tmp_path, monkeypatch, capsys):

@@ -33,6 +33,15 @@ def test_a_tree_against_itself_is_the_same(compare_outputs, capsys):
 
 def test_a_changed_constant_names_the_run(compare_outputs, tmp_path,
                                            capsys):
+    change = _copy_with_margin(tmp_path, 0.04)
+    assert compare_outputs.main([REPO, change], _runs(compare_outputs)) == 1
+    assert capsys.readouterr().out == (
+        "same    eigs sphere2\n"
+        "DIFFERS index sphere2 n2: out/index.json\n")
+
+
+def _copy_with_margin(tmp_path, value):
+    """A copy of the source tree with index.MARGIN_FACTOR set to value."""
     shutil.copytree(os.path.join(REPO, "src"), tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__",
                                                   "*.egg-info"))
@@ -40,9 +49,54 @@ def test_a_changed_constant_names_the_run(compare_outputs, tmp_path,
     text = path.read_text()
     assert "\nMARGIN_FACTOR = 0.05" in text
     path.write_text(text.replace("\nMARGIN_FACTOR = 0.05",
-                                 "\nMARGIN_FACTOR = 0.04"))
-    assert compare_outputs.main([REPO, str(tmp_path)],
-                                _runs(compare_outputs)) == 1
-    assert capsys.readouterr().out == (
-        "same    eigs sphere2\n"
-        "DIFFERS index sphere2 n2: out/index.json\n")
+                                 f"\nMARGIN_FACTOR = {value!r}"))
+    return str(tmp_path)
+
+
+def test_rtol_forgives_a_rounding_change(compare_outputs, tmp_path,
+                                         capsys):
+    # a margin 1e-14 away moves the index report's floats, not its counts
+    runs = [run for run in compare_outputs.RUNS
+            if run[0] == "index sphere2 n2"]
+    change = _copy_with_margin(tmp_path, 0.05 * (1 + 1e-14))
+    assert compare_outputs.main([REPO, change], runs) == 1
+    assert capsys.readouterr().out == \
+        "DIFFERS index sphere2 n2: out/index.json\n"
+    assert compare_outputs.main(["--rtol", "1e-9", REPO, change], runs) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("close   index sphere2 n2: largest relative "
+                          "difference ")
+    assert 0.0 < float(out.split()[-1]) <= 1e-9
+    assert compare_outputs.main(["--rtol", "1e-17", REPO, change],
+                                runs) == 1
+    assert capsys.readouterr().out == \
+        "DIFFERS index sphere2 n2: out/index.json\n"
+
+
+def test_rtol_keeps_everything_but_floats_exact(compare_outputs):
+    gap = compare_outputs._gap
+    assert gap({"a": [1.0, 2.0]}, {"a": [1.0, 2.0 + 4e-15]}) == \
+        pytest.approx(2e-15)
+    assert gap(1e-20, 2e-20) == pytest.approx(1e-20)  # absolute below 1
+    assert gap(float("nan"), float("nan")) == 0.0
+    for x, y in [(1, 2), (True, False), (1, 1.0), ("a", "b"), ([1.0], []),
+                 ({"a": 1.0}, {"b": 1.0}), (float("inf"), 1e308),
+                 (float("nan"), 1.0)]:
+        assert gap(x, y) is None
+    # CSV cells: integers and strings exact, floats within rtol
+    values = compare_outputs._values
+    rows = values("t.csv", b"holes,sigma,trend\r\n3,0.5,True\r\n")
+    assert rows == [["holes", "sigma", "trend"], [3, 0.5, "True"]]
+    assert gap(rows, values("t.csv", b"holes,sigma,trend\n3,0.5000001,"
+                            b"True\n")) == pytest.approx(1e-7)
+    for text in (b"holes,sigma,trend\n4,0.5,True\n",
+                 b"holes,sigma,trend\n3,0.5,False\n"):
+        assert gap(rows, values("t.csv", text)) is None
+    # the exit code, stdout, stderr and other files never get a tolerance
+    base = (0, b"", b"", {"out/a.json": b'{"x": 1.0}', "out/log": b"a"})
+    for changed in [(1,) + base[1:], base[:2] + (b"warn",) + base[3:],
+                    base[:3] + ({**base[3], "out/log": b"b"},)]:
+        assert compare_outputs.differences(base, changed, 1.0)[0]
+    found, close = compare_outputs.differences(
+        base, base[:3] + ({**base[3], "out/a.json": b'{"x": 1.1}'},), 0.1)
+    assert found == [] and close == {"out/a.json": pytest.approx(1 / 11)}

@@ -191,6 +191,20 @@ def test_maximizer_fixed_point(torus32):
     assert abs(again.lambda_bar - rep.lambda_bar) < 1e-6 * rep.lambda_bar
 
 
+def test_maximizer_builds_its_heat_step_at_the_first_update(
+        torus32, sphere3, monkeypatch):
+    # the flat density of a flat torus is stationary, so the ascent stops
+    # at iteration 1 without smoothing; a sphere ascent builds the step once
+    calls = []
+    real = spectra._heat_factor
+    monkeypatch.setattr(spectra, "_heat_factor",
+                        lambda *args: calls.append(1) or real(*args))
+    rep = maximize_lambda1_conformal(torus32)
+    assert rep.iterations == 1 and calls == []
+    maximize_lambda1_conformal(sphere3, iters=3)
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("subdiv, stretch, iters", [
     (3, (1.0, 1.0, 1.0), 50),  # the conformal-max workload
     (2, (3.0, 1.0, 0.5), 30),
@@ -570,7 +584,28 @@ def test_spd_factor_against_default_ordering(torus32, sphere3):
         # SPD matrix gives positive pivots
         assert np.array_equal(lu.perm_r, lu.perm_c), name
         assert lu.U.diagonal().min() > 0.0, name
-        assert lu.L.nnz + lu.U.nnz <= ref.L.nnz + ref.U.nnz, name
+        # lu.nnz counts stored zeros, which lu.L and lu.U drop
+        assert lu.nnz <= ref.nnz, name
+
+
+def test_spd_factor_relaxes_no_supernodes(sphere4):
+    # SuperLU's default supernode relaxation (relax=10, panel_size=20) pads
+    # L and U with explicit zeros; with the same ordering and pivots, the
+    # factor without it holds no more entries, and on sphere4 fewer
+    torus = build_torus_mesh(1j, 48)
+    holed = puncture(torus, hole_centers(torus, 9, 0),
+                     meshmod.hole_radius(torus, 9, 0.5))
+    pencils = [("sphere4", _stiffness_shift(sphere4, volume_measure(sphere4))),
+               ("punctured torus48", _stiffness_shift(holed,
+                                                      curve_measure(holed)))]
+    for name, A in pencils:
+        relaxed = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+        nnz = _spd_factor(A).nnz
+        assert nnz <= relaxed.nnz, name
+        if name == "sphere4":
+            assert nnz < relaxed.nnz
 
 
 def test_spd_factor_pivots_give_inertia(torus32):

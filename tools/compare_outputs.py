@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Whether two source trees give the same outputs on small CLI runs.
 
-    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+    python3 tools/compare_outputs.py [--rtol R] PARENT_TREE CHANGE_TREE
 
 Each tree is a directory holding the package under `src/`, such as a
 checkout or a `git archive` of the repository. Every run in RUNS is made
@@ -12,13 +12,25 @@ files of INPUTS. Then it compares the exit code, stdout and stderr, and
 every file in that directory after the run: the JSON reports without
 their `timestamp` and `config.out`, every other file byte for byte. It
 prints one line per run, `same` or `DIFFERS` with what differs, and exits
-1 if any run differs, else 0. RUNS covers every recipe, sets each key of
+1 if any run differs, else 0.
+
+With `--rtol R`, a JSON or CSV file may also differ in its floating-point
+numbers, each pair by |a - b| <= R max(|a|, |b|, 1); the run then prints
+`close` and the largest such relative difference. Everything else still
+matches exactly: the exit code, stdout and stderr, the other files, and
+in the JSON and CSV files every key, length, integer, boolean and string
+(a CSV cell is an integer if int() reads it, else a float if float()
+does, else a string). RUNS covers every recipe, sets each key of
 each command at least once, and runs `index` on spheres of subdivision 2
 and 3 and on res-16 tori at a square and a skewed tau, each at `--n` 2
 and 3. Standard library only.
 """
 
+import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,30 +109,100 @@ def outcome(tree, args):
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
-def differences(a, b):
-    """What differs between two outcomes, as short labels."""
+def _values(path, data):
+    """A file's canonical contents as values: a JSON report parsed, a CSV
+    file as rows of int, float or str cells, any other file as its bytes."""
+    if path.endswith(".json"):
+        return json.loads(data)
+    if not path.endswith(".csv"):
+        return data
+    rows = csv.reader(io.StringIO(data.decode(), newline=""))
+    return [[_cell(cell) for cell in row] for row in rows]
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _gap(x, y):
+    """The largest |a - b| / max(|a|, |b|, 1) over the pairs of floats in
+    two values of the same shape, or None if they differ in anything else:
+    a type, a key, a length, an integer, a boolean, a string, or a float
+    pair without a finite gap."""
+    if type(x) is not type(y):
+        return None
+    if isinstance(x, float):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            return 0.0
+        gap = abs(x - y) / max(abs(x), abs(y), 1.0)
+        return gap if math.isfinite(gap) else None
+    if isinstance(x, dict):
+        if x.keys() != y.keys():
+            return None
+        pairs = [(x[key], y[key]) for key in x]
+    elif isinstance(x, list):
+        if len(x) != len(y):
+            return None
+        pairs = zip(x, y)
+    else:
+        return 0.0 if x == y else None
+    gaps = [_gap(a, b) for a, b in pairs]
+    return None if None in gaps else max(gaps, default=0.0)
+
+
+def differences(a, b, rtol=None):
+    """What differs between two outcomes, as short labels, and the gaps
+    (`_gap`) of the files that differ only in floats within rtol, as
+    {path: gap}; without rtol every differing file is a label."""
     found = [label for label, x, y in zip(("exit code", "stdout", "stderr"),
                                           a[:3], b[:3]) if x != y]
+    close = {}
     for path in sorted(set(a[3]) | set(b[3])):
-        if a[3].get(path) != b[3].get(path):
+        x, y = a[3].get(path), b[3].get(path)
+        if x == y:
+            continue
+        gap = None
+        if rtol is not None and x is not None and y is not None:
+            gap = _gap(_values(path, x), _values(path, y))
+        if gap is None or gap > rtol:
             found.append(path)
-    return found
+        else:
+            close[path] = gap
+    return found, close
 
 
 def main(argv=None, runs=RUNS):
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print("usage: compare_outputs.py PARENT_TREE CHANGE_TREE",
-              file=sys.stderr)
-        return 2
-    parent, change = args
+    parser = argparse.ArgumentParser(
+        prog="compare_outputs.py",
+        description="Compare the CLI outputs of two source trees.")
+    parser.add_argument("--rtol", type=float, help="forgive floats in "
+                        "JSON and CSV files that differ by at most this, "
+                        "relative")
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     failed = False
     for name, cli_args in runs:
-        found = differences(outcome(parent, cli_args),
-                            outcome(change, cli_args))
+        found, close = differences(outcome(args.parent, cli_args),
+                                   outcome(args.change, cli_args),
+                                   args.rtol)
         failed = failed or bool(found)
-        print(f"{'DIFFERS' if found else 'same':8s}{name}"
-              + (f": {', '.join(found)}" if found else ""), flush=True)
+        if found:
+            line = f"DIFFERS {name}: {', '.join(found)}"
+        elif close:
+            line = (f"close   {name}: largest relative difference "
+                    f"{max(close.values()):.1e}")
+        else:
+            line = f"same    {name}"
+        print(line, flush=True)
     return int(failed)
 
 
