@@ -280,12 +280,15 @@ _COMMANDS = {
 
 
 def _joined_tau(argv):
-    """argv with each `--tau X` given as `--tau=X`: argparse takes a value
-    such as -0.5,1 (a modulus with a negative real part) for an option."""
+    """argv with each `--tau X`, or `--t X` or `--ta X` (argparse's
+    abbreviations; no other option starts with --t), given as `--tau=X`:
+    argparse takes a value such as -0.5,1 (a modulus with a negative real
+    part) for an option. An X that starts with -- is left to argparse."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--tau":
-            out[-1] = "--tau=" + arg
+        if (out and len(out[-1]) > 2 and "--tau".startswith(out[-1])
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out

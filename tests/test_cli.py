@@ -42,17 +42,21 @@ def test_eigs_torus(tmp_path):
     assert abs(lam1 - 4 * np.pi ** 2) < 0.02 * 4 * np.pi ** 2
 
 
-def test_tau_with_a_negative_real_part(tmp_path):
+def test_tau_with_a_negative_real_part(tmp_path, capsys):
     # argparse would take -0.5,1 for an option; the run is the one of the
-    # --tau=-0.5,1 form
-    for form, argv in [("space", ["--tau", "-0.5,1"]),
-                       ("equals", ["--tau=-0.5,1"])]:
+    # --tau=-0.5,1 form, also under argparse's abbreviation --ta
+    forms = [("space", ["--tau", "-0.5,1"]), ("equals", ["--tau=-0.5,1"]),
+             ("abbreviated", ["--ta", "-0.5,1"])]
+    for form, argv in forms:
         assert run(["eigs", "--surface", "torus", "--res", "8", "-k", "1"]
                    + argv, tmp_path / form) == 0
-    docs = [load_json(tmp_path / form, "eigs.json")
-            for form in ("space", "equals")]
+    docs = [load_json(tmp_path / form, "eigs.json") for form, _ in forms]
     assert docs[0]["config"]["tau"] == "-0.5,1"
-    assert docs[0]["payload"] == docs[1]["payload"]
+    assert docs[0]["payload"] == docs[1]["payload"] == docs[2]["payload"]
+    # an option after --tau is not taken for its value
+    capsys.readouterr()
+    assert run(["eigs", "--tau", "--help"], tmp_path) == 2
+    assert "--tau: expected one argument" in capsys.readouterr().err
 
 
 def test_eigs_from_file(tmp_path, sphere3):

@@ -26,7 +26,9 @@ def _runs(module):
 
 
 def test_a_tree_against_itself_is_the_same(compare_outputs, capsys):
-    assert compare_outputs.main([REPO, REPO], _runs(compare_outputs)) == 0
+    # a tree may be named relative to the working directory of the tool
+    assert compare_outputs.main([os.path.relpath(REPO), REPO],
+                                _runs(compare_outputs)) == 0
     assert capsys.readouterr().out == \
         "same    eigs sphere2\nsame    index sphere2 n2\n"
 
@@ -78,7 +80,6 @@ def test_rtol_keeps_everything_but_floats_exact(compare_outputs):
     assert gap({"a": [1.0, 2.0]}, {"a": [1.0, 2.0 + 4e-15]}) == \
         pytest.approx(2e-15)
     assert gap(1e-20, 2e-20) == pytest.approx(1e-20)  # absolute below 1
-    assert gap(float("nan"), float("nan")) == 0.0
     for x, y in [(1, 2), (True, False), (1, 1.0), ("a", "b"), ([1.0], []),
                  ({"a": 1.0}, {"b": 1.0}), (float("inf"), 1e308),
                  (float("nan"), 1.0)]:
@@ -87,16 +88,32 @@ def test_rtol_keeps_everything_but_floats_exact(compare_outputs):
     values = compare_outputs._values
     rows = values("t.csv", b"holes,sigma,trend\r\n3,0.5,True\r\n")
     assert rows == [["holes", "sigma", "trend"], [3, 0.5, "True"]]
+    assert values("t.csv", b"nan,-inf\n") == [["nan", "-inf"]]
     assert gap(rows, values("t.csv", b"holes,sigma,trend\n3,0.5000001,"
                             b"True\n")) == pytest.approx(1e-7)
     for text in (b"holes,sigma,trend\n4,0.5,True\n",
                  b"holes,sigma,trend\n3,0.5,False\n"):
         assert gap(rows, values("t.csv", text)) is None
     # the exit code, stdout, stderr and other files never get a tolerance
-    base = (0, b"", b"", {"out/a.json": b'{"x": 1.0}', "out/log": b"a"})
+    base = (0, b"", b"", {"out/a.json": {"x": 1.0}, "out/log": b"a"})
     for changed in [(1,) + base[1:], base[:2] + (b"warn",) + base[3:],
                     base[:3] + ({**base[3], "out/log": b"b"},)]:
         assert compare_outputs.differences(base, changed, 1.0)[0]
     found, close = compare_outputs.differences(
-        base, base[:3] + ({**base[3], "out/a.json": b'{"x": 1.1}'},), 0.1)
+        base, base[:3] + ({**base[3], "out/a.json": {"x": 1.1}},), 0.1)
     assert found == [] and close == {"out/a.json": pytest.approx(1 / 11)}
+    # without rtol a JSON report matches value for value and type for type
+    for doc in ({"x": 1.0000000000000002}, {"x": 1}, {"x": True}):
+        changed = base[:3] + ({**base[3], "out/a.json": doc},)
+        assert compare_outputs.differences(base, changed)[0] == \
+            ["out/a.json"]
+    assert compare_outputs.differences(base, base) == ([], {})
+
+
+def test_json_reports_keep_non_finite_numbers_as_strings(compare_outputs,
+                                                         tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text('{"timestamp": "t", "config": {"out": "o", "k": 1}, '
+                    '"x": [NaN, -Infinity, 0.5]}')
+    assert compare_outputs._canonical(str(path)) == \
+        {"config": {"k": 1}, "x": ["NaN", "-Infinity", 0.5]}

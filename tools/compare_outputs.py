@@ -9,10 +9,11 @@ once per tree, as `python -m specx.cli ARGS --out out` in a fresh
 interpreter, with PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1 and
 SPECX_OUT unset, in its own working directory, which holds only the
 files of INPUTS. Then it compares the exit code, stdout and stderr, and
-every file in that directory after the run: the JSON reports without
-their `timestamp` and `config.out`, every other file byte for byte. It
-prints one line per run, `same` or `DIFFERS` with what differs, and exits
-1 if any run differs, else 0.
+every file in that directory after the run: the JSON reports parsed,
+without their `timestamp` and `config.out`, value for value and type for
+type (an integer is no float), every other file byte for byte. It prints
+one line per run, `same` or `DIFFERS` with what differs, and exits 1 if
+any run differs, else 0.
 
 With `--rtol R`, a JSON or CSV file may also differ in its floating-point
 numbers, each pair by |a - b| <= R max(|a|, |b|, 1); the run then prints
@@ -20,10 +21,10 @@ numbers, each pair by |a - b| <= R max(|a|, |b|, 1); the run then prints
 matches exactly: the exit code, stdout and stderr, the other files, and
 in the JSON and CSV files every key, length, integer, boolean and string
 (a CSV cell is an integer if int() reads it, else a float if float()
-does, else a string). RUNS covers every recipe, sets each key of
-each command at least once, and runs `index` on spheres of subdivision 2
-and 3 and on res-16 tori at a square and a skewed tau, each at `--n` 2
-and 3. Standard library only.
+does, else a string; NaN and infinities, in JSON or CSV, are strings).
+RUNS covers every recipe, sets each key of each command at least once,
+and runs `index` on spheres of subdivision 2 and 3 and on res-16 tori at
+a square and a skewed tau, each at `--n` 2 and 3. Standard library only.
 """
 
 import argparse
@@ -76,22 +77,25 @@ RUNS = [
 
 
 def _canonical(path):
-    """A file's bytes, or for a JSON report its text without `timestamp`
-    and `config.out`, which differ between any two runs."""
+    """A file's bytes, or for a JSON report its parsed document without
+    `timestamp` and `config.out`, which differ between any two runs. NaN
+    and infinities are kept as their strings, so they match only
+    exactly."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not path.endswith(".json"):
         return data
-    doc = json.loads(data)
+    doc = json.loads(data, parse_constant=str)
     doc.pop("timestamp", None)
     doc.get("config", {}).pop("out", None)
-    return json.dumps(doc, sort_keys=True).encode()
+    return doc
 
 
 def outcome(tree, args):
     """(exit code, stdout, stderr, {relative path: canonical contents}) of
     one CLI run on a tree."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree),
+                                                   "src"),
                OPENBLAS_NUM_THREADS="1")
     env.pop("SPECX_OUT", None)
     with tempfile.TemporaryDirectory() as work:
@@ -109,23 +113,22 @@ def outcome(tree, args):
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
-def _values(path, data):
-    """A file's canonical contents as values: a JSON report parsed, a CSV
-    file as rows of int, float or str cells, any other file as its bytes."""
-    if path.endswith(".json"):
-        return json.loads(data)
+def _values(path, contents):
+    """A file's canonical contents as values: a CSV file as rows of int,
+    float or str cells, any other file as it is."""
     if not path.endswith(".csv"):
-        return data
-    rows = csv.reader(io.StringIO(data.decode(), newline=""))
+        return contents
+    rows = csv.reader(io.StringIO(contents.decode(), newline=""))
     return [[_cell(cell) for cell in row] for row in rows]
 
 
 def _cell(text):
     for kind in (int, float):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
-            pass
+            continue
+        return value if math.isfinite(value) else text
     return text
 
 
@@ -137,7 +140,7 @@ def _gap(x, y):
     if type(x) is not type(y):
         return None
     if isinstance(x, float):
-        if x == y or (math.isnan(x) and math.isnan(y)):
+        if x == y:
             return 0.0
         gap = abs(x - y) / max(abs(x), abs(y), 1.0)
         return gap if math.isfinite(gap) else None
@@ -164,14 +167,12 @@ def differences(a, b, rtol=None):
     close = {}
     for path in sorted(set(a[3]) | set(b[3])):
         x, y = a[3].get(path), b[3].get(path)
-        if x == y:
-            continue
-        gap = None
         if rtol is not None and x is not None and y is not None:
-            gap = _gap(_values(path, x), _values(path, y))
-        if gap is None or gap > rtol:
+            x, y = _values(path, x), _values(path, y)
+        gap = _gap(x, y)
+        if gap is None or gap > (rtol or 0.0):
             found.append(path)
-        else:
+        elif gap > 0.0:
             close[path] = gap
     return found, close
 
