@@ -74,26 +74,27 @@ def _density(mesh, phi):
     return np.maximum(b, 0.0)
 
 
-def spectral_index(mesh, phi: SphereMap, cluster_tol=spectra.CLUSTER_TOL):
+def spectral_index(mesh, phi: SphereMap):
     """(ind_S, nul_S, margins): position and multiplicity of the threshold
     eigenvalue.
 
     Counts generalized eigenvalues of (K, B) with B the |dPhi|^2 lumped
     mass: ind_S is the number strictly below 1 (outside the threshold
-    cluster), nul_S the multiplicity at 1 within cluster_tol.
+    cluster), nul_S the multiplicity at 1 within spectra.CLUSTER_TOL.
     """
     _warn_if_not_harmonic(mesh, phi)
-    return _spectral_index(mesh, _density(mesh, phi), cluster_tol)
+    return _spectral_index(mesh, _density(mesh, phi))
 
 
-def _spectral_index(mesh, b, cluster_tol):
+def _spectral_index(mesh, b):
     """(ind_S, nul_S, margins) of the pencil (K, diag(b)), b >= 0.
 
-    ind_S is the inertia count of K - (1 - cluster_tol) B, and nul_S that
-    of K - (1 + cluster_tol) B less ind_S (`spectra.count_below`). Where b
-    vanishes on a vertex set Z, B is only semidefinite. Haynsworth's
-    inertia additivity over the Schur complement onto s = supp(b) then
-    gives inertia(K - t B) = inertia(K_ZZ) + inertia(S - t B_ss), with
+    With tol = spectra.CLUSTER_TOL, ind_S is the inertia count of
+    K - (1 - tol) B, and nul_S that of K - (1 + tol) B less ind_S
+    (`spectra.count_below`). Where b vanishes on a vertex set Z, B is only
+    semidefinite. Haynsworth's inertia additivity over the Schur
+    complement onto s = supp(b) then gives
+    inertia(K - t B) = inertia(K_ZZ) + inertia(S - t B_ss), with
     S = K_ss - K_sZ K_ZZ^-1 K_Zs, and the pencil (S, B_ss) has exactly the
     finite eigenvalues of (K, B). K_ZZ is positive definite when every
     component of Z touches supp(b): a vector x on Z with x^T K x = 0 lies
@@ -107,8 +108,9 @@ def _spectral_index(mesh, b, cluster_tol):
     threshold cluster, the gap below it and the gap above it.
     """
     K = mesh.stiffness
-    ind_s = spectra.count_below(K, b, 1.0 - cluster_tol)
-    nul_s = spectra.count_below(K, b, 1.0 + cluster_tol) - ind_s
+    tol = spectra.CLUSTER_TOL
+    ind_s = spectra.count_below(K, b, 1.0 - tol)
+    nul_s = spectra.count_below(K, b, 1.0 + tol) - ind_s
     kk = min(ind_s + nul_s + 1, int(np.sum(b > 0)))
     vals = spectra.solve_pencil(mesh, b, kk - 1).values
     below, cluster, above = np.split(vals, [ind_s, ind_s + nul_s])
@@ -146,7 +148,7 @@ def tangent_frames(phi: SphereMap):
     return frames
 
 
-def _second_variation(mesh, phi, frames):
+def _second_variation(mesh, phi):
     """Sparse second variation over pointwise-orthogonal sections in
     tangent-frame coordinates, and the potential b = |dPhi|^2 shares.
 
@@ -158,8 +160,7 @@ def _second_variation(mesh, phi, frames):
     norms = np.linalg.norm(vals, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise MeshError("energy index needs a unit-norm sphere map")
-    if frames is None:
-        frames = tangent_frames(phi)
+    frames = tangent_frames(phi)
     v, n, _ = frames.shape
     K = mesh.stiffness
     b = 2.0 * energy_shares(mesh, phi)
@@ -173,13 +174,13 @@ def _second_variation(mesh, phi, frames):
     return Q, b
 
 
-def energy_hessian(mesh, phi: SphereMap, frames=None):
+def energy_hessian(mesh, phi: SphereMap):
     """Dense matrix of the second variation of energy over sections
     pointwise orthogonal to Phi, in tangent-frame coordinates."""
-    return _second_variation(mesh, phi, frames)[0].toarray()
+    return _second_variation(mesh, phi)[0].toarray()
 
 
-def energy_index(mesh, phi: SphereMap, frames=None):
+def energy_index(mesh, phi: SphereMap):
     """Morse index of the energy at phi: negative directions of the second
     variation over pointwise-orthogonal sections, and margins.
 
@@ -200,14 +201,14 @@ def energy_index(mesh, phi: SphereMap, frames=None):
     with the shift sigma = -max(b_i / m_i) - e below that bound.
     """
     _warn_if_not_harmonic(mesh, phi)
-    return _energy_index(mesh, phi, frames)
+    return _energy_index(mesh, phi)
 
 
-def _energy_count(mesh, phi, frames):
+def _energy_count(mesh, phi):
     """ind_E, and what the margins solve needs: Q, the section mass M's
     diagonal, the margin and a shift below the spectrum of (Q, M), as
     `energy_index` describes them."""
-    Q, b = _second_variation(mesh, phi, frames)
+    Q, b = _second_variation(mesh, phi)
     va = mesh.vertex_areas
     e_scale = float(b.sum()) / float(va.sum())
     if e_scale <= 0.0:
@@ -218,8 +219,8 @@ def _energy_count(mesh, phi, frames):
     return spectra.count_below(Q, msec, -margin), Q, msec, margin, sigma
 
 
-def _energy_index(mesh, phi, frames):
-    ind_e, Q, msec, margin, sigma = _energy_count(mesh, phi, frames)
+def _energy_index(mesh, phi):
+    ind_e, Q, msec, margin, sigma = _energy_count(mesh, phi)
     kk = min(ind_e + 1, len(msec))
     evals = spectra._shift_invert(Q, msec, sigma, kk)[0]
     margins = []
@@ -234,9 +235,8 @@ def index_report(mesh, phi: SphereMap) -> IndexReport:
     """Both indices of phi and its tension residual, which the report
     carries in place of a warning."""
     residual = tension_residual(mesh, phi)[1]
-    ind_s, nul_s, margins_s = _spectral_index(mesh, _density(mesh, phi),
-                                              spectra.CLUSTER_TOL)
-    ind_e, margins_e = _energy_index(mesh, phi, None)
+    ind_s, nul_s, margins_s = _spectral_index(mesh, _density(mesh, phi))
+    ind_e, margins_e = _energy_index(mesh, phi)
     return IndexReport(ind_S=ind_s, nul_S=nul_s, ind_E=ind_e,
                        margins=margins_s + margins_e,
                        tension_residual=residual)
@@ -268,8 +268,8 @@ def check_composition_law(mesh, phi: SphereMap, m):
     if m < n:
         raise MeshError("embedding target dimension below the map's")
     _warn_if_not_harmonic(mesh, phi)
-    lhs = _energy_count(mesh, embed_map(phi, m + 1), None)[0]
-    ind_e = _energy_count(mesh, phi, None)[0]
+    lhs = _energy_count(mesh, embed_map(phi, m + 1))[0]
+    ind_e = _energy_count(mesh, phi)[0]
     ind_s = spectra.count_below(mesh.stiffness, _density(mesh, phi),
                                 1.0 - spectra.CLUSTER_TOL)
     rhs = ind_e + (m - n) * ind_s

@@ -584,7 +584,8 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read an ASCII OFF file; a `<path>.chart` sidecar restores a flat torus."""
+    """Read an ASCII OFF file of one connected surface (else MeshError); a
+    `<path>.chart` sidecar restores a flat torus."""
     path = str(path)
     sidecar = path + ".chart"
     if os.path.exists(sidecar):
@@ -601,8 +602,13 @@ def load_mesh(path):
         if nv != torus.num_vertices or nf != len(torus.triangles):
             raise MeshError("OFF file does not match its chart sidecar")
         return torus
-    verts, faces = _parse_off(path)
-    return TriMesh(verts, faces)
+    mesh = TriMesh(*_parse_off(path))
+    # a vertex that no face uses is a component of its own
+    ncomp = connected_components(mesh.adjacency, directed=False)[0]
+    if ncomp != 1:
+        raise MeshError(f"OFF mesh must be one connected surface; it has "
+                        f"{ncomp} connected components")
+    return mesh
 
 
 def _read_off(path):

@@ -185,11 +185,16 @@ def _spd_factor(A):
     is stable without row interchanges; the solvers pass only such
     matrices, and nothing here checks this, since reading the factors back
     would cost memory on every call. `count_below` also factors indefinite
-    forms, for their inertia, and checks the factorisation itself.
+    forms, for their inertia, and checks the factorisation itself. A
+    matrix SuperLU finds exactly singular (a form with an eigenvalue at
+    the count's threshold, or an all-zero row) raises SolverError.
     """
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     relax=1, panel_size=1,
-                     options={"SymmetricMode": True})
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise SolverError(f"sparse factorisation failed: {exc}") from exc
 
 
 def _shifted(A, m, t):
@@ -459,21 +464,6 @@ def multiplicity(spec: Spectrum, value):
     return int(np.sum(np.abs(spec.values - value) <= tol))
 
 
-def eigenvalue_cluster(spec: Spectrum, index, width):
-    """Indices of the near-degenerate cluster containing eigenvalue `index`;
-    width is the relative half-width of the cluster."""
-    vals = spec.values
-    lam = vals[index]
-    tol = width * max(1.0, abs(lam))
-    members = [index]
-    for j in range(index + 1, len(vals)):
-        if abs(vals[j] - lam) <= tol:
-            members.append(j)
-        else:
-            break
-    return members
-
-
 # ---------------------------------------------------------------------------
 # conformal maximization of the first normalized eigenvalue
 # ---------------------------------------------------------------------------
@@ -540,7 +530,11 @@ def maximize_lambda1_conformal(mesh, iters=200, seed=0, f0=None):
         if start is not None:
             wait = 1 if spec.warm else 2 * wait
             retry = it + wait
-        frame = spec.vectors[:, eigenvalue_cluster(spec, 1, 0.1)]
+        # the lambda_1 cluster: the values ascend, so it is those at most
+        # 0.1 max(1, |lambda_1|) above lambda_1
+        lam = spec.values[1]
+        near = spec.values[1:] - lam <= 0.1 * max(1.0, abs(lam))
+        frame = spec.vectors[:, 1:][:, near]
         u = np.sum(frame * frame, axis=1)
         u_area = float(np.sum(u * va))
         if u_area <= 0.0:

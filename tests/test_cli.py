@@ -144,6 +144,44 @@ def test_non_finite_off_vertex_is_numerical_failure(tmp_path, capsys,
     assert not out.exists()
 
 
+def _sphere1_and_a_lone_vertex():
+    s1 = build_sphere_mesh(1)
+    return TriMesh(np.vstack([s1.vertices, np.zeros((1, 3))]),
+                   s1.triangles), 2
+
+
+def _three_vertices_no_face():
+    return TriMesh(np.eye(3), np.empty((0, 3), dtype=int)), 3
+
+
+def _two_disjoint_sphere1s():
+    s1 = build_sphere_mesh(1)
+    return TriMesh(np.vstack([s1.vertices, s1.vertices + 3.0]),
+                   np.vstack([s1.triangles, s1.triangles + 42])), 2
+
+
+@pytest.mark.parametrize("command", [["eigs"], ["maximize"], ["steklov"],
+                                     ["sweep", "steklov-holes"]])
+@pytest.mark.parametrize("build", [_sphere1_and_a_lone_vertex,
+                                   _three_vertices_no_face,
+                                   _two_disjoint_sphere1s])
+def test_off_mesh_of_several_components_is_numerical_failure(
+        tmp_path, capsys, command, build):
+    # accepted before: a lone vertex made SuperLU's singular factor a
+    # traceback, a faceless file failed with unrelated messages, and eigs
+    # on two spheres wrote the second constant eigenvalue as lambda_1
+    mesh, ncomp = build()
+    mesh_path = tmp_path / "m.off"
+    save_mesh(mesh, mesh_path)
+    out = tmp_path / "out"
+    assert run(command + ["--surface", "file", "--mesh-file",
+                          str(mesh_path)], out) == 1
+    assert capsys.readouterr().err == (
+        "specx: numerical failure: OFF mesh must be one connected surface; "
+        f"it has {ncomp} connected components\n")
+    assert not out.exists()
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("surface=sphere\nsubdiv=2\ncount=3\n")

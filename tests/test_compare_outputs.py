@@ -117,3 +117,23 @@ def test_json_reports_keep_non_finite_numbers_as_strings(compare_outputs,
                     '"x": [NaN, -Infinity, 0.5]}')
     assert compare_outputs._canonical(str(path)) == \
         {"config": {"k": 1}, "x": ["NaN", "-Infinity", 0.5]}
+
+
+def test_the_off_inputs(compare_outputs):
+    # the disk is open, so eigs solves its Steklov problem; the torus file
+    # runs like the torus its sidecar names; the lone vertex is refused
+    runs = dict(compare_outputs.RUNS)
+    code, _, _, files = compare_outputs.outcome(REPO, runs["eigs disk file"])
+    assert code == 0 and files["out/eigs.json"]["payload"]["kind"] == \
+        "steklov"
+    built = compare_outputs.outcome(REPO, ["vc", "--surface", "torus",
+                                           "--res", "12", "--tau", "0.3,1.1"])
+    read = compare_outputs.outcome(REPO, runs["vc torus12 file"])
+    assert built[0] == read[0] == 0
+    assert built[3]["out/vc.json"]["payload"] == \
+        read[3]["out/vc.json"]["payload"]
+    code, _, err, files = compare_outputs.outcome(REPO,
+                                                  runs["eigs lone file"])
+    assert code == 1 and "out/results.csv" not in files
+    assert err == (b"specx: numerical failure: OFF mesh must be one "
+                   b"connected surface; it has 2 connected components\n")

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from specx import harmonic as hm
 from specx import index as ix
+from specx import spectra
 from specx.harmonic import SphereMap, embed_map, power_map
 from specx.mesh import MeshError, build_torus_mesh
 from specx.spectra import SolverError, solve_pencil
@@ -77,7 +78,7 @@ def test_scaling_invariance(sphere3, flowed_identity3):
     assert ix.energy_index(doubled, flowed_identity3)[0] == 0
 
 
-def test_frame_rotation_invariance(sphere3, flowed_identity3):
+def test_frame_rotation_invariance(sphere3, flowed_identity3, monkeypatch):
     frames = ix.tangent_frames(flowed_identity3)
     rng = np.random.default_rng(0)
     th = rng.uniform(0, 2 * np.pi, sphere3.num_vertices)
@@ -87,14 +88,34 @@ def test_frame_rotation_invariance(sphere3, flowed_identity3):
         + s[:, None] * frames[:, 1, :]
     rotated[:, 1, :] = -s[:, None] * frames[:, 0, :] \
         + c[:, None] * frames[:, 1, :]
-    base = ix.energy_index(sphere3, flowed_identity3, frames=frames)[0]
-    rot = ix.energy_index(sphere3, flowed_identity3, frames=rotated)[0]
+    base = ix.energy_index(sphere3, flowed_identity3)[0]
+    calls = []
+
+    def rotated_frames(phi):
+        calls.append(phi)
+        return rotated
+
+    monkeypatch.setattr(ix, "tangent_frames", rotated_frames)
+    rot = ix.energy_index(sphere3, flowed_identity3)[0]
+    # the rotated frames were used
+    assert len(calls) == 1 and calls[0] is flowed_identity3
     assert base == rot == 0
 
 
-def test_counts_stable_under_tol_halving(sphere3, flowed_identity3):
-    a = ix.spectral_index(sphere3, flowed_identity3, cluster_tol=1e-3)[:2]
-    b = ix.spectral_index(sphere3, flowed_identity3, cluster_tol=5e-4)[:2]
+def test_counts_stable_under_tol_halving(sphere3, flowed_identity3,
+                                         monkeypatch):
+    thresholds = []
+    count_below = spectra.count_below
+
+    def recorded(A, m, t):
+        thresholds.append(t)
+        return count_below(A, m, t)
+
+    monkeypatch.setattr(spectra, "count_below", recorded)
+    a = ix.spectral_index(sphere3, flowed_identity3)[:2]
+    monkeypatch.setattr(spectra, "CLUSTER_TOL", 5e-4)
+    b = ix.spectral_index(sphere3, flowed_identity3)[:2]
+    assert thresholds == [1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 5e-4, 1.0 + 5e-4]
     assert a == b
 
 
@@ -140,7 +161,7 @@ def test_spectral_counts_with_semidefinite_mass(sphere3, flowed_identity3):
     patch = sphere3.adjacency[0].indices
     b[np.append(patch, 0)] = 0.0
     assert 0 < np.sum(b == 0.0) < 10
-    ind_s, nul_s, margins = ix._spectral_index(sphere3, b, 1e-3)
+    ind_s, nul_s, margins = ix._spectral_index(sphere3, b)
     vals = solve_pencil(sphere3, b, ind_s + nul_s + 4).values
     assert (ind_s, nul_s) == (int(np.sum(vals < 1.0 - 1e-3)),
                               int(np.sum(np.abs(vals - 1.0) <= 1e-3)))

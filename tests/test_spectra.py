@@ -565,7 +565,7 @@ def _spd_matrices(torus32, sphere3):
                                                 curve_measure(holed))
     # the shift energy_index takes for the Morse form at m = 5
     Q, b = _second_variation(
-        sphere3, embed_map(identity_sphere_map(sphere3), 6), None)
+        sphere3, embed_map(identity_sphere_map(sphere3), 6))
     va = sphere3.vertex_areas
     yield "sphere3 Morse m=5", _pencil_shift(
         Q, np.repeat(va, 5), -np.max(b / va) - b.sum() / va.sum())
@@ -641,6 +641,19 @@ def test_count_below_guards():
     sign = sp.diags([2.0, -3.0, 5.0]).tocsc()
     assert spectra.count_below(sign, np.ones(3), 0.0) == 1
     assert spectra.count_below(sign, np.ones(3), 3.0) == 2
+
+
+def test_count_below_on_a_singular_form_is_solver_error():
+    # the inertia is undefined at an exact eigenvalue, and a zero row of A
+    # where m vanishes leaves a zero row in every shift; SuperLU's
+    # RuntimeError surfaces as the SolverError the CLI reports
+    with pytest.raises(SolverError, match="Factor is exactly singular"):
+        spectra.count_below(sp.diags([1.0, 2.0, 3.0]).tocsc(), np.ones(3),
+                            2.0)
+    zero_row = sp.csc_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0],
+                                       [0.0, 0.0, 0.0]]))
+    with pytest.raises(SolverError, match="Factor is exactly singular"):
+        spectra.count_below(zero_row, np.array([1.0, 1.0, 0.0]), 0.5)
 
 
 def _residuals_loop(K, b, vals, vecs):

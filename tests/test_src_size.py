@@ -195,12 +195,6 @@ ALLOWED = {
         "tests-only", "ROADMAP items 1 and 5, through hopf_differential"),
     "harmonic: def hopf_differential": (
         "tests-only", "ROADMAP items 1 and 5: the conformality check"),
-    "index: spectral_index.cluster_tol": (
-        "tests-only", "criterion 8: the tol-halving test"),
-    "index: energy_hessian.frames": (
-        "unset", "pinned by the benchmark (ROADMAP item 8)"),
-    "index: energy_index.frames": (
-        "tests-only", "criterion 8: the frame-rotation test"),
     "index: def spectral_index": ("tests-only", "criterion 8"),
     "index: def energy_index": ("tests-only", "criterion 8"),
     "mesh: TriMesh.__init__.validate": (

@@ -24,7 +24,11 @@ in the JSON and CSV files every key, length, integer, boolean and string
 does, else a string; NaN and infinities, in JSON or CSV, are strings).
 RUNS covers every recipe, sets each key of each command at least once,
 and runs `index` on spheres of subdivision 2 and 3 and on res-16 tori at
-a square and a skewed tau, each at `--n` 2 and 3. Standard library only.
+a square and a skewed tau, each at `--n` 2 and 3. With `--surface file`
+it reads the OFF files of INPUTS: `eigs` and `steklov` on an open disk,
+`vc` and `index` on a res-12 torus with its chart sidecar, and `eigs` on a
+file that the mesh loader refuses, whose exit code and stderr are
+compared like any other. Standard library only.
 """
 
 import argparse
@@ -37,9 +41,35 @@ import subprocess
 import sys
 import tempfile
 
+
+def _grid_off(res, squares):
+    """OFF text of a res x res vertex grid, vertex j * res + i at (i, j, 0),
+    with a squares x squares block of its cells each split into two faces
+    as `mesh.build_torus_mesh` splits them. Indices wrap mod res, so
+    squares = res gives the torus grid and res - 1 an open square."""
+    def v(i, j):
+        return (j % res) * res + i % res
+    faces = [face for j in range(squares) for i in range(squares)
+             for face in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                          (v(i, j), v(i + 1, j + 1), v(i, j + 1)))]
+    return (f"OFF\n{res * res} {len(faces)} 0\n"
+            + "".join(f"{i} {j} 0\n" for j in range(res) for i in range(res))
+            + "".join(f"3 {a} {b} {c}\n" for a, b, c in faces))
+
+
 # the files in each run's working directory before it starts: a
-# nonconstant density on the 42 vertices of a subdivision-1 sphere
-INPUTS = {"density.txt": "".join(f"{1 + i % 5 / 10}\n" for i in range(42))}
+# nonconstant density on the 42 vertices of a subdivision-1 sphere; an
+# open square of 3 x 3 grid squares (a disk); a res-12 flat torus, whose
+# chart sidecar gives it its flat metric (at res 10 and below, `index`
+# flows its base map to a constant and stops); and a triangle with a vertex
+# that no face uses, which `mesh.load_mesh` refuses as two components
+INPUTS = {
+    "density.txt": "".join(f"{1 + i % 5 / 10}\n" for i in range(42)),
+    "disk.off": _grid_off(4, 3),
+    "torus12.off": _grid_off(12, 12),
+    "torus12.off.chart": "tau_re=0.3\ntau_im=1.1\nres=12\n",
+    "lone.off": "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n5 5 5\n3 0 1 2\n",
+}
 
 # (name, CLI arguments), each a run of at most a few seconds
 RUNS = [
@@ -73,6 +103,13 @@ RUNS = [
      ["index", "--surface", "torus", "--res", "16", "--tau", tau, "--n",
       str(n)])
     for tau in ("0,1", "0.3,1.1") for n in (2, 3)
+] + [
+    (f"{command} {name} file", [command, "--surface", "file", "--mesh-file",
+                                f"{name}.off"] + extra)
+    for command, name, extra in (
+        ("eigs", "disk", []), ("steklov", "disk", ["-k", "3"]),
+        ("vc", "torus12", []), ("index", "torus12", []),
+        ("eigs", "lone", ["-k", "1"]))
 ]
 
 
