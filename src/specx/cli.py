@@ -94,7 +94,8 @@ def _build_parser():
 class RunConfig:
     """Resolved configuration, one attribute per key of `_KEYS`: defaults <
     config file < flags. Only the run keys and the command's own keys may
-    be set; the others keep their defaults."""
+    be set; the others keep their defaults. `given` holds the keys that a
+    flag or the config file set."""
 
     def __init__(self, args):
         keys, defaults, _ = _COMMANDS[args.command]
@@ -105,9 +106,10 @@ class RunConfig:
             raise UsageError(f"unknown config keys for {args.command}: "
                              f"{sorted(unknown)}")
         merged = {key: row[0] for key, row in _KEYS.items()}
+        flags = {key: getattr(args, key) for key in keys
+                 if getattr(args, key) is not None}
         merged.update(defaults, **file_cfg)
-        merged.update((key, getattr(args, key)) for key in keys
-                      if getattr(args, key) is not None)
+        merged.update(flags)
         if merged["surface"] not in _SURFACES:
             raise UsageError(f"bad surface {merged['surface']!r}: want one "
                              f"of {', '.join(_SURFACES)}")
@@ -125,6 +127,7 @@ class RunConfig:
                                  f"{low}")
         merged["out"] = os.environ.get("SPECX_OUT", merged["out"])
         vars(self).update(merged)
+        self.given = set(file_cfg) | set(flags)
         self.command = args.command
         self.recipe = getattr(args, "recipe", None)
 
@@ -148,6 +151,9 @@ class RunConfig:
             raise UsageError(f"bad --eps {self.eps!r}") from exc
         if not eps:
             raise UsageError(f"bad --eps {self.eps!r}: empty schedule")
+        if not all(0.0 < e < np.inf for e in eps):  # NaN fails too
+            raise UsageError(f"bad --eps {self.eps!r}: want positive finite "
+                             "values")
         return eps
 
     @property
@@ -166,8 +172,13 @@ class RunConfig:
                              "as n, n,m,... or first..last") from exc
         return holes
 
-    @property
-    def hole_count(self):
+    def hole_count(self, mesh):
+        """steklov's one hole count. Only a closed mesh gets holes, so a
+        --holes given for a mesh with boundary is a usage error."""
+        if not mesh.is_closed and "holes" in self.given:
+            raise UsageError(f"bad --holes {self.holes!r}: steklov punches "
+                             "holes only in a closed mesh, and this one has "
+                             "a boundary")
         counts = self.holes_list
         if len(counts) > 1:
             raise UsageError(f"steklov punches one hole count, got --holes "
@@ -197,14 +208,9 @@ def _load_density(cfg, mesh):
     if cfg.density is None:
         return None
     try:
-        vals = np.loadtxt(cfg.density)
-    except ValueError as exc:
+        return meshmod.validate_density(mesh, np.loadtxt(cfg.density))
+    except ValueError as exc:  # np.loadtxt's, or validate_density's MeshError
         raise UsageError(f"bad density file {cfg.density}: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise UsageError(f"bad density file {cfg.density}: non-finite value")
-    if vals.shape != (mesh.num_vertices,):
-        raise UsageError("density file length does not match the mesh")
-    return meshmod.validate_density(mesh, vals)
 
 
 def _finish(cfg, payload, ledger, tables, flags):
@@ -215,12 +221,9 @@ def _finish(cfg, payload, ledger, tables, flags):
     Returns the exit code: 1 if a flag records a numerical failure, else
     0."""
     os.makedirs(cfg.out, exist_ok=True)
-    # glminmax's sweep tables have always ended their lines with \n, the
-    # other CSV files with the csv module's \r\n
-    end = "\n" if cfg.command == "glminmax" else "\r\n"
     for name, rows in tables.items():
         with open(os.path.join(cfg.out, name), "w", newline="") as fh:
-            csv.writer(fh, lineterminator=end).writerows(rows)
+            csv.writer(fh).writerows(rows)
     path = os.path.join(cfg.out, "results.csv")
     exists = os.path.exists(path)
     with open(path, "a", newline="") as fh:
@@ -271,7 +274,7 @@ _COMMANDS = {
     # one hole; the 1..8 default is the sweep's range
     "steklov": (("holes", "count"), {"holes": "1"},
                 lambda cfg, mesh: spectra.steklov_recipe(
-                    mesh, cfg.hole_count, cfg.count, cfg.seed)),
+                    mesh, cfg.hole_count(mesh), cfg.count, cfg.seed)),
     "index": (("n",), {}, lambda cfg, mesh: index.index_recipe(
         mesh, _base_map(cfg, mesh))),
     "sweep": (("holes",), {}, lambda cfg, mesh: spectra.sweep_recipe(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectra
 from .mesh import torus_chart
 
 
@@ -253,24 +252,6 @@ def harmonic_flow(mesh, phi0, steps=100):
         vals -= step
         vals = normalize_rows(vals)
     return SphereMap(vals)
-
-
-def check_eigenvalue_two(mesh, phi):
-    """Whether 2 is an eigenvalue of the Laplacian for the induced metric
-    0.5*|dPhi|^2 g, with its multiplicity within the relative
-    `spectra.CLUSTER_TOL` and the gap to the rest of the lowest 9
-    eigenvalues."""
-    w = np.maximum(energy_shares(mesh, phi), 0.0)  # mass == energy
-    if w.sum() <= 0.0:
-        raise MapError("map has zero energy; induced metric is degenerate")
-    k = min(8, int(np.sum(w > 0)) - 1)
-    spec = spectra.solve_pencil(mesh, w, k)
-    mult = spectra.multiplicity(spec, 2.0)
-    tol = spectra.CLUSTER_TOL * 2.0
-    outside = spec.values[np.abs(spec.values - 2.0) > tol]
-    gap = float(np.min(np.abs(outside - 2.0))) if len(outside) else np.inf
-    return {"present": mult > 0, "multiplicity": int(mult), "gap": gap,
-            "spectrum": spec}
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ Every count is the inertia of one sparse factorisation
 (`spectra.count_below`): the eigenvalues of a pencil (A, M) below t are
 the negative pivots of A - t M. The margins of the reports then come from
 one shift-invert solve of just the lowest count + 1 pairs.
+
+The counts assume a harmonic map. `index_report` and
+`check_composition_law` return the tension residual they were judged by;
+`spectral_index` and `energy_index` leave it to their caller.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +61,6 @@ class IndexReport:
         }
 
 
-def _warn_if_not_harmonic(mesh, phi):
-    _, agg = tension_residual(mesh, phi)
-    if agg > RESIDUAL_WARN:
-        warnings.warn(
-            f"map has tension residual {agg:.3g}; index counts assume an "
-            "approximately harmonic map", stacklevel=3)
-
-
 def _density(mesh, phi):
     """The lumped |dPhi|^2 mass b of the spectral problem."""
     b = 2.0 * energy_shares(mesh, phi)
@@ -81,8 +76,10 @@ def spectral_index(mesh, phi: SphereMap):
     Counts generalized eigenvalues of (K, B) with B the |dPhi|^2 lumped
     mass: ind_S is the number strictly below 1 (outside the threshold
     cluster), nul_S the multiplicity at 1 within spectra.CLUSTER_TOL.
+    For a harmonic map the threshold is the induced-metric eigenvalue 2
+    (criterion 7); the counts assume phi harmonic, and `index_report`
+    carries the tension residual they were judged by.
     """
-    _warn_if_not_harmonic(mesh, phi)
     return _spectral_index(mesh, _density(mesh, phi))
 
 
@@ -198,10 +195,18 @@ def energy_index(mesh, phi: SphereMap):
     The stiffness part of Q is positive semidefinite, so Q >= -diag(b) and
     no eigenvalue lies below -max(b_i / m_i). The margins come from one
     shift-invert Lanczos solve of the lowest ind_E + 1 pairs of (Q, M),
-    with the shift sigma = -max(b_i / m_i) - e below that bound.
+    with the shift sigma = -max(b_i / m_i) - e below that bound. Like
+    `spectral_index`, it assumes phi harmonic.
     """
-    _warn_if_not_harmonic(mesh, phi)
-    return _energy_index(mesh, phi)
+    ind_e, Q, msec, margin, sigma = _energy_count(mesh, phi)
+    kk = min(ind_e + 1, len(msec))
+    evals = spectra._shift_invert(Q, msec, sigma, kk)[0]
+    margins = []
+    if ind_e:
+        margins.append(float(-margin - evals[ind_e - 1]))
+    if kk > ind_e:
+        margins.append(float(evals[ind_e] + margin))
+    return ind_e, margins
 
 
 def _energy_count(mesh, phi):
@@ -219,24 +224,11 @@ def _energy_count(mesh, phi):
     return spectra.count_below(Q, msec, -margin), Q, msec, margin, sigma
 
 
-def _energy_index(mesh, phi):
-    ind_e, Q, msec, margin, sigma = _energy_count(mesh, phi)
-    kk = min(ind_e + 1, len(msec))
-    evals = spectra._shift_invert(Q, msec, sigma, kk)[0]
-    margins = []
-    if ind_e:
-        margins.append(float(-margin - evals[ind_e - 1]))
-    if kk > ind_e:
-        margins.append(float(evals[ind_e] + margin))
-    return ind_e, margins
-
-
 def index_report(mesh, phi: SphereMap) -> IndexReport:
-    """Both indices of phi and its tension residual, which the report
-    carries in place of a warning."""
+    """Both indices of phi and the tension residual they were judged by."""
     residual = tension_residual(mesh, phi)[1]
-    ind_s, nul_s, margins_s = _spectral_index(mesh, _density(mesh, phi))
-    ind_e, margins_e = _energy_index(mesh, phi)
+    ind_s, nul_s, margins_s = spectral_index(mesh, phi)
+    ind_e, margins_e = energy_index(mesh, phi)
     return IndexReport(ind_S=ind_s, nul_S=nul_s, ind_E=ind_e,
                        margins=margins_s + margins_e,
                        tension_residual=residual)
@@ -262,16 +254,17 @@ def check_composition_law(mesh, phi: SphereMap, m):
     independently.
 
     Each index is one inertia count (`spectra.count_below`), so no
-    eigenpair is solved for; the tension residual is warned about once.
+    eigenpair is solved for. The result carries phi's tension residual,
+    which the counts were judged by.
     """
     n = phi.ambient_dim - 1
     if m < n:
         raise MeshError("embedding target dimension below the map's")
-    _warn_if_not_harmonic(mesh, phi)
     lhs = _energy_count(mesh, embed_map(phi, m + 1))[0]
     ind_e = _energy_count(mesh, phi)[0]
     ind_s = spectra.count_below(mesh.stiffness, _density(mesh, phi),
                                 1.0 - spectra.CLUSTER_TOL)
     rhs = ind_e + (m - n) * ind_s
     return {"lhs": int(lhs), "rhs": int(rhs), "equal": lhs == rhs,
-            "ind_E": int(ind_e), "ind_S": int(ind_s)}
+            "ind_E": int(ind_e), "ind_S": int(ind_s),
+            "tension_residual": tension_residual(mesh, phi)[1]}

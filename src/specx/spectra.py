@@ -55,7 +55,7 @@ WARM_RTOL = 1e-12  # x-space residual a warm pair must meet, relative to mu_max
 WARM_BLOCKS = 8  # block solves a warm start may take before the ARPACK path
 
 CLUSTER_TOL = 1e-3  # relative half-width of an eigenvalue cluster: of
-# `multiplicity`, `harmonic.check_eigenvalue_two` and `index`'s threshold
+# `multiplicity` and of `index`'s threshold
 
 INERTIA_RTOL = 1e-10  # relative backward error an inertia count's solve may
 # have; the index forms measure 2e-16 to 1e-14

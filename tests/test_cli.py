@@ -97,18 +97,25 @@ def test_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["eigs", "maximize"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_density_file_is_usage_error(tmp_path, capsys, command,
-                                                value):
-    # a non-finite value is a malformed file (exit 2), not a numerical
-    # failure of the solver it would otherwise reach
-    n = build_sphere_mesh(1).num_vertices
+@pytest.mark.parametrize("values, message", [
+    (["1.0"] * 41 + ["nan"], "density must be finite"),
+    (["1.0"] * 41 + ["inf"], "density must be finite"),
+    (["1.0"] * 41 + ["-1.0"], "density must be nonnegative"),
+    (["0.0"] * 42, "density has zero total mass"),
+    (["1.0"] * 41, "density shape mismatch"),
+], ids=["nan", "inf", "negative", "zero", "short"])
+def test_bad_density_file_is_usage_error(tmp_path, capsys, command, values,
+                                         message):
+    # a malformed file (exit 2), not a numerical failure of the solver it
+    # would otherwise reach; a negative value and an all-zero file were
+    # numerical failures (exit 1)
     density = tmp_path / "density.txt"
-    density.write_text("1.0\n" * (n - 1) + value + "\n")
+    density.write_text("\n".join(values) + "\n")
     assert run([command, "--subdiv", "1", "--density", str(density)],
-               tmp_path) == 2
-    err = capsys.readouterr().err
-    assert f"bad density file {density}: non-finite value" in err
+               tmp_path / "out") == 2
+    assert f"usage error: bad density file {density}: {message}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_numerical_failure_exit(tmp_path):
@@ -385,6 +392,31 @@ def test_bare_steklov_punches_one_hole(tmp_path):
     assert RunConfig(args).holes_list == list(range(1, 9))
 
 
+@pytest.mark.parametrize("given", [["--holes", "1"], ["--holes", "3"],
+                                   ["--holes", "2..3"], "config"])
+def test_steklov_holes_on_an_open_mesh_is_usage_error(tmp_path, capsys,
+                                                      given):
+    # steklov punches holes only in a closed mesh; on a disk it ignored
+    # --holes, exited 0 and recorded the count in steklov.json
+    mesh_path = tmp_path / "holed.off"
+    save_mesh(puncture(build_sphere_mesh(2), [0], 0.3), mesh_path)
+    args = ["steklov", "--surface", "file", "--mesh-file", str(mesh_path),
+            "-k", "2"]
+    if given == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("holes = 2\n")
+        given = ["--config", str(cfg)]
+    assert run(args + given, tmp_path / "out") == 2
+    assert "usage error: bad --holes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # without --holes the open mesh runs as it is
+    assert run(args, tmp_path / "bare") == 0
+    doc = load_json(tmp_path / "bare", "steklov.json")
+    assert doc["config"]["holes"] == "1"
+    assert doc["payload"]["values"] == [
+        float(v) for v in steklov_eigs(load_mesh(mesh_path), k=2).values]
+
+
 def test_sweep_command(tmp_path):
     assert run(["sweep", "steklov-holes", "--surface", "torus", "--res",
                 "24", "--holes", "1..3"], tmp_path) == 0
@@ -490,11 +522,6 @@ def test_small_target_and_empty_eps_are_usage_errors(tmp_path, capsys, args,
     assert not os.listdir(tmp_path)
 
 
-def test_nonpositive_eps_is_numerical_failure(tmp_path, capsys):
-    assert run(["glminmax", "--subdiv", "1", "--eps", "0.1,0"], tmp_path) == 1
-    assert "eps must be positive" in capsys.readouterr().err
-
-
 _TORUS = ["--surface", "torus"]
 
 
@@ -550,23 +577,18 @@ def test_mesh_flags_of_another_surface_are_ignored(tmp_path):
                 "-k", "2"], tmp_path / "torus") == 0
 
 
-@pytest.mark.parametrize("eps", ["inf", "nan", "0.1,inf"])
-def test_non_finite_eps_is_numerical_failure(tmp_path, capsys, eps):
-    # inf ran to exit 0 and wrote "eps": Infinity, which is not JSON, with
-    # a vacuous sandwich; nan failed only on a mismatch between eps values
-    assert run(["glminmax", "--subdiv", "1", "--eps", eps], tmp_path) == 1
+@pytest.mark.parametrize("eps", ["-0.1", "0", "inf", "nan", "0.1,inf",
+                                 "0.1,0", "0.1,-0.1"])
+def test_bad_eps_is_usage_error(tmp_path, capsys, eps):
+    # each was a numerical failure (exit 1) of glminmax_recipe's own check;
+    # before that check, inf ran to exit 0 and wrote "eps": Infinity, and a
+    # bad eps after the first left the first stage's CSV and ledger row
+    assert run(["glminmax", "--subdiv", "1", f"--eps={eps}"],
+               tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "numerical failure: eps must be positive and finite" in err
-
-
-@pytest.mark.parametrize("eps", ["0.1,inf", "0.1,0"])
-def test_bad_eps_after_the_first_writes_no_file(tmp_path, capsys, eps):
-    # the eps = 0.1 stage ran and wrote its CSV and ledger row, and the
-    # run then failed without its glminmax.json
-    assert run(["glminmax", "--subdiv", "1", "--eps", eps], tmp_path) == 1
-    err = capsys.readouterr().err
-    assert "numerical failure: eps must be positive and finite" in err
-    assert not os.listdir(tmp_path)
+    assert f"usage error: bad --eps {eps!r}: want positive finite values" \
+        in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_glminmax_failure_after_first_eps_keeps_report(tmp_path, monkeypatch,

@@ -137,3 +137,17 @@ def test_the_off_inputs(compare_outputs):
     assert code == 1 and "out/results.csv" not in files
     assert err == (b"specx: numerical failure: OFF mesh must be one "
                    b"connected surface; it has 2 connected components\n")
+
+
+def test_the_usage_error_runs(compare_outputs):
+    # a negative eps, a negative density value and --holes on an open mesh
+    # each exit 2 and write nothing
+    runs = dict(compare_outputs.RUNS)
+    for name, message in (
+            ("glminmax eps-0.1", b"bad --eps '-0.1'"),
+            ("eigs sphere1 negative density",
+             b"bad density file negative.txt: density must be nonnegative"),
+            ("steklov disk holes2 file", b"bad --holes '2'")):
+        code, _, err, files = compare_outputs.outcome(REPO, runs[name])
+        assert code == 2 and b"specx: usage error: " + message in err
+        assert not any(path.startswith("out") for path in files)

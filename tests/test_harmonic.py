@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specx import harmonic as hm
+from specx import index as ix
 from specx import mobius as mb
 from specx.harmonic import (MapError, SphereMap, energy, energy_density,
                             energy_shares, harmonic_flow, hopf_differential,
@@ -188,33 +189,33 @@ def test_flow_matches_np_sum_loop_bit_for_bit(sphere3, identity3, case):
                           _np_sum_flow(mesh, phi, 400))
 
 
-def test_check_eigenvalue_two_identity(sphere4):
+def test_eigenvalue_two_identity(sphere4):
+    # criterion 7 through index.spectral_index: eigenvalue 1 of the
+    # |dPhi|^2 pencil is eigenvalue 2 of the induced metric 0.5*|dPhi|^2 g,
+    # whose gaps are twice the margins below and above the cluster
     phi = identity_sphere_map(sphere4)
-    out = hm.check_eigenvalue_two(sphere4, phi)
-    assert out["present"]
-    assert out["multiplicity"] == 3
-    assert out["gap"] > 1.0
+    ind_s, nul_s, margins = ix.spectral_index(sphere4, phi)
+    assert (ind_s, nul_s) == (1, 3) and len(margins) == 3
+    assert 2.0 * min(margins[1:]) > 1.0
 
 
-def test_check_eigenvalue_two_identity_family():
+def test_eigenvalue_two_identity_family():
     # multiplicity >= number of non-constant coordinates across refinements
     for s in (2, 3, 4):
         mesh = build_sphere_mesh(s)
-        out = hm.check_eigenvalue_two(mesh, identity_sphere_map(mesh))
-        assert out["present"] and out["multiplicity"] >= 3
+        assert ix.spectral_index(mesh, identity_sphere_map(mesh))[1] >= 3
 
 
-def test_check_eigenvalue_two_errors(sphere3):
+def test_eigenvalue_two_errors(sphere3):
     const = SphereMap(np.tile([1.0, 0.0, 0.0], (sphere3.num_vertices, 1)))
-    with pytest.raises(MapError):
-        hm.check_eigenvalue_two(sphere3, const)
+    with pytest.raises(MeshError, match="zero-energy map"):
+        ix.spectral_index(sphere3, const)
 
 
-def test_check_eigenvalue_two_equatorial(sphere4):
+def test_eigenvalue_two_equatorial(sphere4):
     phi5 = hm.embed_map(identity_sphere_map(sphere4), 5)
-    out = hm.check_eigenvalue_two(sphere4, phi5)
-    assert out["present"]
-    assert out["multiplicity"] == 3  # constant extra coordinates drop out
+    # constant extra coordinates drop out
+    assert ix.spectral_index(sphere4, phi5)[1] == 3
 
 
 def test_hopf_identity_and_constant(sphere3, identity3):

@@ -67,9 +67,12 @@ def test_composition_law_degree2(sphere3, flowed_deg2):
 
 
 def test_degree2_spectral_index(sphere3, flowed_deg2):
-    ind_s, nul_s, _ = ix.spectral_index(sphere3, flowed_deg2)
-    assert nul_s >= 3
+    ind_s, nul_s, margins = ix.spectral_index(sphere3, flowed_deg2)
+    assert nul_s == 3
     assert ind_s >= 2  # the induced metric exceeds the first-eigenvalue cap
+    # the induced metric's gap around eigenvalue 2: twice the nearer of
+    # the margins below and above the cluster
+    assert 2.0 * min(margins[1:]) == pytest.approx(1.244, abs=1e-3)
 
 
 def test_scaling_invariance(sphere3, flowed_identity3):
@@ -136,15 +139,21 @@ def _dense_spectral_counts(mesh, b, cluster_tol=1e-3):
             int(np.sum(np.abs(vals - 1.0) <= cluster_tol)))
 
 
-def test_nonharmonic_warns(sphere3):
+def test_nonharmonic_map_counts_and_residual(sphere3):
     rng = np.random.default_rng(1)
     sloppy = SphereMap(hm.normalize_rows(
         rng.standard_normal((sphere3.num_vertices, 3))))
-    # warns about the residual; the huge induced density pushes the
-    # threshold far down the spectrum, where the counts must still be those
-    # of the dense generalized eigenproblem
-    with pytest.warns(UserWarning, match="tension residual"):
+    # no index function warns; the composition law carries the residual.
+    # The huge induced density pushes the threshold far down the spectrum,
+    # where the counts must still be those of the dense generalized
+    # eigenproblem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ind_s, nul_s, margins = ix.spectral_index(sphere3, sloppy)
+        law = ix.check_composition_law(sphere3, sloppy, 3)
+    _, agg = hm.tension_residual(sphere3, sloppy)
+    assert law["tension_residual"] == agg > ix.RESIDUAL_WARN
+    assert law["ind_S"] == ind_s
     b = 2.0 * hm.energy_shares(sphere3, sloppy)
     assert b.min() > 0.0
     want = _dense_spectral_counts(sphere3, b)
@@ -185,9 +194,10 @@ def test_index_report_json(sphere3, flowed_identity3, monkeypatch):
 
 def test_index_report_residual_once_torus(monkeypatch):
     # the flowed collapse map of a torus is far from harmonic (no
-    # degree-one harmonic map T^2 -> S^2 exists); the report carries its
-    # residual, computed once, in place of a warning, and the direct
-    # callers, which return no residual, still warn
+    # degree-one harmonic map T^2 -> S^2 exists); the report and the
+    # composition law each carry its residual, computed once, and nothing
+    # warns. The counts come from spectral_index and energy_index, which
+    # compute no residual
     mesh = build_torus_mesh(1j, 16)
     phi = hm.harmonic_flow(mesh, hm.torus_collapse_map(mesh), steps=400)
     _, agg = hm.tension_residual(mesh, phi)
@@ -196,13 +206,15 @@ def test_index_report_residual_once_torus(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = ix.index_report(mesh, phi)
-    assert len(calls) == 1
-    assert rep.to_json_dict()["tension_residual"] == agg
-    with pytest.warns(UserWarning, match="tension residual"):
+        assert len(calls) == 1
+        assert rep.to_json_dict()["tension_residual"] == agg
         assert ix.spectral_index(mesh, phi)[:2] == (rep.ind_S, rep.nul_S)
-    with pytest.warns(UserWarning, match="tension residual"):
         assert ix.energy_index(mesh, phi)[0] == rep.ind_E
-    assert len(calls) == 3
+        assert len(calls) == 1
+        law = ix.check_composition_law(mesh, phi, 3)
+    assert len(calls) == 2
+    assert law["tension_residual"] == agg
+    assert (law["ind_S"], law["ind_E"]) == (rep.ind_S, rep.ind_E)
 
 
 # ---------------------------------------------------------------------------

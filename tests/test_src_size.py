@@ -190,13 +190,10 @@ ALLOWED = {
     "harmonic: def energy_density": (
         "tests-only", "ROADMAP items 1 and 8: the induced density that "
         "item 1's maximiser runs start from"),
-    "harmonic: def check_eigenvalue_two": ("tests-only", "criterion 7"),
     "harmonic: def _face_charts": (
         "tests-only", "ROADMAP items 1 and 5, through hopf_differential"),
     "harmonic: def hopf_differential": (
         "tests-only", "ROADMAP items 1 and 5: the conformality check"),
-    "index: def spectral_index": ("tests-only", "criterion 8"),
-    "index: def energy_index": ("tests-only", "criterion 8"),
     "mesh: TriMesh.__init__.validate": (
         "tests-only", "the face-subset oracle test builds meshes the "
         "validators would refuse"),
@@ -204,7 +201,7 @@ ALLOWED = {
         "tests-only", "writes the OFF files that --mesh-file reads "
         "(ROADMAP item 8)"),
     "mobius: def linear_reflection": ("tests-only", "criterion 6"),
-    "spectra: def multiplicity": ("tests-only", "criteria 1 and 7"),
+    "spectra: def multiplicity": ("tests-only", "criterion 1"),
 }
 
 

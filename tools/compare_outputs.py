@@ -27,8 +27,10 @@ and runs `index` on spheres of subdivision 2 and 3 and on res-16 tori at
 a square and a skewed tau, each at `--n` 2 and 3. With `--surface file`
 it reads the OFF files of INPUTS: `eigs` and `steklov` on an open disk,
 `vc` and `index` on a res-12 torus with its chart sidecar, and `eigs` on a
-file that the mesh loader refuses, whose exit code and stderr are
-compared like any other. Standard library only.
+file that the mesh loader refuses. Three runs are usage errors: a negative
+`--eps`, a density file with a negative value, and `--holes` on the open
+disk. The exit code and stderr of these failing runs are compared like
+any other. Standard library only.
 """
 
 import argparse
@@ -61,10 +63,13 @@ def _grid_off(res, squares):
 # nonconstant density on the 42 vertices of a subdivision-1 sphere; an
 # open square of 3 x 3 grid squares (a disk); a res-12 flat torus, whose
 # chart sidecar gives it its flat metric (at res 10 and below, `index`
-# flows its base map to a constant and stops); and a triangle with a vertex
-# that no face uses, which `mesh.load_mesh` refuses as two components
+# flows its base map to a constant and stops); a triangle with a vertex
+# that no face uses, which `mesh.load_mesh` refuses as two components; and
+# the density with its last value made negative, which `eigs` refuses
 INPUTS = {
     "density.txt": "".join(f"{1 + i % 5 / 10}\n" for i in range(42)),
+    "negative.txt": "".join(f"{1 + i % 5 / 10}\n" for i in range(41))
+    + "-1\n",
     "disk.off": _grid_off(4, 3),
     "torus12.off": _grid_off(12, 12),
     "torus12.off.chart": "tau_re=0.3\ntau_im=1.1\nres=12\n",
@@ -110,6 +115,12 @@ RUNS = [
         ("eigs", "disk", []), ("steklov", "disk", ["-k", "3"]),
         ("vc", "torus12", []), ("index", "torus12", []),
         ("eigs", "lone", ["-k", "1"]))
+] + [
+    ("glminmax eps-0.1", ["glminmax", "--subdiv", "1", "--eps=-0.1"]),
+    ("eigs sphere1 negative density", ["eigs", "--subdiv", "1", "--density",
+                                       "negative.txt", "-k", "3"]),
+    ("steklov disk holes2 file", ["steklov", "--surface", "file",
+                                  "--mesh-file", "disk.off", "--holes", "2"]),
 ]
 
 
