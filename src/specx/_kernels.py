@@ -54,7 +54,9 @@ def tri_geometry(corners):
 def mobius_batch(x, a):
     """Ball-indexed conformal automorphism of the unit sphere, row-wise.
 
-    x: (V, d) unit vectors, a: (d,) with |a| < 1.
+    x: (V, d) unit vectors, a: (d,) with |a| <= 1. At |a| = 1 the scale s
+    is zero and every row, x = -a included, maps to a: the constant map
+    that ends the family.
     """
     u = x + a[None, :]
     d2 = np.maximum(_row_dot(u, u), 1e-300)

@@ -17,6 +17,7 @@ import datetime
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -208,7 +209,10 @@ def _load_density(cfg, mesh):
     if cfg.density is None:
         return None
     try:
-        return meshmod.validate_density(mesh, np.loadtxt(cfg.density))
+        with warnings.catch_warnings():  # an empty file: the error says so
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            values = np.loadtxt(cfg.density)
+        return meshmod.validate_density(mesh, values)
     except ValueError as exc:  # np.loadtxt's, or validate_density's MeshError
         raise UsageError(f"bad density file {cfg.density}: {exc}") from exc
 
@@ -257,6 +261,16 @@ def _base_map(cfg, mesh):
     return harmonic.base_map(mesh, cfg.n)
 
 
+def _closed(cfg, mesh):
+    """mesh, if closed: `maximize` and `sweep` run the conformal ascent,
+    which is defined on closed meshes only, so a mesh with a boundary is a
+    usage error here (the library raises MeshError)."""
+    if not mesh.is_closed:
+        raise UsageError(f"{cfg.command} needs a closed mesh; this mesh has "
+                         "a boundary")
+    return mesh
+
+
 # each command: the keys its recipe reads beside the run keys, the defaults
 # it sets apart from _KEYS's, and its recipe call on the run's config and
 # mesh
@@ -264,7 +278,7 @@ _COMMANDS = {
     "eigs": (("density", "count"), {}, lambda cfg, mesh: spectra.eigs_recipe(
         mesh, _load_density(cfg, mesh), cfg.count, cfg.seed)),
     "maximize": (("density",), {}, lambda cfg, mesh: spectra.maximize_recipe(
-        mesh, _load_density(cfg, mesh), cfg.seed)),
+        _closed(cfg, mesh), _load_density(cfg, mesh), cfg.seed)),
     "glminmax": (("eps", "n", "grid"), {},
                  lambda cfg, mesh: glminmax.glminmax_recipe(
                      mesh, _base_map(cfg, mesh), cfg.eps_list, cfg.seed,
@@ -278,7 +292,7 @@ _COMMANDS = {
     "index": (("n",), {}, lambda cfg, mesh: index.index_recipe(
         mesh, _base_map(cfg, mesh))),
     "sweep": (("holes",), {}, lambda cfg, mesh: spectra.sweep_recipe(
-        mesh, cfg.holes_list, cfg.seed)),
+        _closed(cfg, mesh), cfg.holes_list, cfg.seed)),
 }
 
 

@@ -18,7 +18,7 @@ Newton solve shared by both families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,7 +52,7 @@ GRID_MAX_RADIUS = 0.9
 REFINE_ROUNDS = 3
 REFINE_SAMPLES = 12
 
-# the descent of extract_critical: gradient-norm tolerance and step cap.
+# gl_descend's gradient-norm tolerance and step cap, read at each call.
 # A map whose spread is at most DESCENT_TOL counts as constant: collapsed
 # maps spread about 1e-7, genuine ones on sphere3 at least 0.18
 DESCENT_TOL = 1e-6
@@ -77,6 +77,9 @@ def _eps_free_parts(mesh, vals):
     the potential's numerator sum A (1 - |u|^2)^2 and the area-averaged
     norm of the (V, d) array vals, none of which depends on eps."""
     dirichlet = 0.5 * float(np.sum(vals * (mesh.stiffness @ vals)))
+    # the copy is not redundant: a heat-step member comes from lu.solve in
+    # Fortran order, and gl_pointwise's BLAS row sums round such an array
+    # differently from a C-ordered one at widths of 4 and more
     numerator, avg = _kernels.gl_pointwise(np.ascontiguousarray(vals),
                                            mesh.vertex_areas)
     return dirichlet, numerator, avg
@@ -166,9 +169,10 @@ def _line_quartic(K, va, g, p, q, n2, eps):
     return (c2, c3, c4), kg
 
 
-def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
+def gl_descend(mesh, u0, eps, step0=None):
     """Gradient descent with Armijo backtracking until the lumped-L2
-    gradient norm drops below tol (or the iteration cap, flagged).
+    gradient norm drops below DESCENT_TOL (or the iteration cap
+    DESCENT_MAX_ITERS, flagged); both are read at the call.
 
     The Armijo test E(u - s g) <= E(u) - s |g|^2 / 2 is evaluated on the
     exact quartic of _line_quartic, s (c2 + s (c3 + s c4)) <= |g|^2 / 2,
@@ -177,11 +181,11 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
 
     A step costs one stiffness product, the quartic's K g: K u is carried
     as K u - s K g. The carried product drifts by rounding, so when its
-    gradient norm first drops below tol, K u is recomputed and the test
-    repeated on the exact product. The returned gradient norm and energy
-    are those of the returned map, and `converged` is whether that norm is
-    below tol, however the descent stopped. A non-finite gradient raises
-    FamilyError.
+    gradient norm first drops below DESCENT_TOL, K u is recomputed and the
+    test repeated on the exact product. The returned gradient norm and
+    energy are those of the returned map, and `converged` is whether that
+    norm is below DESCENT_TOL, however the descent stopped. A non-finite
+    gradient raises FamilyError.
     """
     _check_eps(eps)
     vals = _values(u0).copy()
@@ -194,17 +198,17 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
     measured = False  # whether gnorm is of an exact K u at the current map
     it = 0
     backtracks = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, DESCENT_MAX_ITERS + 1):
         g, n2, q = _gradient_terms(va, vals, ku, eps)
         gnorm = float(np.sqrt(va @ q))
-        if gnorm < tol and not measured:  # confirm on an exact product
+        if gnorm < DESCENT_TOL and not measured:  # confirm on an exact product
             ku = K @ vals
             measured = True
             g, n2, q = _gradient_terms(va, vals, ku, eps)
             gnorm = float(np.sqrt(va @ q))
         if not np.isfinite(gnorm):
             raise FamilyError("vector map has non-finite entries")
-        if gnorm < tol:
+        if gnorm < DESCENT_TOL:
             break
         (c2, c3, c4), kg = _line_quartic(K, va, g, _row_dot(vals, g), q, n2,
                                          eps)
@@ -224,7 +228,7 @@ def gl_descend(mesh, u0, eps, tol=1e-6, max_iters=2000, step0=None):
         gnorm = gl_norm(mesh, gl_gradient(mesh, vals, eps))
     return {"u": vals, "gradient_norm": gnorm,
             "E_eps": gl_energy(mesh, vals, eps), "iterations": it,
-            "converged": gnorm < tol, "backtracks": backtracks}
+            "converged": gnorm < DESCENT_TOL, "backtracks": backtracks}
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +366,9 @@ class MinMaxReport:
     family: str
     seed: int
     grid_size: int
-    grid_info: dict = field(default_factory=dict)
-    refinement: list = field(default_factory=list)
-    sweep_rows: list = field(default_factory=list)
+    grid_info: dict
+    refinement: list
+    sweep_rows: list
     critical: dict | None = None
 
     def to_json_dict(self):
@@ -597,8 +601,7 @@ def extract_critical(spec: FamilySpec, report: MinMaxReport, start=None):
     """
     if start is None:
         start = spec.member(report.argmax)
-    out = gl_descend(spec.mesh, start, report.eps, tol=DESCENT_TOL,
-                     max_iters=DESCENT_MAX_ITERS)
+    out = gl_descend(spec.mesh, start, report.eps)
     u = out["u"]
     _, agg = tension_residual(spec.mesh, SphereMap(normalize_rows(u)))
     va = spec.mesh.vertex_areas

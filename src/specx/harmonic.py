@@ -83,12 +83,10 @@ def identity_sphere_map(mesh):
 
 
 def embed_map(phi: SphereMap, ambient_dim):
-    """Totally geodesic embedding into a higher-dimensional sphere (zero
-    padding)."""
+    """Totally geodesic embedding into a sphere of at least phi's dimension
+    (zero padding; a copy at the same dimension)."""
     if ambient_dim < phi.ambient_dim:
         raise MapError("target ambient dimension too small")
-    if ambient_dim == phi.ambient_dim:
-        return SphereMap(phi.values.copy())
     pad = np.zeros((len(phi.values), ambient_dim - phi.ambient_dim))
     return SphereMap(np.hstack([phi.values, pad]))
 

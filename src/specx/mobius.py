@@ -17,8 +17,6 @@ from ._ballopt import ball_grid, maximize_over_ball
 from .harmonic import SphereMap, energy
 
 
-BOUNDARY_SNAP = 1.0 - 1e-12
-
 # the conformal-volume search: grid shells, their outer radius,
 # refinement rounds and samples per round
 VC_RADII = 6
@@ -36,39 +34,27 @@ def _in_ball(p, what):
 
 
 def mobius_apply(a, x):
-    """Apply G_a to unit vectors x ((d,) or (V, d)).
+    """Apply G_a to the unit rows of a (V, d) array x.
 
-    For |a| = 1 the family degenerates to the constant map a.
+    For |a| = 1 the family degenerates to the constant map a:
+    `_kernels.mobius_batch`'s scale s = (1 - |a|^2) / |x + a|^2 is zero
+    there, so every row, x = -a included, maps to a (exactly, once a.a
+    rounds to 1).
     """
-    a = _in_ball(a, "Mobius")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if np.linalg.norm(a) >= BOUNDARY_SNAP:
-        out = np.tile(a / np.linalg.norm(a), (len(pts), 1))
-    else:
-        out = _kernels.mobius_batch(np.ascontiguousarray(pts),
-                                    np.ascontiguousarray(a))
-    return out[0] if single else out
+    return _kernels.mobius_batch(np.asarray(x, dtype=float),
+                                 _in_ball(a, "Mobius"))
 
 
 def cap_reflection(b, x):
-    """Apply T_b: identity on the cap, conformal reflection outside."""
+    """Apply T_b to the unit rows of a (V, d) array x: identity on the cap,
+    conformal reflection outside."""
     b = _in_ball(b, "cap")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
     beta = float(np.linalg.norm(b))
     if beta <= 1e-14:
-        out = pts.copy()
-    else:
-        n = b / beta
-        height = 1.0 - beta
-        reflected = _kernels.cap_reflect_raw(np.ascontiguousarray(pts),
-                                             np.ascontiguousarray(b))
-        inside = (pts @ n) <= height
-        out = np.where(inside[:, None], pts, reflected)
-    return out[0] if single else out
+        return x.copy()
+    inside = (x @ (b / beta)) <= 1.0 - beta
+    return np.where(inside[:, None], x, _kernels.cap_reflect_raw(x, b))
 
 
 def upsilon(a, b, x):
@@ -77,7 +63,9 @@ def upsilon(a, b, x):
 
 
 def linear_reflection(b, x):
-    """Reflection through the hyperplane perpendicular to b (|b| = 1)."""
+    """Reflection through the hyperplane perpendicular to b (|b| = 1), of a
+    (d,) vector or of the rows of a (V, d) array: criterion 6 reflects
+    parameter vectors with it."""
     b = np.asarray(b, dtype=float)
     n = b / np.linalg.norm(b)
     x = np.asarray(x, dtype=float)
@@ -86,7 +74,7 @@ def linear_reflection(b, x):
     return x - 2.0 * (x @ n)[:, None] * n[None, :]
 
 
-def conformal_volume(mesh, phi: SphereMap, n_dirs=16, seed=0):
+def conformal_volume(mesh, phi: SphereMap, n_dirs, seed):
     """Estimate sup_a Area(G_a . phi) = sup_a E(G_a . phi) from below.
 
     Multistart search over the parameter ball, `maximize_over_ball` on the
@@ -110,7 +98,7 @@ def conformal_volume(mesh, phi: SphereMap, n_dirs=16, seed=0):
 def vc_recipe(mesh, phi: SphereMap, n_dirs, seed):
     """The `specx vc` run: `conformal_volume` as (payload, ledger, tables,
     flags)."""
-    out = conformal_volume(mesh, phi, n_dirs=n_dirs, seed=seed)
+    out = conformal_volume(mesh, phi, n_dirs, seed)
     payload = {"V_c_estimate": float(out["V_c_estimate"]),
                "argmax": [float(x) for x in out["argmax"]],
                "refinement": [float(x) for x in out["refinement"]]}

@@ -69,7 +69,7 @@ class Spectrum:
     vectors: np.ndarray  # (V, k+1), harmonically extended off supp(B)
     residuals: np.ndarray
     mass: float
-    warm: bool = False  # the warm block solve ran, not the cold path
+    warm: bool  # the warm block solve ran, not the cold path
 
     def normalized(self):
         return self.values * self.mass
@@ -89,11 +89,11 @@ class MaximizerReport:
     lambda_bar: float
     iterations: int
     stationarity_gap: float
-    converged: bool = True
-    weak_gap: float = 0.0
-    measure_rank: int = 0
-    warm_solves: int = 0  # eigensolves taken by the warm block path
-    cold_solves: int = 0  # eigensolves taken by the cold path
+    converged: bool
+    weak_gap: float
+    measure_rank: int
+    warm_solves: int  # eigensolves taken by the warm block path
+    cold_solves: int  # eigensolves taken by the cold path
 
     def to_json_dict(self):
         return {
@@ -243,10 +243,13 @@ def _shift_invert(A, m, sigma, kk, seed=0, start=None):
     C = M_s^{1/2} [(A - sigma M)^{-1}]_{ss} M_s^{1/2} on s = supp(m) is
     diagonalized for its largest mu:
     lambda = sigma + 1/mu, v = (lambda - sigma) (A - sigma M)^{-1} M^{1/2} x.
-    The vectors are M-orthonormal and A-harmonic off supp(m). Lanczos
-    (ARPACK) takes a few pairs beyond kk so that a degenerate cluster is not
-    cut; a dense eigh of C takes over when the rank is too small for Lanczos
-    to save work.
+    The vectors are M-orthonormal and A-harmonic off supp(m). Every
+    strategy below applies C through one operator, `apply_c`, which
+    returns z = (A - sigma M)^{-1} M^{1/2} x and C x for a block x. A dense
+    eigh of C (`apply_c` on the identity) is taken when the rank is too
+    small for Lanczos to save work; above it Lanczos (ARPACK, one column
+    per matvec) takes a few pairs beyond kk so that a degenerate cluster is
+    not cut, and the vectors are recovered by one more `apply_c`.
 
     On the Lanczos branch, `start` (n x kk vectors of a nearby pencil) is
     tried first by `_block_krylov`, from x = m^{1/2} v on supp(m); if it
@@ -260,10 +263,11 @@ def _shift_invert(A, m, sigma, kk, seed=0, start=None):
     rank = len(s_idx)
     root = np.sqrt(m[s_idx])
 
-    def lift(x):  # M^{1/2} x as full-length columns
-        out = np.zeros((n, x.shape[1]))
-        out[s_idx] = root[:, None] * x
-        return out
+    def apply_c(x):  # z = (A - sigma M)^{-1} M^{1/2} x and C x, for a block x
+        rhs = np.zeros((n, x.shape[1]))
+        rhs[s_idx] = root[:, None] * x
+        z = lu.solve(rhs)
+        return z, root[:, None] * z[s_idx]
 
     nev = kk + CLUSTER_MARGIN
     # ncv >= 40: with ARPACK's default of 20 the solve stalled for minutes
@@ -272,29 +276,18 @@ def _shift_invert(A, m, sigma, kk, seed=0, start=None):
     # ARPACK needs rank > ncv, and up to about twice that materializing C
     # costs less than the Lanczos restarts
     warm = None
-    if start is not None and rank > 2 * ncv:
-        def apply_c(x):  # (A - sigma M)^{-1} M^{1/2} x and C x
-            z = lu.solve(lift(x))
-            return z, root[:, None] * z[s_idx]
-
-        warm = _block_krylov(apply_c, root[:, None] * start[s_idx], kk,
-                             seed)
-    if warm is not None:
-        mu, vecs = warm
-    elif rank <= 2 * ncv:
-        X = lu.solve(lift(np.eye(rank)))  # (A - sigma M)^{-1} M^{1/2}
-        C = root[:, None] * X[s_idx]
+    if rank <= 2 * ncv:
+        X, C = apply_c(np.eye(rank))
         mu, x = sla.eigh(0.5 * (C + C.T),
                          subset_by_index=[rank - kk, rank - 1])
         vecs = X @ x
+    elif start is not None and (warm := _block_krylov(
+            apply_c, root[:, None] * start[s_idx], kk, seed)) is not None:
+        mu, vecs = warm
     else:
-        buf = np.zeros(n)  # zero off supp(m); one buffer for all matvecs
-
-        def apply_c(y):
-            buf[s_idx] = root * y
-            return root * lu.solve(buf)[s_idx]
-
-        op = spla.LinearOperator((rank, rank), matvec=apply_c, dtype=float)
+        op = spla.LinearOperator(
+            (rank, rank), matvec=lambda y: apply_c(y.reshape(-1, 1))[1],
+            dtype=float)
         v0 = np.random.default_rng(seed).standard_normal(rank)
         try:
             mu, x = spla.eigsh(op, k=nev, which="LA", ncv=ncv, v0=v0)
@@ -302,7 +295,7 @@ def _shift_invert(A, m, sigma, kk, seed=0, start=None):
             raise SolverError(f"eigensolver failed: {exc}") from exc
         top = np.argsort(mu)[-kk:]
         mu = mu[top]
-        vecs = lu.solve(lift(x[:, top]))
+        vecs = apply_c(x[:, top])[0]
     order = np.argsort(-mu)  # ascending lambda
     mu = mu[order]
     return sigma + 1.0 / mu, vecs[:, order] / mu, warm is not None

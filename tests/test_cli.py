@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -103,18 +104,23 @@ def test_usage_errors(tmp_path, capsys):
     (["1.0"] * 41 + ["-1.0"], "density must be nonnegative"),
     (["0.0"] * 42, "density has zero total mass"),
     (["1.0"] * 41, "density shape mismatch"),
-], ids=["nan", "inf", "negative", "zero", "short"])
+    ([], "density shape mismatch"),
+], ids=["nan", "inf", "negative", "zero", "short", "empty"])
 def test_bad_density_file_is_usage_error(tmp_path, capsys, command, values,
                                          message):
     # a malformed file (exit 2), not a numerical failure of the solver it
     # would otherwise reach; a negative value and an all-zero file were
-    # numerical failures (exit 1)
+    # numerical failures (exit 1). The usage error is the one line on
+    # stderr: an empty file also printed numpy's "loadtxt: input contained
+    # no data" warning, which this test would raise
     density = tmp_path / "density.txt"
-    density.write_text("\n".join(values) + "\n")
-    assert run([command, "--subdiv", "1", "--density", str(density)],
-               tmp_path / "out") == 2
-    assert f"usage error: bad density file {density}: {message}" in \
-        capsys.readouterr().err
+    density.write_text("".join(value + "\n" for value in values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--subdiv", "1", "--density", str(density)],
+                   tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"specx: usage error: bad density file {density}: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -415,6 +421,24 @@ def test_steklov_holes_on_an_open_mesh_is_usage_error(tmp_path, capsys,
     assert doc["config"]["holes"] == "1"
     assert doc["payload"]["values"] == [
         float(v) for v in steklov_eigs(load_mesh(mesh_path), k=2).values]
+
+
+@pytest.mark.parametrize("command", [
+    ["maximize"], ["sweep", "steklov-holes", "--holes", "1..2"]],
+    ids=["maximize", "sweep"])
+def test_closed_mesh_commands_on_an_open_mesh_are_usage_errors(
+        tmp_path, capsys, command):
+    # both reached the conformal ascent's MeshError ("conformal
+    # maximization expects a closed mesh") and exited 1
+    mesh_path = tmp_path / "holed.off"
+    save_mesh(puncture(build_sphere_mesh(2), [0], 0.3), mesh_path)
+    out = tmp_path / "out"
+    assert run(command + ["--surface", "file", "--mesh-file", str(mesh_path)],
+               out) == 2
+    assert capsys.readouterr().err == (
+        f"specx: usage error: {command[0]} needs a closed mesh; this mesh has "
+        "a boundary\n")
+    assert not out.exists()
 
 
 def test_sweep_command(tmp_path):

@@ -140,14 +140,22 @@ def test_the_off_inputs(compare_outputs):
 
 
 def test_the_usage_error_runs(compare_outputs):
-    # a negative eps, a negative density value and --holes on an open mesh
-    # each exit 2 and write nothing
+    # a negative eps, a negative density value, an empty density file,
+    # --holes on an open mesh, and maximize and the sweep on an open mesh
+    # each exit 2, write nothing and print one line
     runs = dict(compare_outputs.RUNS)
     for name, message in (
             ("glminmax eps-0.1", b"bad --eps '-0.1'"),
             ("eigs sphere1 negative density",
              b"bad density file negative.txt: density must be nonnegative"),
-            ("steklov disk holes2 file", b"bad --holes '2'")):
+            ("eigs sphere1 empty density",
+             b"bad density file empty.txt: density shape mismatch"),
+            ("steklov disk holes2 file", b"bad --holes '2'"),
+            ("maximize disk file",
+             b"maximize needs a closed mesh; this mesh has a boundary"),
+            ("sweep disk file",
+             b"sweep needs a closed mesh; this mesh has a boundary")):
         code, _, err, files = compare_outputs.outcome(REPO, runs[name])
-        assert code == 2 and b"specx: usage error: " + message in err
+        assert code == 2 and err.startswith(b"specx: usage error: " + message)
+        assert err.count(b"\n") == 1 and err.endswith(b"\n")
         assert not any(path.startswith("out") for path in files)

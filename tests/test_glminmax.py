@@ -124,16 +124,20 @@ def test_second_variation_cases(sphere3):
         gl_second_variation(sphere3, u, 0.2, z, w), rel=1e-10)
 
 
-def test_descend_cases(sphere3, identity3):
+def test_descend_cases(sphere3, identity3, monkeypatch):
     n = sphere3.num_vertices
     const = np.tile([1.0, 0.0, 0.0], (n, 1))
-    out = gl_descend(sphere3, const, 0.1, tol=1e-8)
+    monkeypatch.setattr(gl, "DESCENT_TOL", 1e-8)
+    out = gl_descend(sphere3, const, 0.1)
     assert out["converged"] and out["E_eps"] < 1e-12
-    out2 = gl_descend(sphere3, identity3, 0.05, tol=1e-5)
+    monkeypatch.setattr(gl, "DESCENT_TOL", 1e-5)
+    out2 = gl_descend(sphere3, identity3, 0.05)
     assert abs(out2["E_eps"] - 4 * np.pi) < 0.01 * 4 * np.pi
     rng = np.random.default_rng(4)  # records the symmetry-breaking seed
     near_zero = 1e-3 * rng.standard_normal((n, 3))
-    out3 = gl_descend(sphere3, near_zero, 0.2, tol=1e-6, max_iters=5000)
+    monkeypatch.setattr(gl, "DESCENT_TOL", 1e-6)
+    monkeypatch.setattr(gl, "DESCENT_MAX_ITERS", 5000)
+    out3 = gl_descend(sphere3, near_zero, 0.2)
     norms = np.linalg.norm(out3["u"], axis=1)
     assert out3["E_eps"] < 1e-3
     assert np.abs(norms - 1.0).max() < 1e-2
@@ -229,12 +233,15 @@ def test_descend_matches_difference_oracle(unit_sphere3, recipe_eps02):
         rel=1e-10)
 
 
-def test_descend_converges_below_energy_rounding(unit_sphere3, recipe_eps02):
+def test_descend_converges_below_energy_rounding(unit_sphere3, recipe_eps02,
+                                                 monkeypatch):
     # at eps = 0.1 the gradient falls to ~1e-6, where the Armijo decrease
     # is below the rounding error of E ~ 11; a test that subtracts two
     # energies stalls there at the cap, the quartic one converges
     _, warm = recipe_eps02
-    out = gl_descend(unit_sphere3, warm["u"], 0.1, tol=1e-6, max_iters=2000)
+    monkeypatch.setattr(gl, "DESCENT_TOL", 1e-6)
+    monkeypatch.setattr(gl, "DESCENT_MAX_ITERS", 2000)
+    out = gl_descend(unit_sphere3, warm["u"], 0.1)
     assert out["converged"]
     assert out["iterations"] < 2000
     assert out["gradient_norm"] < 1e-6
@@ -349,13 +356,14 @@ def test_descend_reports_gradient_of_returned_map(unit_sphere3,
             gl.gl_norm(unit_sphere3, g), rel=1e-12)
 
 
-def test_descend_converged_at_the_cap(unit_sphere3, recipe_eps02):
+def test_descend_converged_at_the_cap(unit_sphere3, recipe_eps02,
+                                      monkeypatch):
     # capped one step before it would stop, the descent returns the same
     # map, whose gradient is below tol: converged, although the cap ended it
     _, warm = recipe_eps02
     full = gl_descend(unit_sphere3, warm["u"], 0.1)
-    capped = gl_descend(unit_sphere3, warm["u"], 0.1,
-                        max_iters=full["iterations"] - 1)
+    monkeypatch.setattr(gl, "DESCENT_MAX_ITERS", full["iterations"] - 1)
+    capped = gl_descend(unit_sphere3, warm["u"], 0.1)
     assert np.array_equal(capped["u"], full["u"])
     assert capped["gradient_norm"] < 1e-6
     assert capped["converged"] and full["converged"]

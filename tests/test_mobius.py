@@ -25,15 +25,15 @@ def test_mobius_fixed_points():
     for _ in range(5):
         a = rng.standard_normal(4)
         a *= rng.uniform(0.1, 0.95) / np.linalg.norm(a)
-        u = a / np.linalg.norm(a)
+        u = (a / np.linalg.norm(a))[None, :]
         assert np.allclose(mb.mobius_apply(a, u), u, atol=1e-12)
         assert np.allclose(mb.mobius_apply(a, -u), -u, atol=1e-12)
 
 
 def test_mobius_boundary_constant():
     rng = np.random.default_rng(2)
-    x = unit_rows(rng, 20, 3)
     a = np.array([0.0, 1.0, 0.0])
+    x = np.vstack([unit_rows(rng, 20, 3), -a])
     y = mb.mobius_apply(a, x)
     assert np.allclose(y, a)
 
@@ -98,7 +98,7 @@ def test_cap_boundary_fixed():
         h = 1.0 - beta
         perp = np.cross(n, [0.3, 1.0, 0.2])
         perp /= np.linalg.norm(perp)
-        point = h * n + np.sqrt(1 - h * h) * perp
+        point = (h * n + np.sqrt(1 - h * h) * perp)[None, :]
         assert np.allclose(mb.cap_reflection(b, point), point, atol=1e-12)
 
 
@@ -148,21 +148,23 @@ def test_upsilon_boundary_identity():
 
 
 def test_conformal_volume_identity(sphere3, identity3):
-    out = mb.conformal_volume(sphere3, identity3)
+    out = mb.conformal_volume(sphere3, identity3, n_dirs=16, seed=0)
     assert abs(out["V_c_estimate"] - 4 * np.pi) < 0.01 * 4 * np.pi
 
 
 def test_conformal_volume_degree2(sphere3):
     deg2 = hm.power_map(sphere3)
-    out = mb.conformal_volume(sphere3, deg2)
+    out = mb.conformal_volume(sphere3, deg2, n_dirs=16, seed=0)
     assert abs(out["V_c_estimate"] - 8 * np.pi) < 0.02 * 8 * np.pi
 
 
 def test_conformal_volume_scale_invariance(sphere3, identity3):
-    base = mb.conformal_volume(sphere3, identity3)
-    doubled = mb.conformal_volume(sphere3.scaled(2.0), identity3)
+    base = mb.conformal_volume(sphere3, identity3, n_dirs=16, seed=0)
+    doubled = mb.conformal_volume(sphere3.scaled(2.0), identity3, n_dirs=16,
+                                  seed=0)
     assert doubled["V_c_estimate"] == base["V_c_estimate"]
-    tripled = mb.conformal_volume(sphere3.scaled(3.0), identity3)
+    tripled = mb.conformal_volume(sphere3.scaled(3.0), identity3, n_dirs=16,
+                                  seed=0)
     assert np.isclose(tripled["V_c_estimate"], base["V_c_estimate"],
                       rtol=1e-9)
 
@@ -194,16 +196,17 @@ def test_composed_hopf_refines():
 def test_li_yau_chain(sphere3, torus32, identity3):
     from specx.spectra import maximize_lambda1_conformal
     rep = maximize_lambda1_conformal(sphere3, iters=60)
-    vc = mb.conformal_volume(sphere3, identity3)["V_c_estimate"]
+    vc = mb.conformal_volume(sphere3, identity3, n_dirs=16,
+                             seed=0)["V_c_estimate"]
     assert rep.lambda_bar <= 2 * vc * 1.02
     rep_t = maximize_lambda1_conformal(torus32, iters=60)
-    vc_t = mb.conformal_volume(
-        torus32, hm.torus_clifford_map(torus32))["V_c_estimate"]
+    vc_t = mb.conformal_volume(torus32, hm.torus_clifford_map(torus32),
+                               n_dirs=16, seed=0)["V_c_estimate"]
     assert rep_t.lambda_bar <= 2 * vc_t * 1.02
 
 
 def test_param_validation():
-    x = np.array([0.0, 0.0, 1.0])
+    x = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="Mobius parameter must lie"):
         mb.mobius_apply(np.array([1.2, 0.0, 0.0]), x)
     with pytest.raises(ValueError, match="cap parameter must lie"):

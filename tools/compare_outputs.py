@@ -27,10 +27,11 @@ and runs `index` on spheres of subdivision 2 and 3 and on res-16 tori at
 a square and a skewed tau, each at `--n` 2 and 3. With `--surface file`
 it reads the OFF files of INPUTS: `eigs` and `steklov` on an open disk,
 `vc` and `index` on a res-12 torus with its chart sidecar, and `eigs` on a
-file that the mesh loader refuses. Three runs are usage errors: a negative
-`--eps`, a density file with a negative value, and `--holes` on the open
-disk. The exit code and stderr of these failing runs are compared like
-any other. Standard library only.
+file that the mesh loader refuses. Six runs are usage errors: a negative
+`--eps`, a density file with a negative value, an empty density file,
+`--holes` on the open disk, and `maximize` and `sweep steklov-holes` on
+the open disk, which need a closed mesh. The exit code and stderr of these
+failing runs are compared like any other. Standard library only.
 """
 
 import argparse
@@ -65,11 +66,13 @@ def _grid_off(res, squares):
 # chart sidecar gives it its flat metric (at res 10 and below, `index`
 # flows its base map to a constant and stops); a triangle with a vertex
 # that no face uses, which `mesh.load_mesh` refuses as two components; and
-# the density with its last value made negative, which `eigs` refuses
+# two density files that `eigs` refuses: the density with its last value
+# made negative, and an empty file
 INPUTS = {
     "density.txt": "".join(f"{1 + i % 5 / 10}\n" for i in range(42)),
     "negative.txt": "".join(f"{1 + i % 5 / 10}\n" for i in range(41))
     + "-1\n",
+    "empty.txt": "",
     "disk.off": _grid_off(4, 3),
     "torus12.off": _grid_off(12, 12),
     "torus12.off.chart": "tau_re=0.3\ntau_im=1.1\nres=12\n",
@@ -121,6 +124,12 @@ RUNS = [
                                        "negative.txt", "-k", "3"]),
     ("steklov disk holes2 file", ["steklov", "--surface", "file",
                                   "--mesh-file", "disk.off", "--holes", "2"]),
+    ("eigs sphere1 empty density", ["eigs", "--subdiv", "1", "--density",
+                                    "empty.txt"]),
+    ("maximize disk file", ["maximize", "--surface", "file", "--mesh-file",
+                            "disk.off"]),
+    ("sweep disk file", ["sweep", "steklov-holes", "--surface", "file",
+                         "--mesh-file", "disk.off", "--holes", "1..2"]),
 ]
 
 
