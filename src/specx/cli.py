@@ -254,10 +254,10 @@ def _finish(cfg, payload, ledger, tables, flags):
 def _base_map(cfg, mesh):
     """`harmonic.base_map` of a genus-0 mesh or of one with a flat chart;
     any other mesh has no base map, so its run is a usage error."""
-    if mesh.genus_hint != 0 and meshmod.torus_chart(mesh) is None:
+    if mesh.genus != 0 and meshmod.torus_chart(mesh) is None:
         raise UsageError(f"{cfg.command} needs a genus-0 mesh or a flat "
                          "torus with its chart sidecar; this mesh has genus "
-                         f"{mesh.genus_hint}")
+                         f"{mesh.genus}")
     return harmonic.base_map(mesh, cfg.n)
 
 

@@ -242,13 +242,15 @@ def harmonic_flow(mesh, phi0, steps=100):
     va = mesh.vertex_areas
     rate = K.diagonal() / va
     dt = 0.5 * (1.0 / rate.max())
-    for _ in range(steps):
-        step = K @ vals
-        step -= _row_sum(step, vals)[:, None] * vals
-        step /= va[:, None]
-        step *= dt
-        vals -= step
-        vals = normalize_rows(vals)
+    # a non-finite start makes invalid steps, which normalize_rows refuses
+    with np.errstate(invalid="ignore"):
+        for _ in range(steps):
+            step = K @ vals
+            step -= _row_sum(step, vals)[:, None] * vals
+            step /= va[:, None]
+            step *= dt
+            vals -= step
+            vals = normalize_rows(vals)
     return SphereMap(vals)
 
 

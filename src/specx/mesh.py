@@ -54,14 +54,15 @@ class TriMesh:
     (defaults to vertex lookup; flat tori store the unwrapped chart here);
     orig_vertex_ids keeps labels across subdomain extraction.
 
-    The edge checks (degenerate faces, non-manifold edges, inconsistent
-    orientation) always run. validate=False skips only the boundary trace,
-    which leaves boundary_loops empty even on an open mesh, and the Euler
-    check.
+    The constructor checks the edges (degenerate faces, non-manifold
+    edges, inconsistent orientation) and traces the boundary loops. The
+    genus is derived, never told: V - E + F = 2 - 2g - b gives it for a
+    connected mesh. Connectedness is not checked here; `load_mesh` checks
+    it for OFF files.
     """
 
-    def __init__(self, vertices, triangles, genus_hint=None, corners=None,
-                 orig_vertex_ids=None, chart_meta=None, validate=True):
+    def __init__(self, vertices, triangles, corners=None,
+                 orig_vertex_ids=None, chart_meta=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -76,22 +77,7 @@ class TriMesh:
         self.orig_vertex_ids = np.asarray(orig_vertex_ids, dtype=np.int64)
         self.chart_meta = dict(chart_meta) if chart_meta else None
         self._cache = {}
-        if validate:
-            self.boundary_loops = self._trace_boundary()
-        else:
-            self.boundary_loops = []
-        v = len(self.vertices)
-        e = self.num_edges
-        f = len(self.triangles)
-        b = len(self.boundary_loops)
-        if genus_hint is None:
-            genus_hint = (2 - b - (v - e + f)) // 2 if self.is_connected else 0
-        self.genus_hint = int(genus_hint)
-        if validate and self.is_connected:
-            if v - e + f != 2 - 2 * self.genus_hint - b:
-                raise MeshError(
-                    f"Euler formula violated: V-E+F={v - e + f}, "
-                    f"expected {2 - 2 * self.genus_hint - b}")
+        self.boundary_loops = self._trace_boundary()
 
     # -- combinatorics ------------------------------------------------------
 
@@ -172,12 +158,10 @@ class TriMesh:
         return len(self.boundary_loops) == 0
 
     @property
-    def is_connected(self):
-        if "connected" not in self._cache:
-            adj = self.adjacency
-            ncomp, _ = connected_components(adj, directed=False)
-            self._cache["connected"] = ncomp == 1
-        return self._cache["connected"]
+    def genus(self):
+        """(2 - b - (V - E + F)) / 2: the genus of a connected mesh."""
+        chi = self.num_vertices - self.num_edges + len(self.triangles)
+        return (2 - len(self.boundary_loops) - chi) // 2
 
     @property
     def adjacency(self):
@@ -196,7 +180,10 @@ class TriMesh:
     def face_geometry(self):
         """(cotangents (F,3), areas (F,)) computed from the face charts."""
         if "geometry" not in self._cache:
-            cots, areas = _kernels.tri_geometry(self.corners)
+            # non-finite corners make invalid cotangents; the area check
+            # below refuses them
+            with np.errstate(invalid="ignore"):
+                cots, areas = _kernels.tri_geometry(self.corners)
             ok = (areas > 0.0) & (areas < np.inf)  # NaN fails both
             if not np.all(ok):
                 bad = int(np.argmin(ok))
@@ -271,7 +258,6 @@ class TriMesh:
     def scaled(self, factor):
         """Uniformly scaled copy (same conformal class)."""
         return TriMesh(self.vertices * factor, self.triangles,
-                       genus_hint=self.genus_hint,
                        corners=self.corners * factor,
                        orig_vertex_ids=self.orig_vertex_ids,
                        chart_meta=self.chart_meta)
@@ -307,7 +293,7 @@ def build_sphere_mesh(subdivisions):
     for _ in range(subdivisions):
         verts, faces = _subdivide(verts, faces)
     verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
-    return TriMesh(verts, faces, genus_hint=0)
+    return TriMesh(verts, faces)
 
 
 def _subdivide(verts, faces):
@@ -351,8 +337,7 @@ def build_torus_mesh(modulus, resolution):
     cj = j[:, None, None] + np.array([[0, 0, 1], [0, 1, 1]])
     faces = ((cj % res) * res + ci % res).reshape(-1, 3)
     corners = pos[cj, ci].reshape(-1, 3, 3)
-    return TriMesh(verts, faces, genus_hint=1,
-                   corners=corners,
+    return TriMesh(verts, faces, corners=corners,
                    chart_meta={"tau_re": tau.real, "tau_im": tau.imag,
                                "res": res})
 
@@ -433,27 +418,29 @@ def volume_measure(mesh, density=None):
 
 
 def geodesic_distances(mesh, sources):
-    """Graph geodesic distances (Dijkstra on metric edge lengths): a row
-    for a scalar source, a (len(sources), V) array for a list. Each source
+    """Graph geodesic distances (Dijkstra on metric edge lengths) from a
+    list of source vertices, as a (len(sources), V) array. Each source
     runs Dijkstra once per mesh (rows are memoised; results are copies)."""
     memo = mesh._cache.setdefault("geodesic_rows", {})
-    keys = np.atleast_1d(sources).tolist()
+    keys = [int(s) for s in sources]
     missing = [s for s in dict.fromkeys(keys) if s not in memo]
     if missing:
         memo.update(zip(missing, dijkstra(mesh.edge_lengths, directed=False,
                                           indices=missing)))
-    rows = np.array([memo[s] for s in keys]).reshape(len(keys),
+    return np.array([memo[s] for s in keys]).reshape(len(keys),
                                                      mesh.num_vertices)
-    return rows[0] if np.ndim(sources) == 0 else rows
 
 
 def puncture(mesh, centers, radius):
     """Remove metric disks around center vertices; returns the subdomain.
 
     radius is a scalar or one value per center. Whole triangles inside each
-    disk are removed (no remeshing); one new boundary loop appears per
-    center and the Euler characteristic drops by one per hole. Original
-    vertex labels are kept in orig_vertex_ids.
+    disk are removed (no remeshing). Original vertex labels are kept in
+    orig_vertex_ids, and the subdomain is a full `TriMesh`, so its edges
+    are checked again. Each hole must remove a disk: the subdomain has one
+    new boundary loop per center and the genus of the mesh, else
+    MeshError. A hole that covers a handle leaves one loop but lowers the
+    genus.
     """
     centers = [int(c) for c in centers]
     if not centers:
@@ -462,7 +449,7 @@ def puncture(mesh, centers, radius):
                             (len(centers),))
     if np.any(radii <= 0.0):
         raise MeshError("puncture radius must be positive")
-    dist = np.atleast_2d(geodesic_distances(mesh, centers))
+    dist = geodesic_distances(mesh, centers)
     for p in range(len(centers)):
         for q in range(p + 1, len(centers)):
             if dist[p, centers[q]] <= radii[p] + radii[q]:
@@ -487,7 +474,6 @@ def puncture(mesh, centers, radius):
     remap = -np.ones(mesh.num_vertices, dtype=np.int64)
     remap[used] = np.arange(len(used))
     sub = TriMesh(mesh.vertices[used], remap[new_tri_old],
-                  genus_hint=mesh.genus_hint,
                   corners=mesh.corners[keep],
                   orig_vertex_ids=mesh.orig_vertex_ids[used],
                   chart_meta=mesh.chart_meta)
@@ -499,6 +485,10 @@ def puncture(mesh, centers, radius):
         raise MeshError(
             f"puncture produced {len(sub.boundary_loops)} boundary loops, "
             f"expected {expected}; holes may merge (radius too large)")
+    if sub.genus != mesh.genus:
+        raise MeshError(
+            f"puncture changed the genus from {mesh.genus} to {sub.genus}; "
+            f"a hole covers a handle (radius too large)")
     return sub
 
 
@@ -524,10 +514,10 @@ def hole_centers(mesh, count, seed):
 def _spread_centers(mesh, count, seed):
     """Deterministic farthest-point sample of vertex indices."""
     centers = [int(np.random.default_rng(seed).integers(mesh.num_vertices))]
-    dist = geodesic_distances(mesh, centers[0])
+    dist = geodesic_distances(mesh, centers)[0]
     while len(centers) < count:
         centers.append(int(np.argmax(dist)))
-        dist = np.minimum(dist, geodesic_distances(mesh, centers[-1]))
+        dist = np.minimum(dist, geodesic_distances(mesh, centers[-1:])[0])
     return centers
 
 

@@ -267,7 +267,7 @@ def _shift_invert(A, m, sigma, kk, seed=0, start=None):
         rhs = np.zeros((n, x.shape[1]))
         rhs[s_idx] = root[:, None] * x
         z = lu.solve(rhs)
-        return z, root[:, None] * z[s_idx]
+        return z, root[:, None] * z.take(s_idx, axis=0)
 
     nev = kk + CLUSTER_MARGIN
     # ncv >= 40: with ARPACK's default of 20 the solve stalled for minutes

@@ -661,13 +661,13 @@ def _torus_of_revolution():
     u, v = 2.0 * np.pi * grid.vertices[:, :2].T
     ring = 2.0 + np.cos(v)
     return TriMesh(np.stack([ring * np.cos(u), ring * np.sin(u), np.sin(v)],
-                            axis=1), grid.triangles, genus_hint=1)
+                            axis=1), grid.triangles)
 
 
 def _shifted_ellipsoid():
     sphere = build_sphere_mesh(2)
     return TriMesh(sphere.vertices * [3.0, 1.0, 0.5] + [2.5, 0.0, 0.0],
-                   sphere.triangles, genus_hint=0)
+                   sphere.triangles)
 
 
 @pytest.mark.parametrize("build, code, message", [

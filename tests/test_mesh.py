@@ -34,7 +34,7 @@ def test_load_tetrahedron(tmp_path):
     mesh = load_mesh(path)
     assert mesh.num_vertices == 4
     assert len(mesh.triangles) == 4
-    assert mesh.genus_hint == 0
+    assert mesh.genus == 0
     assert mesh.is_closed
 
 
@@ -102,14 +102,13 @@ def test_bow_tie_vertex_rejected():
         TriMesh(_points(10), tris)
 
 
-def test_euler_formula_violation(tmp_path):
-    path = tmp_path / "tet.off"
-    path.write_text(TET_OFF)
-    tet = load_mesh(path)
+@pytest.mark.parametrize("res, radius", [(5, 0.6), (6, 0.6), (8, 0.6)])
+def test_puncture_refuses_a_hole_that_covers_a_handle(res, radius):
+    # the disk covers all but one vertex star: one boundary loop, as for a
+    # hole, but what is left is a disk, not a holed torus
     with pytest.raises(MeshError,
-                       match=r"^Euler formula violated: V-E\+F=2, "
-                             r"expected 0$"):
-        TriMesh(tet.vertices, tet.triangles, genus_hint=1)
+                       match=r"^puncture changed the genus from 1 to 0; "):
+        puncture(build_torus_mesh(1j, res), [0], radius)
 
 
 def test_parse_errors(tmp_path):
@@ -629,8 +628,8 @@ def test_puncture_removes_a_degenerate_face_of_an_unmeasured_parent():
     corners = torus.corners.copy()
     face = int(np.flatnonzero(np.any(torus.triangles == 0, axis=1))[0])
     corners[face, 2] = 0.5 * (corners[face, 0] + corners[face, 1])
-    parent = TriMesh(torus.vertices, torus.triangles, genus_hint=1,
-                     corners=corners, chart_meta=torus.chart_meta)
+    parent = TriMesh(torus.vertices, torus.triangles, corners=corners,
+                     chart_meta=torus.chart_meta)
     sub = puncture(parent, [0], 2.5 / 12)
     assert len(sub.boundary_loops) == 1
     assert "geometry" not in parent._cache
@@ -645,8 +644,7 @@ def test_non_finite_corners_fail_the_area_check(bad):
     torus = build_torus_mesh(1j, 6)
     corners = torus.corners.copy()
     corners[5, 1, 0] = bad
-    mesh = TriMesh(torus.vertices, torus.triangles, genus_hint=1,
-                   corners=corners)
+    mesh = TriMesh(torus.vertices, torus.triangles, corners=corners)
     with pytest.raises(DegenerateTriangleError,
                        match="triangle 5 has zero or non-finite area"):
         _ = mesh.face_geometry
@@ -675,8 +673,8 @@ def test_face_subsets_match_loop_reference():
             tri = np.where(tri == rng.integers(16), rng.integers(16), tri)
 
         def vectorised():
-            mesh = TriMesh(_points(16), tri, genus_hint=0, validate=False)
-            return mesh.num_edges, mesh._trace_boundary()
+            mesh = TriMesh(_points(16), tri)
+            return mesh.num_edges, mesh.boundary_loops
 
         def loop():
             num_edges, nxt = _loop_edge_tables(tri)
@@ -705,10 +703,10 @@ def test_geodesic_rows_are_memoised_copies(monkeypatch):
         return dijkstra(*args, indices=indices, **kwargs)
 
     monkeypatch.setattr(meshmod, "dijkstra", counted)
-    one = geodesic_distances(mesh, 9)
+    one = geodesic_distances(mesh, [9])
     rows = geodesic_distances(mesh, [5, 9, 5])
-    assert one.shape == (mesh.num_vertices,)
-    assert np.array_equal(one, want[1]) and np.array_equal(rows, want)
+    assert one.shape == (1, mesh.num_vertices)
+    assert np.array_equal(one, want[[1]]) and np.array_equal(rows, want)
     assert ran == [[9], [5]]  # each source once, batched or not
     one[:] = 0.0
     rows[:] = 0.0

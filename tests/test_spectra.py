@@ -214,8 +214,7 @@ def test_maximizer_never_returns_less_than_its_start(subdiv, stretch, iters):
     # one: 25.012884 at the start fell to 25.012881 on sphere3, and
     # 0.3417 * 8 pi to 0.2350 * 8 pi on the 3:1:0.5 ellipsoid
     sphere = build_sphere_mesh(subdiv)
-    mesh = meshmod.TriMesh(sphere.vertices * stretch, sphere.triangles,
-                           genus_hint=0)
+    mesh = meshmod.TriMesh(sphere.vertices * stretch, sphere.triangles)
     start = maximize_lambda1_conformal(mesh, iters=1)
     rep = maximize_lambda1_conformal(mesh, iters=iters)
     assert rep.lambda_bar >= start.lambda_bar

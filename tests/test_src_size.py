@@ -194,9 +194,6 @@ ALLOWED = {
         "tests-only", "ROADMAP items 1 and 5, through hopf_differential"),
     "harmonic: def hopf_differential": (
         "tests-only", "ROADMAP items 1 and 5: the conformality check"),
-    "mesh: TriMesh.__init__.validate": (
-        "tests-only", "the face-subset oracle test builds meshes the "
-        "validators would refuse"),
     "mesh: def save_mesh": (
         "tests-only", "writes the OFF files that --mesh-file reads "
         "(ROADMAP item 8)"),
