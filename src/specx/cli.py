@@ -217,13 +217,23 @@ def _load_density(cfg, mesh):
         raise UsageError(f"bad density file {cfg.density}: {exc}") from exc
 
 
+def _jsonable(value):
+    """`json.dump`'s hook for the numpy values of a payload, the one place
+    they become JSON: an array becomes a list and a numpy scalar a Python
+    one. np.float64 is a float, which json writes without the hook."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                    "serializable")
+
+
 def _finish(cfg, payload, ledger, tables, flags):
     """The one write path of a run, for what its recipe returns: the
     tables (CSV file name -> rows), the ledger ((quantity, value) rows of
     `results.csv`, the results ledger) and the payload (of the JSON
-    report), all in cfg.out; then each flag (stage, message) on stderr.
-    Returns the exit code: 1 if a flag records a numerical failure, else
-    0."""
+    report, its numpy values converted by `_jsonable`), all in cfg.out;
+    then each flag (stage, message) on stderr. Returns the exit code: 1 if
+    a flag records a numerical failure, else 0."""
     os.makedirs(cfg.out, exist_ok=True)
     for name, rows in tables.items():
         with open(os.path.join(cfg.out, name), "w", newline="") as fh:
@@ -244,7 +254,7 @@ def _finish(cfg, payload, ledger, tables, flags):
         "payload": payload,
     }
     with open(os.path.join(cfg.out, f"{cfg.command}.json"), "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1, default=_jsonable)
         fh.write("\n")
     for stage, message in flags:
         print(f"specx: {stage}: {message}", file=sys.stderr)

@@ -372,24 +372,12 @@ class MinMaxReport:
     critical: dict | None = None
 
     def to_json_dict(self):
-        doc = {
-            "sup_energy": float(self.sup_energy),
-            "argmax": [float(x) for x in np.atleast_1d(self.argmax)],
-            "eps": float(self.eps),
-            "mollify_time": MOLLIFY_TIME,
-            "family": self.family,
-            "seed": int(self.seed),
-            "grid_size": int(self.grid_size),
-            "grid": dict(self.grid_info),
-            "refinement": [float(x) for x in self.refinement],
-        }
+        doc = {key: value for key, value in vars(self).items()
+               if key not in ("grid_info", "sweep_rows", "critical")}
+        doc.update(grid=self.grid_info, mollify_time=MOLLIFY_TIME)
         if self.critical is not None:
-            doc["critical"] = {
-                "E_eps": float(self.critical["E_eps"]),
-                "gradient_norm": float(self.critical["gradient_norm"]),
-                "tension_residual": float(self.critical["tension_residual"]),
-                "converged": bool(self.critical["converged"]),
-            }
+            doc["critical"] = {key: self.critical[key] for key in (
+                "E_eps", "gradient_norm", "tension_residual", "converged")}
         return doc
 
 
@@ -657,7 +645,7 @@ def glminmax_recipe(mesh, base_map: SphereMap, eps_list, seed, n_dirs):
                               "critical point, not a min-max one"))
             ok, lhs, rhs = sandwich_holds(rep, lam1)
             doc = rep.to_json_dict()
-            doc["sandwich"] = {"holds": bool(ok), "lhs": lhs, "rhs": rhs,
+            doc["sandwich"] = {"holds": ok, "lhs": lhs, "rhs": rhs,
                                "lambda1": lam1}
             results.append(doc)
             tables[f"glminmax_sweep_eps{eps}.csv"] = sweep_table(rep)

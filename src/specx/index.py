@@ -51,14 +51,7 @@ class IndexReport:
     # counts assume a harmonicity the map lacks
 
     def to_json_dict(self):
-        return {
-            "ind_S": int(self.ind_S),
-            "nul_S": int(self.nul_S),
-            "ind_E": int(self.ind_E),
-            "margins": [float(m) for m in self.margins],
-            "normalization": NORMALIZATION,
-            "tension_residual": float(self.tension_residual),
-        }
+        return dict(vars(self), normalization=NORMALIZATION)
 
 
 def _density(mesh, phi):

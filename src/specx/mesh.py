@@ -24,7 +24,7 @@ class MeshError(ValueError):
 
 
 class NonManifoldError(MeshError):
-    pass
+    vertex = None  # the vertex where several boundary fans meet, if any
 
 
 class OrientationError(MeshError):
@@ -111,8 +111,10 @@ class TriMesh:
         fans, fan_first = np.unique(dst[bnd], return_index=True)
         if len(fans) < len(bnd):
             q = np.setdiff1d(np.arange(len(bnd)), fan_first)[0]
-            raise NonManifoldError(
+            exc = NonManifoldError(
                 f"vertex {dst[bnd[q]]} has multiple boundary fans")
+            exc.vertex = dst[bnd[q]]
+            raise exc
         into = np.full(len(self.vertices), -1, dtype=np.int64)
         into[dst[bnd]] = bnd
         self._cache["edges"] = {
@@ -440,7 +442,9 @@ def puncture(mesh, centers, radius):
     are checked again. Each hole must remove a disk: the subdomain has one
     new boundary loop per center and the genus of the mesh, else
     MeshError. A hole that covers a handle leaves one loop but lowers the
-    genus.
+    genus; a radius at which the kept faces meet at one vertex (the
+    subdomain's NonManifoldError) is refused as too large, naming that
+    vertex of the parent.
     """
     centers = [int(c) for c in centers]
     if not centers:
@@ -473,10 +477,16 @@ def puncture(mesh, centers, radius):
     used = np.flatnonzero(kept)
     remap = -np.ones(mesh.num_vertices, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    sub = TriMesh(mesh.vertices[used], remap[new_tri_old],
-                  corners=mesh.corners[keep],
-                  orig_vertex_ids=mesh.orig_vertex_ids[used],
-                  chart_meta=mesh.chart_meta)
+    try:
+        sub = TriMesh(mesh.vertices[used], remap[new_tri_old],
+                      corners=mesh.corners[keep],
+                      orig_vertex_ids=mesh.orig_vertex_ids[used],
+                      chart_meta=mesh.chart_meta)
+    except NonManifoldError as exc:  # kept faces that meet at one vertex
+        raise MeshError(
+            f"puncture at centres {centers} with radii {radii.tolist()} "
+            f"pinches vertex {mesh.orig_vertex_ids[used[exc.vertex]]} "
+            "(radius too large)") from exc
     if "geometry" in mesh._cache:  # tri_geometry works face by face
         sub._cache["geometry"] = tuple(g[keep]
                                        for g in mesh._cache["geometry"])
@@ -498,7 +508,7 @@ def hole_centers(mesh, count, seed):
     farthest-point sampling on other meshes, punctured tori included."""
     if count < 1:
         raise MeshError(f"hole count must be >= 1, got {count}")
-    if not _whole_chart(mesh):
+    if not (mesh.chart_meta and mesh.is_closed):
         return _spread_centers(mesh, count, seed)
     k = int(round(np.sqrt(count)))
     if k * k == count:
@@ -533,16 +543,6 @@ def hole_radius(mesh, holes, frac):
 # OFF file I/O
 # ---------------------------------------------------------------------------
 
-def _whole_chart(mesh):
-    """Whether mesh is a whole flat torus, the res x res grid that its
-    chart_meta describes; `puncture` keeps chart_meta on a subdomain."""
-    if not mesh.chart_meta:
-        return False
-    res = int(mesh.chart_meta["res"])
-    return mesh.num_vertices == res * res \
-        and len(mesh.triangles) == 2 * res * res
-
-
 def save_mesh(mesh, path):
     """Write ASCII OFF; flat tori get a sidecar `<path>.chart` with tau/res.
 
@@ -551,7 +551,7 @@ def save_mesh(mesh, path):
     torus.
     """
     meta = mesh.chart_meta
-    if meta and not _whole_chart(mesh):
+    if meta and not mesh.is_closed:
         raise MeshError("cannot save a punctured flat torus: its chart "
                         "sidecar describes only the whole torus")
     if meta and not np.array_equal(mesh.vertices, build_torus_mesh(
@@ -587,9 +587,10 @@ def load_mesh(path):
             res = int(meta["res"])
         except (KeyError, ValueError) as exc:
             raise MeshError(f"bad chart sidecar {sidecar}: {exc}") from exc
+        # the file's faces must be the grid's; its vertex positions are
+        # only anchors of the chart, so they are not compared
         torus = build_torus_mesh(tau, res)
-        nv, nf, _ = _read_off(path)
-        if nv != torus.num_vertices or nf != len(torus.triangles):
+        if not np.array_equal(_parse_off(path)[1], torus.triangles):
             raise MeshError("OFF file does not match its chart sidecar")
         return torus
     mesh = TriMesh(*_parse_off(path))
@@ -601,9 +602,9 @@ def load_mesh(path):
     return mesh
 
 
-def _read_off(path):
-    """Vertex and face counts of an ASCII OFF file, and the lines after its
-    counts line, with comments and blank lines dropped."""
+def _parse_off(path):
+    """(vertices, faces) of an ASCII OFF file of triangles; comments and
+    blank lines are dropped."""
     with open(path) as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in lines if ln]
@@ -616,11 +617,7 @@ def _read_off(path):
         nv, nf = int(counts[0]), int(counts[1])
     except (ValueError, IndexError) as exc:
         raise MeshError("bad OFF counts line") from exc
-    return nv, nf, lines[2:]
-
-
-def _parse_off(path):
-    nv, nf, body = _read_off(path)
+    body = lines[2:]
     if len(body) < nv + nf:
         raise MeshError("OFF file truncated")
     try:

@@ -98,8 +98,5 @@ def conformal_volume(mesh, phi: SphereMap, n_dirs, seed):
 def vc_recipe(mesh, phi: SphereMap, n_dirs, seed):
     """The `specx vc` run: `conformal_volume` as (payload, ledger, tables,
     flags)."""
-    out = conformal_volume(mesh, phi, n_dirs, seed)
-    payload = {"V_c_estimate": float(out["V_c_estimate"]),
-               "argmax": [float(x) for x in out["argmax"]],
-               "refinement": [float(x) for x in out["refinement"]]}
+    payload = conformal_volume(mesh, phi, n_dirs, seed)
     return payload, [("V_c", payload["V_c_estimate"])], {}, []

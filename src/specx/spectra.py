@@ -75,12 +75,8 @@ class Spectrum:
         return self.values * self.mass
 
     def to_json_dict(self):
-        return {
-            "values": [float(v) for v in self.values],
-            "residuals": [float(r) for r in self.residuals],
-            "mass": float(self.mass),
-            "normalized": [float(v) for v in self.normalized()],
-        }
+        return {"values": self.values, "residuals": self.residuals,
+                "mass": self.mass, "normalized": self.normalized()}
 
 
 @dataclass
@@ -95,16 +91,9 @@ class MaximizerReport:
     warm_solves: int  # eigensolves taken by the warm block path
     cold_solves: int  # eigensolves taken by the cold path
 
-    def to_json_dict(self):
-        return {
-            "lambda_bar": float(self.lambda_bar),
-            "iterations": int(self.iterations),
-            "stationarity_gap": float(self.stationarity_gap),
-            "converged": bool(self.converged),
-            "weak_gap": float(self.weak_gap),
-            "measure_rank": int(self.measure_rank),
-            "density": [float(x) for x in self.density],
-        }
+    def to_json_dict(self):  # the solve counts are telemetry, not payload
+        return {key: value for key, value in vars(self).items()
+                if key not in ("warm_solves", "cold_solves")}
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +116,8 @@ def _check_support(mesh, b, expect_disconnected=False):
 
 
 def solve_pencil(mesh, b, k, seed=0, expect_disconnected=False, start=None):
-    """First k+1 eigenpairs of K v = lambda diag(b) v.
+    """First k+1 eigenpairs of K v = lambda diag(b) v, for b finite and
+    nonnegative (else MeshError, before any factorisation).
 
     One shift-invert solve (`_shift_invert`) for every pencil, with
     sigma = -1e-3 tr K / sum b < 0, so that K - sigma B is positive
@@ -143,6 +133,8 @@ def solve_pencil(mesh, b, k, seed=0, expect_disconnected=False, start=None):
         raise MeshError("right-hand form shape mismatch")
     if not np.all(np.isfinite(b)):
         raise MeshError("right-hand form must be finite")
+    if np.any(b < 0.0):
+        raise MeshError("right-hand form must be nonnegative")
     rank = _check_support(mesh, b, expect_disconnected)
     kk = k + 1
     if kk > rank:
@@ -387,8 +379,8 @@ def laplace_eigs(mesh, density=None, k=5, seed=0):
     density is None or a vertex array, checked by `validate_density`."""
     if k >= mesh.num_vertices:
         raise MeshError("k must be below the vertex count")
-    if density is not None:
-        validate_density(mesh, density)
+    if density is not None:  # validate_density lets -1e-12 through
+        density = np.maximum(validate_density(mesh, density), 0.0)
     return solve_pencil(mesh, volume_measure(mesh, density), k, seed)
 
 
@@ -613,9 +605,8 @@ def sweep_recipe(mesh, counts, seed):
     table = [["holes", "sigma_bar_1", "lambda_bar_1_ref",
               "nondecreasing_trend"]]
     table += [[holes, sig, lam_ref, trend] for holes, sig, _, _ in rows]
-    payload = {"rows": [[int(h), float(s)] for h, s, _, _ in rows],
-               "nondecreasing_trend": bool(trend),
-               "lambda_bar_ref": float(lam_ref)}
+    payload = {"rows": [[holes, sig] for holes, sig, _, _ in rows],
+               "nondecreasing_trend": trend, "lambda_bar_ref": lam_ref}
     ledger = [(f"sigma_bar_1_holes{holes}", sig) for holes, sig, _, _ in rows]
     return (payload, ledger, {"steklov_holes.csv": table},
             _ascent_flags("sweep lambda_bar_ref", ref))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specx import glminmax, spectra
-from specx.cli import RunConfig, _build_parser, main
+from specx.cli import RunConfig, _build_parser, _jsonable, main
 from specx.mesh import (TriMesh, build_sphere_mesh, build_torus_mesh,
                         load_mesh, puncture, save_mesh)
 from specx.spectra import steklov_eigs
@@ -193,6 +193,18 @@ def test_off_mesh_of_several_components_is_numerical_failure(
         "specx: numerical failure: OFF mesh must be one connected surface; "
         f"it has {ncomp} connected components\n")
     assert not out.exists()
+
+
+def test_payload_hook_converts_numpy_values_only():
+    # arrays become lists and numpy scalars Python ones; anything else is
+    # refused as json itself refuses it
+    doc = {"a": np.array([0.1, 2.0]), "n": np.int64(3),
+           "ok": np.bool_(True), "x": np.float64(0.1)}
+    assert json.dumps(doc, default=_jsonable) == json.dumps(
+        {"a": [0.1, 2.0], "n": 3, "ok": True, "x": 0.1})
+    with pytest.raises(TypeError,
+                       match="^Object of type object is not JSON serializable$"):
+        json.dumps(object(), default=_jsonable)
 
 
 def test_config_file_and_override(tmp_path):

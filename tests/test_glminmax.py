@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specx import cli
 from specx import glminmax as gl
 from specx import harmonic as hm
 from specx import mobius as mb
@@ -472,9 +473,11 @@ def test_sweep_csv(sphere_spec):
 def test_report_json(sphere_spec):
     rep = extract_critical(sphere_spec, minmax_upper(sphere_spec, 0.1))
     doc = rep.to_json_dict()
-    for key in ("sup_energy", "argmax", "eps", "mollify_time", "family",
-                "seed", "grid_size", "critical"):
-        assert key in doc
+    assert set(doc) == {"sup_energy", "argmax", "eps", "mollify_time",
+                        "family", "seed", "grid_size", "grid", "refinement",
+                        "critical"}
+    assert set(doc["critical"]) == {"E_eps", "gradient_norm",
+                                    "tension_residual", "converged"}
 
 
 def test_balanced_point_symmetric(sphere_spec):
@@ -686,7 +689,8 @@ def test_glminmax_recipe_returns_what_main_writes(tmp_path):
     assert main(["glminmax", "--surface", "sphere", "--subdiv", "2", "--eps",
                  "0.1", "--n", "2", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "glminmax.json") as fh:
-        assert json.load(fh)["payload"] == json.loads(json.dumps(payload))
+        assert json.load(fh)["payload"] == json.loads(
+            json.dumps(payload, default=cli._jsonable))
     assert ledger == [("sup_energy_eps0.1", payload[0]["sup_energy"])]
     with open(tmp_path / "glminmax_sweep_eps0.1.csv") as fh:
         assert [[float(x) for x in row] for row in

@@ -183,6 +183,8 @@ def test_index_report_json(sphere3, flowed_identity3, monkeypatch):
         warnings.simplefilter("error")  # harmonic enough: no warning
         rep = ix.index_report(sphere3, flowed_identity3)
     doc = rep.to_json_dict()
+    assert set(doc) == {"ind_S", "nul_S", "ind_E", "margins",
+                        "normalization", "tension_residual"}
     assert doc["ind_S"] == 1 and doc["nul_S"] == 3 and doc["ind_E"] == 0
     assert doc["normalization"] == "density |dPhi|^2, threshold 1"
     assert len(doc["margins"]) >= 2

@@ -111,6 +111,20 @@ def test_puncture_refuses_a_hole_that_covers_a_handle(res, radius):
         puncture(build_torus_mesh(1j, res), [0], radius)
 
 
+@pytest.mark.parametrize("res, radius", [(6, 0.50), (6, 0.55), (8, 0.50),
+                                         (8, 0.51), (8, 0.52), (8, 0.53),
+                                         (8, 0.54), (8, 0.55)])
+def test_puncture_names_a_radius_that_pinches(res, radius):
+    # the disk reaches the grid point (0, 1/2) from both sides, so the kept
+    # faces meet at that one vertex: the error names the hole, its radius
+    # and that vertex, not a defect of the mesh
+    message = (rf"^puncture at centres \[0\] with radii \[{radius}\] "
+               rf"pinches vertex {res * res // 2} \(radius too large\)$")
+    with pytest.raises(MeshError, match=message) as info:
+        puncture(build_torus_mesh(1j, res), [0], radius)
+    assert type(info.value) is MeshError
+
+
 def test_parse_errors(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text("not an off file\n")
@@ -160,6 +174,22 @@ def test_bad_torus_sidecar(tmp_path):
         with pytest.raises(MeshError, match="^bad chart sidecar"):
             load_mesh(path)
     sidecar.write_text(good.replace("res=8", "res=9"))
+    with pytest.raises(MeshError, match="does not match its chart sidecar"):
+        load_mesh(path)
+
+
+def test_off_file_that_is_not_the_sidecar_grid(tmp_path):
+    # the grid's counts, its vertices in reverse order and every face
+    # flipped: another triangulation, which the sidecar must not replace
+    torus = build_torus_mesh(1j, 8)
+    path = tmp_path / "t.off"
+    save_mesh(torus, path)
+    last = torus.num_vertices - 1
+    faces = (last - torus.triangles)[:, ::-1]
+    path.write_text(f"OFF\n{torus.num_vertices} {len(faces)} 0\n"
+                    + "".join(f"{x} {y} {z}\n"
+                              for x, y, z in torus.vertices[::-1])
+                    + "".join(f"3 {a} {b} {c}\n" for a, b, c in faces))
     with pytest.raises(MeshError, match="does not match its chart sidecar"):
         load_mesh(path)
 

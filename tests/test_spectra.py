@@ -271,6 +271,27 @@ def test_non_finite_pencil_weights_are_mesh_error(value, no_factorisation):
         solve_pencil(mesh, b, 2)
 
 
+def test_negative_pencil_weights_are_mesh_error(no_factorisation):
+    # with 5 weights negated the solve returned lambda_0 = -1.19e-3 and
+    # lambda_1 = 2.017 for the true 2, at a worst residual of 0.96
+    mesh = build_sphere_mesh(2)
+    b = volume_measure(mesh)
+    b[:5] *= -1.0
+    with pytest.raises(MeshError,
+                       match="^right-hand form must be nonnegative$"):
+        solve_pencil(mesh, b, 2)
+
+
+def test_density_within_roundoff_of_zero_still_runs(sphere3):
+    # validate_density lets -1e-12 through; laplace_eigs clips it to zero
+    f = np.ones(sphere3.num_vertices)
+    f[7] = -1e-12
+    clipped = f.copy()
+    clipped[7] = 0.0
+    np.testing.assert_array_equal(laplace_eigs(sphere3, f, k=2).values,
+                                  laplace_eigs(sphere3, clipped, k=2).values)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_start_density_is_mesh_error(value, no_factorisation):
     mesh = build_sphere_mesh(1)
@@ -736,8 +757,10 @@ def _check_lockstep(mesh, monkeypatch, **kwargs):
                                                cold.converged)
     assert abs(rep.lambda_bar - cold.lambda_bar) <= 1e-10 * cold.lambda_bar
     assert cold.warm_solves == 0
-    assert "warm_solves" not in rep.to_json_dict()
-    assert "cold_solves" not in rep.to_json_dict()
+    # the solve counts are telemetry: the payload holds the other fields
+    assert set(rep.to_json_dict()) == {
+        "density", "lambda_bar", "iterations", "stationarity_gap",
+        "converged", "weak_gap", "measure_rank"}
     return rep
 
 
